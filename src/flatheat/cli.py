@@ -183,6 +183,22 @@ def _parse_pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# argparse reads a separate value such as "-0.3,0.2" as an option; these
+# options get it attached as "--x=-0.3,0.2" before parsing
+_NUMBER_LIST_OPTIONS = frozenset({"--x", "--y", "--u", "--v", "--t-list"})
+_NEGATIVE_NUMBER = re.compile(r"^-[\d.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_LIST_OPTIONS and _NEGATIVE_NUMBER.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(",") if p != "")
@@ -698,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if getattr(args, "csv", None) and args.command not in _CSV_COMMANDS:

@@ -223,7 +223,7 @@ def dual(lat: ReducedLattice) -> DualBasis:
     return DualBasis(v1=(1.0, lat.a / lat.b), v2=(0.0, 1.0 / lat.b))
 
 
-def _bisector_intersection(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+def _circumcenter(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     mat = np.array([n1, n2])
     rhs = 0.5 * np.array([n1 @ n1, n2 @ n2])
     return np.linalg.solve(mat, rhs)
@@ -244,7 +244,7 @@ def voronoi(lat: ReducedLattice) -> VoronoiCell:
         order = np.argsort(np.arctan2(rel_arr[:, 1], rel_arr[:, 0]))
         rel_arr = rel_arr[order]
         verts = np.array([
-            _bisector_intersection(rel_arr[i], rel_arr[(i + 1) % len(rel_arr)])
+            _circumcenter(rel_arr[i], rel_arr[(i + 1) % len(rel_arr)])
             for i in range(len(rel_arr))
         ])
         return VoronoiCell(relevant_vectors=rel_arr, vertices=verts)
@@ -256,6 +256,29 @@ def voronoi(lat: ReducedLattice) -> VoronoiCell:
     return hexagon
 
 
+def _cut_lengths(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Arc length at which x + s*u stops being minimal, per unit row u of dirs.
+
+    Each offset v stands for one deck map g, with |g(x + s u) - x| = |v - s u|
+    (v = -t for a translation by t, v = -R(g(x) - x) for a glide with linear
+    part R).  |v - s u| >= s is linear in s: it holds while s <= |v|^2/(2 v.u).
+
+    Offset window.  The translations alone stop the segment on the boundary of
+    the Voronoi cell V of their lattice L, where only Voronoi-relevant vectors
+    bind.  So z = s_max u lies in V: |z| is at most the covering radius of L,
+    which bounds the diameter of the surface.  An offset that binds at z from
+    a coset p + L (the glides) is a nearest point of the coset to z, so v lies
+    in z - V, inside 2V.  For a Klein bottle of height b, V = [-1/2, 1/2] x
+    [-b, b]; the glide offsets (1 + m - 2 x1, (2k + 1) b) in 2V have
+    |1 + m - 2 x1| <= 1 and k in {-1, 0}, so |v| <= hypot(1, 2b).
+    """
+    dots = dirs[:, 0:1] * offsets[:, 0] + dirs[:, 1:2] * offsets[:, 1]
+    sq = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
+    with np.errstate(divide="ignore"):
+        bound = np.where(dots > 1e-14, sq / (2.0 * dots), np.inf)
+    return bound.min(axis=1)
+
+
 def cut_distance(lat: ReducedLattice, direction) -> float:
     """Distance from the origin to the Voronoi boundary along a unit direction.
 
@@ -265,13 +288,7 @@ def cut_distance(lat: ReducedLattice, direction) -> float:
     nu = float(np.hypot(*u))
     if nu == 0:
         raise ValueError("direction must be non-zero")
-    u = u / nu
-    rel = voronoi(lat).relevant_vectors
-    dots = rel @ u
-    mask = dots > 1e-14
-    if not mask.any():  # pragma: no cover - impossible for full-rank lattices
-        raise ValueError("no relevant vector on the positive side")
-    return float(np.min(np.sum(rel[mask] ** 2, axis=1) / (2.0 * dots[mask])))
+    return float(_cut_lengths(voronoi(lat).relevant_vectors, (u / nu)[None, :])[0])
 
 
 def _shift_table(lat: ReducedLattice) -> np.ndarray:

@@ -36,9 +36,10 @@ from .kernels import (
     projection_kernel,
 )
 from .lattice import LatticeTag, classify, cut_distance
-from .surfaces import FlatSurface, KleinBottle, Torus, klein_bottle, minimal_geodesic, torus
+from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
+_NEWTON_STEPS = 60
 _SCAN_NOTES = (
     "finite direction, arc-length, and time grids: a Monotone verdict is "
     "sampled evidence, not a proof",
@@ -154,37 +155,6 @@ def _scan_directions(surface: FlatSurface, n: int) -> np.ndarray:
     return np.concatenate(dirs, axis=0)
 
 
-def _klein_branch_distance(b: float, dx1: np.ndarray, dx2: np.ndarray) -> np.ndarray:
-    w1 = dx1 - np.round(dx1)
-    w2 = dx2 - 2.0 * b * np.round(dx2 / (2.0 * b))
-    return np.hypot(w1, w2)
-
-
-def _klein_distance(kb: KleinBottle, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact Klein-bottle distance, vectorized; cover lattice is rectangular."""
-    b = kb.b
-    direct = _klein_branch_distance(b, x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])
-    glided = _klein_branch_distance(b, x[..., 0] - 1.0 + y[..., 0],
-                                    x[..., 1] - y[..., 1] - b)
-    return np.minimum(direct, glided)
-
-
-def _cut_distances(surface: FlatSurface, base: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Arc length up to which base + s*dir stays a minimal geodesic, per direction."""
-    if isinstance(surface, Torus):
-        return np.array([cut_distance(surface.lattice, d) for d in dirs])
-    b = surface.b
-    lo = np.zeros(len(dirs))
-    hi = np.full(len(dirs), 0.5 * math.hypot(1.0, 2.0 * b) + 1e-6)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        pts = base[None, :] + mid[:, None] * dirs
-        ok = _klein_distance(surface, np.broadcast_to(base, pts.shape), pts) >= mid - 1e-12
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    return lo
-
-
 def _default_bases(surface: FlatSurface, cfg: ScanConfig) -> np.ndarray:
     if cfg.base_points is not None:
         return np.array(cfg.base_points, dtype=float)
@@ -260,7 +230,7 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
         t_list = [math.inf]
     tasks = []
     for base in bases:
-        smax = _cut_distances(surface, base, dirs)
+        smax = _s_max(surface, base, dirs)
         for t in t_list:
             tasks.append((t, base, smax))
     nw = worker_count()
@@ -310,10 +280,9 @@ def revalidate(surface: FlatSurface, witness: ViolationWitness,
 def radial_curve(surface: FlatSurface, kernel, base, direction, n: int = 101,
                  eps: float = 1e-12):
     """Sampled (s, value, derivative, error_bound) arrays along one geodesic."""
-    base = np.asarray(base, dtype=float)
-    u = _unit(direction)
-    smax = float(_cut_distances(surface, base, u[None, :])[0])
-    s = smax * np.arange(1, n + 1) / n
+    geo = minimal_geodesic(surface, base, direction)
+    base, u = np.array(geo.base), np.array(geo.direction)
+    s = geo.s_max * (np.arange(1, n + 1) / n)
     Y = base[None, :] + s[:, None] * u
     X = np.broadcast_to(base, Y.shape)
     if isinstance(kernel, Heat):
@@ -457,6 +426,8 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
     b > 1: P along the vertical geodesic from (xi, 0) equals (2/b) cos(2 pi s/b)
     and rises past s = b/2 before the cut at s = (g^2 + b^2) / (2b), where
     g = min(2 xi, 1 - 2 xi) is the horizontal gap to the nearest glide image.
+    That cut is the vertical case of the closed form in ``minimal_geodesic``:
+    for u = (0, 1) the binding offset is the glide offset (+-g, b).
     b = 1: the multiplicity-3 projection gives 2 cos^2(2 pi xi) + 2 cos(2 pi s).
     b < 1: the principal eigenvalue is simple; delegate to the asymptotic
     large-time violation.
@@ -605,7 +576,7 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
     for i, j in np.argwhere(cells):
         y = (np.array([i + 0.5, j + 0.5]) / grid) @ B
         converged = False
-        for _ in range(60):
+        for _ in range(_NEWTON_STEPS):
             g5, _ = _census_gradient(surface, t, y[None, :] + offsets, eps)
             g0 = g5[0]
             H = np.stack([(g5[1] - g5[2]) / (2 * h), (g5[3] - g5[4]) / (2 * h)], axis=1)

@@ -5,6 +5,12 @@ bottle of height b is R^2 modulo (x1, x2) ~ (x1 + 1, x2) ~ (1 - x1, x2 + b);
 its orientable double cover is the rectangular torus with lattice
 {(1, 0), (0, 2b)} and the deck transformation is the glide map
 g(y) = (1 - y1, y2 + b).
+
+Distances and minimal geodesics are closed forms.  The unit-speed segment
+x + s u is minimal exactly while s <= min |v|^2 / (2 v.u) over the deck
+offsets v of x with v.u > 0: the Voronoi-relevant vectors on a torus; the
+cover translations (m, 2kb) and the glide offsets (1 + m - 2 x1, (2k + 1) b)
+on a Klein bottle.
 """
 from __future__ import annotations
 
@@ -14,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import ReducedLattice, cut_distance, torus_distance
-
-_GEODESIC_TOL = 1e-12
-# slack for deciding "the straight segment is still minimal" in bisection
-_MINIMAL_SLACK = 1e-12
+from .lattice import ReducedLattice, _cut_lengths, torus_distance, voronoi
 
 
 def _vec(x) -> np.ndarray:
@@ -97,46 +99,44 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
     return np.concatenate([direct, flipped], axis=0)
 
 
-def _recenter(point: np.ndarray, target: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    coeff = np.linalg.solve(rows.T, point - target)
-    return point - rows.T @ np.round(coeff)
-
-
 def surface_distance(surface: FlatSurface, x, y) -> float:
     """Geodesic distance: min plane distance over orbit representatives.
 
-    Representatives are recentred toward x, then shells grow until the ring
-    lower bound shows no farther shell can improve the minimum.
+    Tori: ``torus_distance``.  Klein bottles: the nearer of y and its glide
+    image, each wrapped per axis on the rectangular cover {(1, 0), (0, 2b)},
+    where per-axis rounding finds the nearest lattice point exactly.
     """
     x, y = _vec(x), _vec(y)
     if isinstance(surface, Torus):
-        anchors = [_recenter(y, x, surface.lattice.basis)]
-        rows = surface.lattice.basis
-        hmin = surface.lattice.b / float(np.hypot(surface.lattice.a, surface.lattice.b))
+        return torus_distance(surface.lattice, x, y)
+    periods = np.array([1.0, 2.0 * surface.b])
+    d = x - np.stack([y, glide(surface, y)])
+    d -= periods * np.round(d / periods)
+    return float(np.min(np.hypot(d[:, 0], d[:, 1])))
+
+
+def _s_max(surface: FlatSurface, base: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Minimal-segment arc length from base along each unit row of dirs.
+
+    Klein offsets: the relevant vectors (+-1, 0), (0, +-2b) of the cover and
+    the glide offsets (c + m, +-b), c = 1 - 2 (x1 mod 1), m in {-1, 0, 1};
+    they cover the window derived in ``lattice._cut_lengths``.
+    """
+    if isinstance(surface, Torus):
+        offsets = voronoi(surface.lattice).relevant_vectors
     else:
-        rows = np.array([[1.0, 0.0], [0.0, 2.0 * surface.b]])
-        anchors = [_recenter(y, x, rows), _recenter(glide(surface, y), x, rows)]
-        hmin = min(1.0, 2.0 * surface.b)
-    anchors = np.array(anchors)
-    offsets = np.hypot(*(anchors - x).T)
-    best = float(offsets.min())
-    for shell in range(1, 80):
-        rng = np.arange(-shell, shell + 1)
-        mm, kk = np.meshgrid(rng, rng, indexing="ij")
-        mn = np.stack([mm.ravel(), kk.ravel()], axis=1).astype(float)
-        pts = anchors[:, None, :] + (mn @ rows)[None, :, :]
-        d = pts - x[None, None, :]
-        best = min(best, float(np.min(np.hypot(d[..., 0], d[..., 1]))))
-        if best <= (shell + 1) * hmin - float(offsets.max()):
-            return best
-    return best  # pragma: no cover - ring bound terminates far earlier
+        b, c = surface.b, 1.0 - 2.0 * (float(base[0]) % 1.0)
+        offsets = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 2.0 * b), (0.0, -2.0 * b),
+                            *((c + m, h) for m in (-1.0, 0.0, 1.0) for h in (b, -b))])
+    return _cut_lengths(offsets, dirs)
 
 
 def minimal_geodesic(surface: FlatSurface, base, direction) -> Geodesic:
     """Largest s_max such that base + s * direction is minimal on [0, s_max].
 
-    Tori: the cut distance of the direction (independent of base).  Klein
-    bottles: bisection on "distance equals arc length", to 1e-12.
+    s_max = min |v|^2 / (2 v.u) over the deck offsets v of the base with
+    v.u > 0, u the unit direction (see the module docstring).  On a torus
+    s_max is ``cut_distance`` of u and does not depend on the base.
     """
     base = _vec(base)
     u = _vec(direction)
@@ -144,25 +144,4 @@ def minimal_geodesic(surface: FlatSurface, base, direction) -> Geodesic:
     if nu == 0:
         raise InvalidParameter("direction must be non-zero")
     u = u / nu
-    if isinstance(surface, Torus):
-        s_max = cut_distance(surface.lattice, u)
-        return Geodesic(tuple(base), tuple(u), s_max)
-
-    reps = orbit_representatives(surface, base, shell=2)
-    gaps = np.hypot(*(reps - base).T)
-    sys = float(np.min(gaps[gaps > 1e-12]))
-
-    def minimal(s: float) -> bool:
-        return s - surface_distance(surface, base, base + s * u) <= _MINIMAL_SLACK
-
-    lo = 0.45 * sys
-    hi = math.sqrt(1.0 + 4.0 * surface.b ** 2)
-    if not minimal(lo):  # pragma: no cover - sys/2 is always minimal
-        raise InvalidParameter("failed to bracket the cut point")
-    while hi - lo > _GEODESIC_TOL:
-        mid = 0.5 * (lo + hi)
-        if minimal(mid):
-            lo = mid
-        else:
-            hi = mid
-    return Geodesic(tuple(base), tuple(u), 0.5 * (lo + hi))
+    return Geodesic(tuple(base), tuple(u), float(_s_max(surface, base, u[None, :])[0]))

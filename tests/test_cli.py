@@ -181,6 +181,27 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_negative_number_lists_as_separate_tokens(capsys):
+    kernel = ["kernel", "--a", "0.3", "--b", "1.2", "--y", "0.1,0.1", "--t", "0.5"]
+    code, spaced, err = run(capsys, kernel + ["--x", "-0.3,0.2"])
+    assert code == 0, err
+    _, joined, _ = run(capsys, kernel + ["--x=-0.3,0.2"])
+    assert spaced == joined
+    assert yaml.safe_load(spaced)["parameters"]["x"] == [-0.3, 0.2]
+    doc = run_valid(capsys, ["reduce", "--u", "-3,1", "--v", "-1,-2"])
+    assert abs(doc["results"]["scale"] - math.sqrt(5.0)) < 1e-12
+    # a negative time list reaches the evaluator: domain error, not usage error
+    code, _, _ = run(capsys, ["scan", "--a", "0", "--b", "1", "--t-list", "-1,2"])
+    assert code == 2
+    # a genuinely missing value is still a usage error
+    code, _, _ = run(capsys, kernel + ["--x"])
+    assert code == 1
+    code, _, err = run(capsys, ["kernel", "--a", "0.3", "--b", "1.2", "--x",
+                                "--y", "0.1,0.1", "--t", "0.5"])
+    assert code == 1
+    assert "--x" in err
+
+
 def test_domain_errors_exit_2(capsys):
     code, _, err = run(capsys, ["kernel", "--a", "0", "--b", "1", "--x", "0,0",
                                 "--y", "0,0", "--t", "-1"])

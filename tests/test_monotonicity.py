@@ -8,7 +8,7 @@ from flatheat import (Heat, InvalidParameter, NotSimple, Projection,
                       ScanConfig, Verdict, WrongLatticeClass,
                       asymptotic_violation, counterexample_generic,
                       counterexample_isosceles, counterexample_klein,
-                      critical_point_census, klein_bottle,
+                      critical_point_census, klein_bottle, minimal_geodesic,
                       principal_eigenvalue, radial_curve, revalidate, scan,
                       torus)
 
@@ -104,6 +104,13 @@ def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
     assert s.shape == vals.shape == derivs.shape == errs.shape == (101,)
     fd = np.gradient(vals, s)
     assert np.abs(fd[2:-2] - derivs[2:-2]).max() < 1e-3
+
+
+def test_radial_curve_ends_at_minimal_geodesic():
+    kb = klein_bottle(1.3)
+    for base, direction in (((3.2, 0.4), (0.6, 0.35)), ((-0.7, 1.1), (-0.2, 1.0))):
+        s, _, _, _ = radial_curve(kb, Heat(0.5), base, direction, n=16)
+        assert s[-1] == minimal_geodesic(kb, base, direction).s_max
 
 
 # ---------------------------------------------------------------------------
