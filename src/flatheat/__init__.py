@@ -9,10 +9,10 @@ finite-difference oracle for cross-checking the analytic evaluators.
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateBasis, DegenerateCritical, FlatHeatError,
-                     InvalidParameter, ModeSurfaceMismatch, NonPositiveTime,
-                     NotSimple, ToleranceUnreachable, UnstableStep,
-                     WrongLatticeClass)
+from .errors import (CertificationFailed, DegenerateBasis, DegenerateCritical,
+                     FlatHeatError, InvalidParameter, ModeSurfaceMismatch,
+                     NonPositiveTime, NotSimple, ToleranceUnreachable,
+                     UnstableStep, WrongLatticeClass)
 from .lattice import (DualBasis, LatticeClass, LatticeTag, RawBasis,
                       ReducedLattice, VoronoiCell, classify, covering_radius,
                       cut_distance, dual, reduce, torus_distance, voronoi)
@@ -40,6 +40,7 @@ __all__ = [
     "FlatHeatError", "DegenerateBasis", "NonPositiveTime",
     "ToleranceUnreachable", "ModeSurfaceMismatch", "WrongLatticeClass",
     "InvalidParameter", "NotSimple", "DegenerateCritical", "UnstableStep",
+    "CertificationFailed",
     "RawBasis", "ReducedLattice", "LatticeTag", "LatticeClass", "DualBasis",
     "VoronoiCell", "reduce", "classify", "dual", "voronoi", "cut_distance",
     "torus_distance", "covering_radius",

@@ -39,3 +39,7 @@ class DegenerateCritical(FlatHeatError):
 
 class UnstableStep(FlatHeatError):
     """Raised when an explicit Euler step size violates the stability bound."""
+
+
+class CertificationFailed(FlatHeatError):
+    """Raised when a constructed counterexample or violation fails its certificate."""

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    CertificationFailed,
     DegenerateCritical,
     InvalidParameter,
     NotSimple,
@@ -315,6 +316,12 @@ class CounterexampleRecord:
     extras: dict = field(default_factory=dict)
 
 
+def _certify(ok, message: str) -> None:
+    """Raise CertificationFailed unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise CertificationFailed(message)
+
+
 def _projection_witness(surface, mode, base, direction, s_lo, s_hi, n=100):
     """Common machinery: sample P along a geodesic, check increase past s_lo."""
     base = np.asarray(base, dtype=float)
@@ -330,11 +337,11 @@ def _projection_witness(surface, mode, base, direction, s_lo, s_hi, n=100):
     grads, err = projection_gradient(surface, mode, X, Y)
     dp = grads @ u
     rising = s >= s_lo - 1e-12
-    assert np.all(np.diff(np.asarray(p)[rising]) > 0), "expected strict increase"
+    _certify(np.all(np.diff(np.asarray(p)[rising]) > 0), "expected strict increase")
     s_mid = 0.5 * (s_lo + s_hi)
     gm, em = projection_gradient(surface, mode, base, base + s_mid * u)
     deriv = float(np.asarray(gm) @ u)
-    assert deriv - em > 0, "witness derivative not certifiably positive"
+    _certify(deriv - em > 0, "witness derivative not certifiably positive")
     witness = ViolationWitness(
         base=(float(base[0]), float(base[1])), direction=(float(u[0]), float(u[1])),
         s=float(s_mid), t=math.inf, radial_derivative=deriv, error_bound=float(em),
@@ -358,12 +365,13 @@ def counterexample_generic(a: float, b: float) -> CounterexampleRecord:
     mode = principal_eigenvalue(surface)
     s_star = cut_distance(lat, (0.0, 1.0)) / lat.b
     closed_form = (lat.a ** 2 + lat.b ** 2) / (2.0 * lat.b ** 2)
-    assert abs(s_star - closed_form) <= 1e-12
+    _certify(abs(s_star - closed_form) <= 1e-12,
+             f"cut distance {s_star!r} differs from the closed form {closed_form!r}")
     s_arc, p, dp, witness, increase = _projection_witness(
         surface, mode, (0.0, 0.0), (0.0, 1.0), 0.5 * lat.b, s_star * lat.b)
     s_norm = s_arc / lat.b
     deviation = float(np.max(np.abs(p - (2.0 / lat.b) * np.cos(2.0 * math.pi * s_norm))))
-    assert deviation <= 1e-12
+    _certify(deviation <= 1e-12, f"projection deviates from (2/b) cos(2 pi s) by {deviation:.3g}")
     return CounterexampleRecord(
         kind="generic", surface=surface, s_star=float(s_star),
         s_values=tuple(s_norm), p_values=tuple(p), dp_values=tuple(dp),
@@ -390,7 +398,7 @@ def counterexample_isosceles(a: float) -> CounterexampleRecord:
     xi = np.array([-1.0 - a, b])
     eta = np.array([1.0 - a, b])
     xi_dot_eta = float(xi @ eta)
-    assert abs(xi_dot_eta) <= 1e-14
+    _certify(abs(xi_dot_eta) <= 1e-14, f"diagonals not orthogonal: xi . eta = {xi_dot_eta:.3g}")
     # circumcenter: equidistant from 0, (-a,b), (1-a,b)
     corners = np.array([[-a, b], [1.0 - a, b]])
     z_star = np.linalg.solve(corners, 0.5 * (corners ** 2).sum(axis=1))
@@ -398,10 +406,11 @@ def counterexample_isosceles(a: float) -> CounterexampleRecord:
     pts = s[:, None] * xi[None, :]
     p = projection_kernel(surface, mode, np.zeros(2), pts)
     deviation = float(np.max(np.abs(p - (4.0 / b) * np.cos(2.0 * math.pi * s))))
-    assert deviation <= 1e-12
+    _certify(deviation <= 1e-12, f"projection deviates from (4/b) cos(2 pi s) by {deviation:.3g}")
     grad, err = projection_gradient(surface, mode, np.zeros(2), z_star)
     deriv = float(np.asarray(grad) @ z_star)
-    assert deriv - float(np.hypot(*z_star)) * err > 0
+    _certify(deriv - float(np.hypot(*z_star)) * err > 0,
+             "circumcenter derivative not certifiably positive")
     u = z_star / np.hypot(*z_star)
     witness = ViolationWitness(
         base=(0.0, 0.0), direction=(float(u[0]), float(u[1])),
@@ -450,7 +459,7 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
         grads, eg, _, _ = heat_gradient_values(surface, asy.t_threshold, X, Y, eps=eps)
         dp = np.asarray(grads) @ u
         k = int(np.argmax(dp))
-        assert dp[k] - eg > 0, "no certifiably positive radial derivative on segment"
+        _certify(dp[k] - eg > 0, "no certifiably positive radial derivative on segment")
         witness = ViolationWitness(
             base=asy.x, direction=(float(u[0]), float(u[1])), s=float(s[k]),
             t=asy.t_threshold, radial_derivative=float(dp[k]), error_bound=float(eg),
@@ -465,7 +474,8 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
     gap = min(2.0 * xi, 1.0 - 2.0 * xi)
     s_cut = (gap ** 2 + b ** 2) / (2.0 * b)
     geo = minimal_geodesic(surface, base, (0.0, 1.0))
-    assert abs(geo.s_max - s_cut) <= 1e-9
+    _certify(abs(geo.s_max - s_cut) <= 1e-9,
+             f"cut distance {geo.s_max!r} differs from the closed form {s_cut!r}")
     s_arc, p, dp, witness, increase = _projection_witness(
         surface, mode, base, (0.0, 1.0), 0.5 * b, s_cut)
     if b > 1.0:
@@ -473,7 +483,7 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
     else:
         formula = 2.0 * math.cos(2.0 * math.pi * xi) ** 2 + 2.0 * np.cos(2.0 * math.pi * s_arc)
     deviation = float(np.max(np.abs(p - formula)))
-    assert deviation <= 1e-12
+    _certify(deviation <= 1e-12, f"projection deviates from its closed form by {deviation:.3g}")
     return CounterexampleRecord(
         kind="klein-projection", surface=surface, s_star=float(s_cut / b),
         s_values=tuple(s_arc / b), p_values=tuple(p), dp_values=tuple(dp),
@@ -506,7 +516,7 @@ def asymptotic_violation(surface: FlatSurface) -> AsymptoticViolation:
     x = np.array([0.2, 0.0])
     y = np.array([0.05, 0.0])
     phi = eigenbasis_values(surface, mode, np.stack([x, y]))[0]
-    assert 0.0 < phi[0] < phi[1]
+    _certify(0.0 < phi[0] < phi[1], "phi_1 does not order the sample points")
     lam = mode.eigenvalue
     for t in _DEFAULT_T_GRID:
         eps = max(math.exp(-lam * t) * 1e-8, 1e-280)

@@ -1,9 +1,13 @@
 """Geodesic monotonicity scans, counterexample records, and the census."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flatheat
 from flatheat import (Heat, InvalidParameter, NotSimple, Projection,
                       ScanConfig, Verdict, WrongLatticeClass,
                       asymptotic_violation, counterexample_generic,
@@ -166,6 +170,36 @@ def test_isosceles_counterexample_records():
 def test_isosceles_rejects_wrong_class():
     with pytest.raises(WrongLatticeClass):
         counterexample_isosceles(0.0)
+
+
+_INFLATED_BOUND_SCRIPT = """
+import sys
+from flatheat import CertificationFailed, monotonicity
+if not sys.flags.optimize:
+    sys.exit(4)  # the point is to run with asserts stripped
+real = monotonicity.projection_gradient
+def inflated(*args, **kwargs):
+    grad, _ = real(*args, **kwargs)
+    return grad, 1e6  # error bound far above any derivative
+monotonicity.projection_gradient = inflated
+try:
+    monotonicity.counterexample_isosceles(0.3)
+except CertificationFailed as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_certificate_survives_optimize_flag():
+    # python -O strips asserts; an uncertified witness must still be refused
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flatheat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _INFLATED_BOUND_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "not certifiably positive" in proc.stdout
 
 
 def test_klein_counterexample_wide():

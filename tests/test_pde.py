@@ -73,11 +73,40 @@ def test_partial_last_step_hits_final_time_exactly(square_lattice):
 
 
 def test_constant_field_is_equilibrium(honeycomb_lattice):
-    state = GridSolution(lattice=honeycomb_lattice, n=32,
-                         dt=0.5 * stable_step(honeycomb_lattice, 32),
-                         field=np.full((32, 32), 2.5))
-    evolved = evolve(state, 0.01)
-    assert np.abs(evolved.field - 2.5).max() == 0.0
+    # 0.1 has no exact mean over n^2 nodes; the field must still come back bitwise
+    for n in (24, 32):
+        for value in (2.5, 0.1):
+            state = GridSolution(lattice=honeycomb_lattice, n=n,
+                                 dt=0.5 * stable_step(honeycomb_lattice, n),
+                                 field=np.full((n, n), value))
+            evolved = evolve(state, 0.01)
+            assert np.abs(evolved.field - value).max() == 0.0, (n, value)
+
+
+def _stencil_laplacian(field, g, h):
+    # the 9-point stencil written out: axis second differences plus the
+    # centered cross difference for the mixed term
+    up = np.pad(field, 1, mode="wrap")
+    c = up[1:-1, 1:-1]
+    axis_p = up[2:, 1:-1] + up[:-2, 1:-1] - 2.0 * c
+    axis_q = up[1:-1, 2:] + up[1:-1, :-2] - 2.0 * c
+    cross = up[2:, 2:] + up[:-2, :-2] - up[2:, :-2] - up[:-2, 2:]
+    return (g["g11"] * axis_p + g["g22"] * axis_q + 0.5 * g["g12"] * cross) / (h * h)
+
+
+@pytest.mark.parametrize("n", [7, 17, 32])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, HONEYCOMB_B), (0.3, 1.1)])
+def test_evolve_matches_explicit_stencil_loop(n, a, b):
+    lat = ReducedLattice.from_parameters(a, b)
+    state = gaussian_state(lat, n, sigma=0.1)
+    t_final = 0.02 + 0.37 * state.dt  # needs a partial last step
+    g = laplacian_coefficients(lat)
+    u = state.field.copy()
+    steps = int(t_final / state.dt)
+    for _ in range(steps):
+        u += state.dt * _stencil_laplacian(u, g, 1.0 / n)
+    u += (t_final - steps * state.dt) * _stencil_laplacian(u, g, 1.0 / n)
+    assert np.abs(evolve(state, t_final).field - u).max() <= 1e-12
 
 
 def test_rejects_backward_time(square_lattice):
