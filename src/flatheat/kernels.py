@@ -1,17 +1,25 @@
 """Laplace spectra and heat kernels on flat tori and Klein bottles.
 
-Two dual evaluation routes are kept side by side and never merged:
+Every surface is the quotient of a cover torus R^2 / L by a finite deck
+group: a torus is its own cover (the identity alone), and a Klein bottle of
+height b is covered by the rectangular torus with rows (1, 0), (0, 2b), with
+the identity and the glide g(y) = (1 - y1, y2 + b) as deck elements.  So
 
-* spectral sums over the dual lattice (eigenfunction expansions), and
-* Gaussian image sums over the primal lattice (method of images).
+    K_t(x, y) = sum over deck elements h of K_L(x - h(y)),
+
+and each K_L is evaluated by one of two dual routes over the cover lattice:
+
+* the spectral route sums over the dual lattice (eigenfunction expansion);
+* the image route sums Gaussians over the primal lattice (method of images).
 
 Poisson summation says the two must agree; the test suite checks that they do
 within the certified truncation bounds carried by every value.  Truncation is
 certified by a Gaussian ring bound: once all points inside a radius are
 summed, the discarded tail is dominated by an explicit erfc integral.
 
-Summation order is fixed (terms sorted by point modulus, ties broken by
-integer coordinates) so repeated evaluations are bitwise reproducible.
+Lattice points are enumerated in a fixed order (sorted by modulus, ties
+broken by integer coordinates) and blocks have a fixed size for a given term
+count, so repeated evaluations are bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -27,13 +35,17 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import ReducedLattice, covering_radius, covering_radius_of_rows, dual
-from .surfaces import FlatSurface, KleinBottle, Torus, glide
+from .lattice import covering_radius_of_rows
+from .surfaces import FlatSurface, Torus
 
 TERM_BUDGET = 10_000_000
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
+# Evaluators work in blocks of rows.  A block holds a few (rows x terms)
+# float64 arrays at once (the image gradient about five), so the rows per
+# block come from a byte budget for one such array, capped at _CHUNK.
 _CHUNK = 2048
+_BLOCK_BYTES = 8 << 20
 _EPS_FLOOR = 1e-300
 
 
@@ -84,35 +96,40 @@ def _radius_for(alpha: float, rho: float, covol: float, eps: float,
     raise ToleranceUnreachable("tail bound failed to converge")  # pragma: no cover
 
 
-def _points_in_disk(rows: np.ndarray, center: np.ndarray, radius: float):
-    """Integer combinations m*u + n*v within radius of center.
+def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
+    """Integer combinations m*u + n*v within radius of the origin.
 
-    Returns (mn, pts, r2) sorted by (r2, m, n) for reproducible summation.
+    For each m, the admissible n lie between the roots of the quadratic
+    |m u + n v|^2 = radius^2.  With half, only the origin and the half-plane
+    m > 0 or (m = 0, n > 0): one of each pair of points +-p.  Returns
+    (mn, pts, r2) sorted by (r2, m, n) for reproducible summation.
     """
-    u, v = rows[0], rows[1]
-    cr = float(u[0] * v[1] - u[1] * v[0])
-    a_quad = float(v @ v)
-    m_c = float(center[0] * v[1] - center[1] * v[0]) / cr
-    m_r = radius * math.hypot(*v) / abs(cr)
-    mn_list = []
-    for m in range(math.ceil(m_c - m_r - 1e-9), math.floor(m_c + m_r + 1e-9) + 1):
-        w = m * u - center
-        b_quad = 2.0 * float(v @ w)
-        c_quad = float(w @ w) - radius * radius
-        disc = b_quad * b_quad - 4.0 * a_quad * c_quad
+    (u0, u1), (v0, v1) = rows.tolist()
+    a_quad = v0 * v0 + v1 * v1
+    m_r = radius * math.sqrt(a_quad) / abs(u0 * v1 - u1 * v0)
+    m_lo = 0 if half else math.ceil(-m_r - 1e-9)
+    ms, n_los, counts = [], [], []
+    for m in range(m_lo, math.floor(m_r + 1e-9) + 1):
+        w0, w1 = m * u0, m * u1
+        b_quad = 2.0 * (v0 * w0 + v1 * w1)
+        disc = b_quad * b_quad - 4.0 * a_quad * (w0 * w0 + w1 * w1 - radius * radius)
         if disc < 0:
             continue
         sq = math.sqrt(disc)
         n_lo = math.ceil((-b_quad - sq) / (2.0 * a_quad) - 1e-12)
         n_hi = math.floor((-b_quad + sq) / (2.0 * a_quad) + 1e-12)
-        mn_list.extend((m, n) for n in range(n_lo, n_hi + 1))
-    if not mn_list:
-        mn = np.zeros((0, 2), dtype=np.int64)
-        return mn, np.zeros((0, 2)), np.zeros(0)
-    mn = np.array(mn_list, dtype=np.int64)
+        if half and m == 0:
+            n_lo = 0
+        if n_hi >= n_lo:
+            ms.append(m)
+            n_los.append(n_lo)
+            counts.append(n_hi - n_lo + 1)
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    n = np.repeat(np.array(n_los) - starts, counts) + np.arange(starts[-1] + counts[-1])
+    mn = np.stack([np.repeat(ms, counts), n], axis=1)
     pts = mn.astype(float) @ rows
-    diff = pts - center
-    r2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     order = np.lexsort((mn[:, 1], mn[:, 0], r2))
     return mn[order], pts[order], r2[order]
 
@@ -122,230 +139,83 @@ def _points_in_disk(rows: np.ndarray, center: np.ndarray, radius: float):
 
 
 @lru_cache(maxsize=128)
-def _torus_geometry(a: float, b: float):
-    lat = ReducedLattice.from_parameters(a, b)
-    dual_rows = dual(lat).matrix
+def _geometry(rows: tuple):
+    """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1))."""
+    (u0, u1), (v0, v1) = rows
+    det = u0 * v1 - u1 * v0
+    primal = np.array(rows, dtype=float)
+    dual_rows = np.array([[v1, -v0], [-u1, u0]]) / det
     return {
-        "rows": lat.basis,
-        "rho": covering_radius(lat),
-        "covol": lat.b,
+        "rows": primal,
+        "rho": covering_radius_of_rows(primal),
+        "covol": abs(det),
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
-        "dual_covol": 1.0 / lat.b,
+        "dual_covol": 1.0 / abs(det),
     }
 
 
-def _klein_cover_geometry(b: float):
-    return {
-        "rows": np.array([[1.0, 0.0], [0.0, 2.0 * b]]),
-        "rho": 0.5 * math.hypot(1.0, 2.0 * b),
-        "covol": 2.0 * b,
-        "dual_rho": 0.5 * math.hypot(1.0, 1.0 / (2.0 * b)),
-        "dual_covol": 1.0 / (2.0 * b),
-    }
+def _torus_rows(surface: Torus) -> tuple:
+    return ((1.0, 0.0), (-surface.lattice.a, surface.lattice.b))
+
+
+def _block_rows(terms: int) -> int:
+    """Rows per block, so that one (rows x terms) float64 array fits _BLOCK_BYTES."""
+    return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * max(terms, 1))))
 
 
 # ---------------------------------------------------------------------------
-# torus evaluators
+# lattice-sum evaluators on displacements d = x - h(y), h a deck element
 
 
-def _torus_spectral(lat: ReducedLattice, t: float, disp: np.ndarray, eps: float,
-                    want_grad: bool):
-    area = lat.b
+def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
+    """Cover kernel (or y-gradient) at displacements disp, summed over the dual lattice."""
+    geom = _geometry(rows)
+    area = geom["covol"]
     alpha = _FOUR_PI_SQ * t
-    geom = _torus_geometry(lat.a, lat.b)
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    _, pts, r2 = _points_in_disk(geom["dual_rows"], np.zeros(2), radius)
-    w = np.exp(-alpha * r2) / area
+    # p and -p contribute alike: sum one of each pair, with weight 2
+    _, pts, r2 = _points_in_disk(geom["dual_rows"], radius, half=True)
+    w = np.exp(-alpha * r2) * (2.0 / area)
+    w[0] = 1.0 / area  # the origin, first by modulus, has no partner
+    coef = _TWO_PI * pts * w[:, None] if want_grad else w
     flat = disp.reshape(-1, 2)
-    if want_grad:
-        out = np.empty((flat.shape[0], 2))
-        for i in range(0, flat.shape[0], _CHUNK):
-            ph = _TWO_PI * flat[i:i + _CHUNK] @ pts.T
-            sw = np.sin(ph) * w
-            out[i:i + _CHUNK, 0] = (sw * (_TWO_PI * pts[:, 0])).sum(axis=-1)
-            out[i:i + _CHUNK, 1] = (sw * (_TWO_PI * pts[:, 1])).sum(axis=-1)
-        out = out.reshape(disp.shape)
-    else:
-        out = np.empty(flat.shape[0])
-        for i in range(0, flat.shape[0], _CHUNK):
-            ph = _TWO_PI * flat[i:i + _CHUNK] @ pts.T
-            out[i:i + _CHUNK] = (np.cos(ph) * w).sum(axis=-1)
-        out = out.reshape(disp.shape[:-1])
+    out = np.empty((flat.shape[0],) + coef.shape[1:])
+    step = _block_rows(len(pts))
+    for i in range(0, flat.shape[0], step):
+        ph = _TWO_PI * flat[i:i + step] @ pts.T
+        out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
     err = pref * _ring_tail(alpha, radius, geom["dual_rho"], geom["dual_covol"], moment)
-    return out, err, len(r2)
+    return out.reshape(disp.shape[:-1] + coef.shape[1:]), err, len(pts)
 
 
-def _torus_image(lat: ReducedLattice, t: float, disp: np.ndarray, eps: float,
-                 want_grad: bool):
+def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
+    """Cover kernel (or y-gradient) at displacements disp, summed over lattice images."""
+    geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
     pref0 = 1.0 / (4.0 * math.pi * t)
-    geom = _torus_geometry(lat.a, lat.b)
     moment = 1 if want_grad else 0
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
     radius = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     flat = disp.reshape(-1, 2)
-    rows = geom["rows"]
-    coeff = np.linalg.solve(rows.T, flat.T).T
-    d0 = flat - np.round(coeff) @ rows
+    lat = geom["rows"]
+    d0 = flat - np.round(flat @ geom["dual_rows"].T) @ lat
     spread = float(np.max(np.hypot(d0[:, 0], d0[:, 1]))) if len(d0) else 0.0
-    _, pts, _ = _points_in_disk(rows, np.zeros(2), radius + spread)
-    if want_grad:
-        out = np.empty((flat.shape[0], 2))
-        for i in range(0, flat.shape[0], _CHUNK):
-            z = d0[i:i + _CHUNK, None, :] - pts[None, :, :]
-            e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
-            out[i:i + _CHUNK, 0] = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
-            out[i:i + _CHUNK, 1] = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
-        out = out.reshape(disp.shape)
-    else:
-        out = np.empty(flat.shape[0])
-        for i in range(0, flat.shape[0], _CHUNK):
-            z = d0[i:i + _CHUNK, None, :] - pts[None, :, :]
-            e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
-            out[i:i + _CHUNK] = pref0 * e.sum(axis=-1)
-        out = out.reshape(disp.shape[:-1])
-    err = pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
-    return out, err, len(pts)
-
-
-# ---------------------------------------------------------------------------
-# Klein bottle evaluators
-
-# Admissible spectral parameters (l1, l2): cosine modes in x1 need l2 even,
-# sine modes need l2 odd and l1 > 0.  Each entry is summarised so that the
-# kernel term reads amp * T(u x1) T(u y1) cos(c (x2 - y2)) with T = cos or sin.
-
-
-def _klein_mode_entries(b: float, lam_max: float):
-    entries = []
-    l1 = 0
-    while (_TWO_PI * l1) ** 2 <= lam_max * (1.0 + 1e-12):
-        lam1 = (_TWO_PI * l1) ** 2
-        rem = max(lam_max * (1.0 + 1e-12) - lam1, 0.0)
-        l2_hi = int(b * math.sqrt(rem) / math.pi) + 1
-        for l2 in range(0, l2_hi + 1):
-            lam = lam1 + (math.pi * l2 / b) ** 2
-            if lam > lam_max * (1.0 + 1e-12):
-                continue
-            if l1 == 0 and l2 == 0:
-                amp, is_sin, count = 1.0 / b, False, 1
-            elif l2 == 0:
-                amp, is_sin, count = 2.0 / b, False, 1
-            elif l1 == 0:
-                if l2 % 2 == 1:
-                    continue
-                amp, is_sin, count = 2.0 / b, False, 2
-            else:
-                amp, is_sin, count = 4.0 / b, l2 % 2 == 1, 2
-            entries.append((lam, l1, l2, amp, is_sin, count))
-        l1 += 1
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return entries
-
-
-def _klein_term_arrays(b: float, generators):
-    """Unified per-mode arrays (u, c, amp, is_sin) for a list of (l1, l2) pairs."""
-    u, c, amp, is_sin = [], [], [], []
-    for l1, l2 in generators:
-        u.append(_TWO_PI * l1)
-        c.append(math.pi * l2 / b)
-        if l1 == 0 and l2 == 0:
-            amp.append(1.0 / b)
-            is_sin.append(False)
-        elif l2 == 0 or l1 == 0:
-            amp.append(2.0 / b)
-            is_sin.append(False)
-        else:
-            amp.append(4.0 / b)
-            is_sin.append(l2 % 2 == 1)
-    return (np.array(u), np.array(c), np.array(amp), np.array(is_sin, dtype=bool))
-
-
-def _klein_trig(vals: np.ndarray, is_sin: np.ndarray):
-    c = np.cos(vals)
-    s = np.sin(vals)
-    return np.where(is_sin, s, c), np.where(is_sin, c, -s)  # (T, T')
-
-
-def _klein_spectral(kb: KleinBottle, t: float, x: np.ndarray, y: np.ndarray,
-                    eps: float, want_grad: bool):
-    b = kb.b
-    alpha = _FOUR_PI_SQ * t
-    geom = _klein_cover_geometry(b)
-    moment = 1 if want_grad else 0
-    pref = (4.0 / b) * (_TWO_PI if want_grad else 1.0)
-    radius = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    entries = _klein_mode_entries(b, (_TWO_PI * radius) ** 2)
-    lam = np.array([e[0] for e in entries])
-    u, c, amp, is_sin = _klein_term_arrays(b, [(e[1], e[2]) for e in entries])
-    w = amp * np.exp(-lam * t)
-    xf = x.reshape(-1, 2)
-    yf = y.reshape(-1, 2)
-    n = xf.shape[0]
-    out = np.empty((n, 2)) if want_grad else np.empty(n)
-    for i in range(0, n, _CHUNK):
-        x1 = xf[i:i + _CHUNK, 0:1]
-        y1 = yf[i:i + _CHUNK, 0:1]
-        d2 = xf[i:i + _CHUNK, 1:2] - yf[i:i + _CHUNK, 1:2]
-        tx, _ = _klein_trig(x1 * u, is_sin)
-        ty, dty = _klein_trig(y1 * u, is_sin)
+    _, pts, _ = _points_in_disk(lat, radius + spread)
+    out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
+    step = _block_rows(len(pts))
+    for i in range(0, flat.shape[0], step):
+        z = d0[i:i + step, None, :] - pts[None, :, :]
+        e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
         if want_grad:
-            cos_d = np.cos(c * d2)
-            out[i:i + _CHUNK, 0] = (w * tx * (dty * u) * cos_d).sum(axis=-1)
-            out[i:i + _CHUNK, 1] = (w * tx * ty * (c * np.sin(c * d2))).sum(axis=-1)
+            out[i:i + step, 0] = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
+            out[i:i + step, 1] = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
         else:
-            out[i:i + _CHUNK] = (w * tx * ty * np.cos(c * d2)).sum(axis=-1)
-    out = out.reshape(x.shape if want_grad else x.shape[:-1])
-    err = pref * _ring_tail(alpha, radius, geom["dual_rho"], geom["dual_covol"], moment)
-    return out, err, len(entries)
-
-
-def _rect_recenter(d: np.ndarray, spans: tuple[float, float]) -> np.ndarray:
-    out = d.copy()
-    for k, span in enumerate(spans):
-        out[..., k] -= span * np.round(out[..., k] / span)
-    return out
-
-
-def _klein_image(kb: KleinBottle, t: float, x: np.ndarray, y: np.ndarray,
-                 eps: float, want_grad: bool):
-    b = kb.b
-    alpha = 1.0 / (4.0 * t)
-    pref0 = 1.0 / (4.0 * math.pi * t)
-    geom = _klein_cover_geometry(b)
-    moment = 1 if want_grad else 0
-    pref = pref0 * (2.0 * alpha if want_grad else 1.0)
-    radius = _radius_for(alpha, geom["rho"], geom["covol"], eps / 2.0, pref, moment)
-    rows = geom["rows"]
-    xf = x.reshape(-1, 2)
-    yf = y.reshape(-1, 2)
-    gyf = np.stack([1.0 - yf[:, 0], yf[:, 1] + b], axis=1)
-    total = None
-    for branch, other in enumerate((yf, gyf)):
-        d0 = _rect_recenter(xf - other, (1.0, 2.0 * b))
-        spread = float(np.max(np.hypot(d0[:, 0], d0[:, 1]))) if len(d0) else 0.0
-        _, pts, _ = _points_in_disk(rows, np.zeros(2), radius + spread)
-        n = d0.shape[0]
-        part = np.empty((n, 2)) if want_grad else np.empty(n)
-        for i in range(0, n, _CHUNK):
-            z = d0[i:i + _CHUNK, None, :] - pts[None, :, :]
-            e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
-            if want_grad:
-                g1 = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
-                g2 = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
-                if branch == 1:
-                    g1 = -g1
-                part[i:i + _CHUNK, 0] = g1
-                part[i:i + _CHUNK, 1] = g2
-            else:
-                part[i:i + _CHUNK] = pref0 * e.sum(axis=-1)
-        total = part if total is None else total + part
-    out = total.reshape(x.shape if want_grad else x.shape[:-1])
-    err = 2.0 * pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
-    return out, err, 2 * len(pts)
+            out[i:i + step] = pref0 * e.sum(axis=-1)
+    err = pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
+    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,38 +245,53 @@ def _broadcast_pair(x, y):
     return np.broadcast_arrays(x, y)
 
 
-def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
-                representation: str = "auto"):
-    """Heat kernel K_t(x, y) on arrays of points.
+def _deck_sum(surface: FlatSurface, t: float, x, y, eps: float,
+              representation: str, want_grad: bool):
+    """Sum the cover-lattice kernel (or its y-gradient) over the deck group.
 
-    Returns (values, error_bound, terms_used, representation_used); the error
-    bound covers the truncated tail for every entry.
+    A torus is its own cover with the identity as its one deck element.  A
+    Klein bottle of height b is covered by the rectangular torus with rows
+    (1, 0), (0, 2b); its deck elements are the identity and the glide g.  All
+    displacements x - h(y) go through one evaluator call; each of the k deck
+    elements gets eps / k.  Since g reverses x1, the chain rule negates the
+    first gradient component of the glide term.
     """
     _validate_time_eps(t, eps)
     rep = _resolve_rep(surface, t, representation)
     x, y = _broadcast_pair(x, y)
     if isinstance(surface, Torus):
-        fn = _torus_spectral if rep == "spectral" else _torus_image
-        vals, err, terms = fn(surface.lattice, t, x - y, eps, want_grad=False)
+        rows, disp = _torus_rows(surface), (x - y)[None]
     else:
-        fn = _klein_spectral if rep == "spectral" else _klein_image
-        vals, err, terms = fn(surface, t, x, y, eps, want_grad=False)
-    return vals, err, terms, rep
+        # identity and glide as y -> y * lin + shift, stacked on a leading axis
+        b = surface.b
+        lin = np.array([[1.0, 1.0], [-1.0, 1.0]]).reshape((2,) + (1,) * (y.ndim - 1) + (2,))
+        shift = np.array([[0.0, 0.0], [1.0, b]]).reshape(lin.shape)
+        rows, disp = ((1.0, 0.0), (0.0, 2.0 * b)), x - (y * lin + shift)
+    k = disp.shape[0]
+    fn = _spectral if rep == "spectral" else _image
+    out, err, terms = fn(rows, t, disp, eps / k, want_grad)
+    if want_grad:
+        out[1:, ..., 0] *= -1.0
+    return out.sum(axis=0), k * err, k * terms, rep
+
+
+def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
+                representation: str = "auto"):
+    """Heat kernel K_t(x, y) on arrays of points.
+
+    Returns (values, error_bound, terms_used, representation_used); the error
+    bound covers the truncated tail for every entry.  terms_used counts the
+    lattice terms summed per point over all deck elements, so a Klein bottle
+    counts its cover's terms twice; the spectral route sums one of each pair
+    of dual points +-p, with weight 2.
+    """
+    return _deck_sum(surface, t, x, y, eps, representation, want_grad=False)
 
 
 def heat_gradient_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
                          representation: str = "auto"):
     """Gradient of K_t(x, .) in the second argument, on arrays of points."""
-    _validate_time_eps(t, eps)
-    rep = _resolve_rep(surface, t, representation)
-    x, y = _broadcast_pair(x, y)
-    if isinstance(surface, Torus):
-        fn = _torus_spectral if rep == "spectral" else _torus_image
-        grads, err, terms = fn(surface.lattice, t, x - y, eps, want_grad=True)
-    else:
-        fn = _klein_spectral if rep == "spectral" else _klein_image
-        grads, err, terms = fn(surface, t, x, y, eps, want_grad=True)
-    return grads, err, terms, rep
+    return _deck_sum(surface, t, x, y, eps, representation, want_grad=True)
 
 
 @dataclass(frozen=True)
@@ -495,26 +380,74 @@ def _group_eigenvalues(entries, tol):
     return modes
 
 
+# Klein spectral parameters (l1, l2) with u = 2 pi l1 and c = pi l2 / b give
+# the real eigenfunctions sqrt(w / b) T(u x1) cos(c x2) and, when l2 > 0, also
+# sqrt(w / b) T(u x1) sin(c x2), with T = sin for sine modes and cos otherwise.
+# They add w / b T(u x1) T(u y1) cos(c (x2 - y2)) to the projection kernel.
+
+
+def _klein_rule(l1: int, l2: int):
+    """(w, is_sin, count) for (l1, l2), or None when not admissible.
+
+    Cosine modes need l2 even, sine modes need l2 odd and l1 > 0; count is
+    the number of real eigenfunctions.
+    """
+    if l2 == 0:
+        return (1 if l1 == 0 else 2), False, 1
+    if l1 == 0:
+        return None if l2 % 2 else (2, False, 2)
+    return 4, l2 % 2 == 1, 2
+
+
+def _klein_mode_entries(b: float, lam_max: float):
+    """Sorted (lam, (l1, l2, parity), count) for the Klein modes with lam <= lam_max."""
+    top = lam_max * (1.0 + 1e-12)
+    entries = []
+    l1 = 0
+    while (_TWO_PI * l1) ** 2 <= top:
+        lam1 = (_TWO_PI * l1) ** 2
+        for l2 in range(int(b * math.sqrt(max(top - lam1, 0.0)) / math.pi) + 2):
+            lam = lam1 + (math.pi * l2 / b) ** 2
+            rule = _klein_rule(l1, l2)
+            if lam <= top and rule is not None:
+                entries.append((lam, (l1, l2, "sin" if rule[1] else "cos"), rule[2]))
+        l1 += 1
+    entries.sort(key=lambda e: (e[0], e[1][0], e[1][1]))
+    return entries
+
+
+def _klein_term_arrays(b: float, generators):
+    """Per-generator arrays (u, c, w / b, is_sin) for (l1, l2, parity) triples."""
+    rules = [_klein_rule(l1, l2) for l1, l2, _ in generators]
+    return (np.array([_TWO_PI * g[0] for g in generators]),
+            np.array([math.pi * g[1] / b for g in generators]),
+            np.array([r[0] / b for r in rules]),
+            np.array([r[1] for r in rules], dtype=bool))
+
+
+def _klein_trig(vals: np.ndarray, is_sin: np.ndarray):
+    c = np.cos(vals)
+    s = np.sin(vals)
+    return np.where(is_sin, s, c), np.where(is_sin, c, -s)  # (T, T')
+
+
 def enumerate_modes(surface: FlatSurface, lambda_max: float,
                     tol: float = 1e-9) -> list[SpectralMode]:
     """All eigenvalues <= lambda_max, grouped within relative tol, ascending."""
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
     if isinstance(surface, Torus):
-        geom = _torus_geometry(surface.lattice.a, surface.lattice.b)
+        geom = _geometry(_torus_rows(surface))
         radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
-        mn, _, r2 = _points_in_disk(geom["dual_rows"], np.zeros(2), radius + 1e-12)
+        mn, _, r2 = _points_in_disk(geom["dual_rows"], radius + 1e-12)
         lam = _FOUR_PI_SQ * r2
         entries = sorted(
             ((float(l), (int(m), int(n)), 1) for l, (m, n) in zip(lam, mn)
              if l <= lambda_max * (1.0 + tol) + 1e-12),
             key=lambda e: (e[0], e[1]))
     else:
-        entries = [
-            (lam, (l1, l2, "sin" if is_sin else "cos"), count)
-            for lam, l1, l2, amp, is_sin, count in _klein_mode_entries(surface.b, lambda_max)
-            if lam <= lambda_max * (1.0 + tol) + 1e-12
-        ]
+        entries = [e for e in _klein_mode_entries(surface.b, lambda_max)
+                   if e[0] <= lambda_max * (1.0 + tol) + 1e-12]
     return [
         SpectralMode(eigenvalue=lam, generators=gens, multiplicity=count, surface=surface)
         for lam, gens, count in _group_eigenvalues(entries, tol)
@@ -542,7 +475,7 @@ def _check_mode(surface: FlatSurface, mode: SpectralMode) -> None:
 
 
 def _torus_generator_vectors(surface: Torus, mode: SpectralMode) -> np.ndarray:
-    geom = _torus_geometry(surface.lattice.a, surface.lattice.b)
+    geom = _geometry(_torus_rows(surface))
     mn = np.array(mode.generators, dtype=float)
     return mn @ geom["dual_rows"]
 
@@ -556,8 +489,7 @@ def projection_kernel(surface: FlatSurface, mode: SpectralMode, x, y):
         ph = _TWO_PI * (x - y) @ vecs.T
         out = np.cos(ph).sum(axis=-1) / surface.area
     else:
-        pairs = [(l1, l2) for l1, l2, _ in mode.generators]
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, pairs)
+        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
         tx, _ = _klein_trig(x[..., 0:1] * u, is_sin)
         ty, _ = _klein_trig(y[..., 0:1] * u, is_sin)
         out = (amp * tx * ty * np.cos(c * (x[..., 1:2] - y[..., 1:2]))).sum(axis=-1)
@@ -577,8 +509,7 @@ def projection_gradient(surface: FlatSurface, mode: SpectralMode, x, y):
         out = np.stack([g1, g2], axis=-1)
         scale = len(vecs) * _TWO_PI * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / surface.area
     else:
-        pairs = [(l1, l2) for l1, l2, _ in mode.generators]
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, pairs)
+        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
         tx, _ = _klein_trig(x[..., 0:1] * u, is_sin)
         ty, dty = _klein_trig(y[..., 0:1] * u, is_sin)
         d2 = x[..., 1:2] - y[..., 1:2]
@@ -613,23 +544,13 @@ def eigenbasis_values(surface: FlatSurface, mode: SpectralMode, pts) -> np.ndarr
             rows.append(math.sqrt(2.0 / area) * np.cos(ph))
             rows.append(math.sqrt(2.0 / area) * np.sin(ph))
     else:
-        b = surface.b
-        x1 = pts[..., 0]
+        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
+        tx, _ = _klein_trig(pts[..., 0:1] * u, is_sin)
         x2 = pts[..., 1]
-        for l1, l2, parity in mode.generators:
-            u = _TWO_PI * l1
-            c = math.pi * l2 / b
-            if l1 == 0 and l2 == 0:
-                rows.append(np.full(pts.shape[:-1], 1.0 / math.sqrt(b)))
-            elif l2 == 0:
-                rows.append(math.sqrt(2.0 / b) * np.cos(u * x1))
-            elif l1 == 0:
-                rows.append(math.sqrt(2.0 / b) * np.cos(c * x2))
-                rows.append(math.sqrt(2.0 / b) * np.sin(c * x2))
-            else:
-                f1 = np.sin(u * x1) if parity == "sin" else np.cos(u * x1)
-                rows.append(2.0 / math.sqrt(b) * f1 * np.cos(c * x2))
-                rows.append(2.0 / math.sqrt(b) * f1 * np.sin(c * x2))
+        for k, a0 in enumerate(np.sqrt(amp)):
+            rows.append(a0 * tx[..., k] * np.cos(c[k] * x2))
+            if c[k] > 0:
+                rows.append(a0 * tx[..., k] * np.sin(c[k] * x2))
     return np.stack(rows, axis=0)
 
 
@@ -654,31 +575,15 @@ def eigenbasis_gradients(surface: FlatSurface, mode: SpectralMode, pts) -> np.nd
             rows.append(-amp * np.sin(ph)[..., None] * v)
             rows.append(amp * np.cos(ph)[..., None] * v)
     else:
-        b = surface.b
-        x1 = pts[..., 0]
+        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
+        tx, dtx = _klein_trig(pts[..., 0:1] * u, is_sin)
         x2 = pts[..., 1]
-        zero = np.zeros_like(x1)
-        for l1, l2, parity in mode.generators:
-            u = _TWO_PI * l1
-            c = math.pi * l2 / b
-            if l1 == 0 and l2 == 0:
-                rows.append(np.zeros(pts.shape))
-            elif l2 == 0:
-                a0 = math.sqrt(2.0 / b)
-                rows.append(np.stack([-a0 * u * np.sin(u * x1), zero], axis=-1))
-            elif l1 == 0:
-                a0 = math.sqrt(2.0 / b)
-                rows.append(np.stack([zero, -a0 * c * np.sin(c * x2)], axis=-1))
-                rows.append(np.stack([zero, a0 * c * np.cos(c * x2)], axis=-1))
-            else:
-                a0 = 2.0 / math.sqrt(b)
-                if parity == "sin":
-                    f1, df1 = np.sin(u * x1), u * np.cos(u * x1)
-                else:
-                    f1, df1 = np.cos(u * x1), -u * np.sin(u * x1)
-                c2, s2 = np.cos(c * x2), np.sin(c * x2)
-                rows.append(np.stack([a0 * df1 * c2, -a0 * f1 * c * s2], axis=-1))
-                rows.append(np.stack([a0 * df1 * s2, a0 * f1 * c * c2], axis=-1))
+        for k, a0 in enumerate(np.sqrt(amp)):
+            f, df = a0 * tx[..., k], a0 * u[k] * dtx[..., k]
+            c2, s2 = np.cos(c[k] * x2), np.sin(c[k] * x2)
+            rows.append(np.stack([df * c2, -f * c[k] * s2], axis=-1))
+            if c[k] > 0:
+                rows.append(np.stack([df * s2, f * c[k] * c2], axis=-1))
     return np.stack(rows, axis=0)
 
 

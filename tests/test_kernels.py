@@ -5,6 +5,7 @@ digits at t <= 0.25), central finite differences for gradients, midpoint
 quadrature for mass/semigroup identities, and closed-form eigenvalue data.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flatheat import (InvalidParameter, KernelQuery, ModeSurfaceMismatch,
                       klein_bottle, principal_eigenvalue,
                       projection_diagonal_scan, projection_gradient,
                       projection_kernel, torus)
+from flatheat import kernels
 from flatheat.kernels import heat_gradient_values, heat_values
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
@@ -140,7 +142,8 @@ def test_torus_kernel_matches_brute_force(rng):
 
 
 def test_klein_kernel_matches_brute_force(rng):
-    for b in (0.8, 1.0, 1.5):
+    # b < 0.5: the cover rows (1, 0), (0, 2b) are not in canonical reduced form
+    for b in (0.3, 0.8, 1.0, 1.5):
         surface = klein_bottle(b)
         for _ in range(5):
             x = rng.uniform(0, 1, 2)
@@ -152,6 +155,33 @@ def test_klein_kernel_matches_brute_force(rng):
                                               y=tuple(y), t=t, epsilon=1e-13,
                                               representation=rep))
                 assert abs(out.value - expected) <= out.error_bound + 1e-12
+
+
+def test_klein_kernel_matches_eigen_expansion(rng):
+    """Klein kernel and gradient against sum_lambda exp(-lambda t) P_lambda.
+
+    The reference sums the Klein eigenfunctions themselves, not the cover
+    torus.  With lambda_max = 40 / t the dropped tail is far below 1e-13:
+    there are about b lambda / (8 pi) spectral pairs below lambda, each
+    weighing at most (4 / b) (1 + sqrt(lambda)) exp(-lambda t), so the tail
+    is about sqrt(lambda_max) exp(-40) / (2 pi t) < 1e-15.
+    """
+    X = rng.uniform(0, 1, (12, 2))
+    Y = rng.uniform(0, 1, (12, 2))
+    for b in (0.3, 0.8, 1.3):
+        surface = klein_bottle(b)
+        for t in (0.1, 0.5, 2.0):
+            modes = enumerate_modes(surface, 40.0 / t)
+            ref = sum(math.exp(-m.eigenvalue * t) * projection_kernel(surface, m, X, Y)
+                      for m in modes)
+            ref_grad = sum(math.exp(-m.eigenvalue * t) * projection_gradient(surface, m, X, Y)[0]
+                           for m in modes)
+            for rep in ("spectral", "image"):
+                v, e, _, _ = heat_values(surface, t, X, Y, eps=1e-13, representation=rep)
+                g, eg, _, _ = heat_gradient_values(surface, t, X, Y, eps=1e-13,
+                                                   representation=rep)
+                assert np.abs(v - ref).max() <= e + 1e-13
+                assert np.abs(g - ref_grad).max() <= eg + 1e-13
 
 
 def test_representations_agree_within_bounds(rng):
@@ -207,6 +237,39 @@ def test_gradient_matches_finite_differences(rng):
                 fm, _, _, _ = heat_values(surface, t, x, y - e, eps=1e-13)
                 fd = float(fp - fm) / (2 * h)
                 assert abs(fd - grad.gradient[k]) < 2e-7 * max(1.0, abs(fd))
+
+
+def test_gradient_blocks_stay_within_memory_budget(rng):
+    # 4096 points x 11,810 image terms; 2048-row blocks traced about 480 MB
+    Y = rng.uniform(0, 1, (4096, 2))
+    tracemalloc.start()
+    try:
+        _, _, terms, _ = heat_gradient_values(klein_bottle(0.3), 8.0, np.zeros(2), Y,
+                                              representation="image")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms > 10_000
+    assert peak < 64e6
+
+
+def test_block_size_does_not_change_values(rng, monkeypatch):
+    X = rng.uniform(0, 1, (301, 2))
+    Y = rng.uniform(0, 1, (301, 2))
+    cases = [(s, t, rep) for s in (torus(0.3, 1.2), klein_bottle(0.8))
+             for t in (0.05, 1.0) for rep in ("spectral", "image")]
+
+    def evaluate():
+        return [fn(s, t, X, Y, eps=1e-13, representation=rep)[0]
+                for s, t, rep in cases for fn in (heat_values, heat_gradient_values)]
+
+    wide = evaluate()
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
+    assert kernels._block_rows(40) == 3
+    # BLAS orders the spectral contraction by the block's row count: seen up
+    # to 1.35e-15 of the largest output; image sums are bitwise equal
+    for a, b in zip(wide, evaluate()):
+        assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
 
 
 def test_gradient_vanishes_at_coincidence():
