@@ -17,9 +17,16 @@ within the certified truncation bounds carried by every value.  Truncation is
 certified by a Gaussian ring bound: once all points inside a radius are
 summed, the discarded tail is dominated by an explicit erfc integral.
 
+A rectangular cover (every Klein cover, and a torus with a = 0) is the
+product of two circles, and its heat kernel the product of theirs: the image
+route sums it over a box of images holding the disk, as a product of one
+Gaussian sum per axis.  That costs n0 + n1 exponentials per point for the
+n0 * n1 images of the box, which is what terms_used counts on that route.
+
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
-broken by integer coordinates) and blocks have a fixed size for a given term
-count, so repeated evaluations are bitwise reproducible.
+broken by integer coordinates; box images by index along each axis) and
+blocks have a fixed size for a given term count, so repeated evaluations are
+bitwise reproducible.
 """
 from __future__ import annotations
 
@@ -140,7 +147,11 @@ def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
 
 @lru_cache(maxsize=128)
 def _geometry(rows: tuple):
-    """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1))."""
+    """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1)).
+
+    "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
+    Gaussian image sum factors into one sum per axis.
+    """
     (u0, u1), (v0, v1) = rows
     det = u0 * v1 - u1 * v0
     primal = np.array(rows, dtype=float)
@@ -149,6 +160,7 @@ def _geometry(rows: tuple):
         "rows": primal,
         "rho": covering_radius_of_rows(primal),
         "covol": abs(det),
+        "axis_aligned": u1 == 0 and v0 == 0,
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),
@@ -192,7 +204,17 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
 
 
 def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp, summed over lattice images."""
+    """Cover kernel (or y-gradient) at displacements disp, summed over lattice images.
+
+    Displacements are recentred to d0 with |d0| <= spread, and every image p
+    with |p| <= radius + spread is summed, so each d0 - p within the radius
+    is.  A rectangular lattice sums the box |p_k| <= radius + spread instead,
+    which holds that disk, so its omitted terms are part of the disk's tail.
+    Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
+    the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
+    S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
+    axis k: n0 + n1 exponentials per point for n0 * n1 terms.
+    """
     geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
     pref0 = 1.0 / (4.0 * math.pi * t)
@@ -203,19 +225,36 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     lat = geom["rows"]
     d0 = flat - np.round(flat @ geom["dual_rows"].T) @ lat
     spread = float(np.max(np.hypot(d0[:, 0], d0[:, 1]))) if len(d0) else 0.0
-    _, pts, _ = _points_in_disk(lat, radius + spread)
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
-    step = _block_rows(len(pts))
-    for i in range(0, flat.shape[0], step):
-        z = d0[i:i + step, None, :] - pts[None, :, :]
-        e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
-        if want_grad:
-            out[i:i + step, 0] = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
-            out[i:i + step, 1] = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
-        else:
-            out[i:i + step] = pref0 * e.sum(axis=-1)
+    if geom["axis_aligned"]:
+        lengths = np.abs(np.diag(lat))
+        half = np.floor((radius + spread) / lengths).astype(int)
+        axes = [lengths[k] * np.arange(-half[k], half[k] + 1) for k in (0, 1)]
+        terms = len(axes[0]) * len(axes[1])
+        step = _block_rows(max(len(a) for a in axes))
+        for i in range(0, flat.shape[0], step):
+            z = [d0[i:i + step, k, None] - axes[k] for k in (0, 1)]
+            e = [np.exp(-alpha * (zk * zk)) for zk in z]
+            s0, s1 = e[0].sum(axis=-1), e[1].sum(axis=-1)
+            if want_grad:
+                out[i:i + step, 0] = pref0 * 2.0 * alpha * (e[0] * z[0]).sum(axis=-1) * s1
+                out[i:i + step, 1] = pref0 * 2.0 * alpha * s0 * (e[1] * z[1]).sum(axis=-1)
+            else:
+                out[i:i + step] = pref0 * s0 * s1
+    else:
+        _, pts, _ = _points_in_disk(lat, radius + spread)
+        terms = len(pts)
+        step = _block_rows(terms)
+        for i in range(0, flat.shape[0], step):
+            z = d0[i:i + step, None, :] - pts[None, :, :]
+            e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
+            if want_grad:
+                out[i:i + step, 0] = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
+                out[i:i + step, 1] = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
+            else:
+                out[i:i + step] = pref0 * e.sum(axis=-1)
     err = pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
-    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, len(pts)
+    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +322,9 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     bound covers the truncated tail for every entry.  terms_used counts the
     lattice terms summed per point over all deck elements, so a Klein bottle
     counts its cover's terms twice; the spectral route sums one of each pair
-    of dual points +-p, with weight 2.
+    of dual points +-p, with weight 2.  On a rectangular cover the image
+    route counts the n0 * n1 images of its box, though it evaluates them as
+    a product of two per-axis sums of n0 and n1 terms.
     """
     return _deck_sum(surface, t, x, y, eps, representation, want_grad=False)
 

@@ -309,9 +309,14 @@ def torus_distance(lat: ReducedLattice, x, y) -> float:
 
 
 def covering_radius(lat: ReducedLattice) -> float:
-    """Covering radius of the canonical lattice (max Voronoi vertex norm)."""
-    v = voronoi(lat).vertices
-    return float(np.max(np.hypot(v[:, 0], v[:, 1])))
+    """Covering radius of the canonical lattice (max Voronoi vertex norm).
+
+    With 0 <= a <= 1/2 and a^2 + b^2 >= 1 the triangle 0, b1, b1 + b2 has no
+    obtuse angle, so the farthest point from the lattice is its circumcenter,
+    at the circumradius |b1| |b2| |b1 + b2| / (4 area) = hypot(a, b)
+    hypot(1 - a, b) / (2 b).
+    """
+    return math.hypot(lat.a, lat.b) * math.hypot(1.0 - lat.a, lat.b) / (2.0 * lat.b)
 
 
 def covering_radius_of_rows(rows: np.ndarray) -> float:

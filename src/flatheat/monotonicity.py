@@ -197,19 +197,8 @@ def _scan_task(surface, kernel, cfg, t, base, dirs, smax):
         err[ambiguous] = e2
         witness = deriv - err > tol
         ambiguous = ~witness & (deriv + err > tol)
-    witnesses = []
-    for i, j in np.argwhere(witness):
-        witnesses.append(ViolationWitness(
-            base=(float(base[0]), float(base[1])),
-            direction=(float(dirs[i, 0]), float(dirs[i, 1])),
-            s=float(S[i, j]),
-            t=t,
-            radial_derivative=float(deriv[i, j]),
-            error_bound=float(err[i, j]),
-            kernel="heat" if isinstance(kernel, Heat) else "projection",
-            eigenvalue=None if isinstance(kernel, Heat) else kernel.mode.eigenvalue,
-        ))
-    return witnesses, int(ambiguous.sum()), deriv.size
+    i, j = np.nonzero(witness)
+    return (i, S[i, j], deriv[i, j], err[i, j]), int(ambiguous.sum()), deriv.size
 
 
 def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> MonotonicityReport:
@@ -241,10 +230,9 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
             results = list(pool.map(run, tasks))
     else:
         results = [run(task) for task in tasks]
-    witnesses = [w for ws, _, _ in results for w in ws]
+    witnesses = _witness_objects(kernel, tasks, dirs, [cols for cols, _, _ in results])
     inconclusive = sum(amb for _, amb, _ in results)
     points = sum(cnt for _, _, cnt in results)
-    witnesses.sort(key=lambda w: (w.t, w.base, math.atan2(w.direction[1], w.direction[0]), w.s))
     if witnesses:
         verdict = Verdict.VIOLATED
     elif inconclusive:
@@ -252,8 +240,36 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     else:
         verdict = Verdict.MONOTONE
     return MonotonicityReport(
-        config=cfg, surface=surface, witnesses=tuple(witnesses),
+        config=cfg, surface=surface, witnesses=witnesses,
         points_checked=points, inconclusive_count=inconclusive, verdict=verdict)
+
+
+def _witness_objects(kernel, tasks, dirs, columns) -> tuple:
+    """Witnesses from per-task (direction index, s, derivative, error) columns.
+
+    They are ordered by (t, base, direction angle, s) with one stable sort, so
+    ties keep task, direction and sample order.  The angle of a direction is
+    math.atan2 of its components, the key its witness gives.
+    """
+    if not columns:
+        return ()
+    owner = np.repeat(np.arange(len(tasks)), [len(cols[0]) for cols in columns])
+    i, s, deriv, err = (np.concatenate(col) for col in zip(*columns))
+    bases = np.array([task[1] for task in tasks])
+    t = np.array([task[0] for task in tasks])[owner]
+    angle = np.array([math.atan2(u1, u0) for u0, u1 in dirs.tolist()])
+    order = np.lexsort((s, angle[i], bases[owner, 1], bases[owner, 0], t))
+    base_of = [tuple(b) for b in bases.tolist()]
+    dir_of = [tuple(u) for u in dirs.tolist()]
+    kind = "heat" if isinstance(kernel, Heat) else "projection"
+    eigenvalue = None if isinstance(kernel, Heat) else kernel.mode.eigenvalue
+    return tuple(
+        ViolationWitness(base=base_of[k], direction=dir_of[d], s=sv, t=tv,
+                         radial_derivative=dv, error_bound=ev, kernel=kind,
+                         eigenvalue=eigenvalue)
+        for k, d, sv, tv, dv, ev in zip(
+            owner[order].tolist(), i[order].tolist(), s[order].tolist(), t[order].tolist(),
+            deriv[order].tolist(), err[order].tolist()))
 
 
 def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode:

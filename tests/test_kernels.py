@@ -253,14 +253,40 @@ def test_gradient_blocks_stay_within_memory_budget(rng):
     assert peak < 64e6
 
 
+def test_rectangular_box_route_matches_disk_route(rng):
+    """The per-axis box sum of a rectangular lattice against its disk sum.
+
+    The rows (1, 0), (1, h) span the same lattice as (1, 0), (0, h) but are
+    not axis-aligned, so they take the disk route.  The box holds the disk,
+    so the two differ by at most the disk route's tail bound, and the box
+    sum of positive terms is not below the disk sum beyond rounding.
+    """
+    heights = [2.0 * b for b in (0.3, 0.7, 1.0, 1.5)] + [torus(0.0, 1.3).lattice.b]
+    disp = rng.uniform(-1, 2, (2, 40, 2))
+    for h in heights:
+        box_rows, disk_rows = ((1.0, 0.0), (0.0, h)), ((1.0, 0.0), (1.0, h))
+        assert kernels._geometry(box_rows)["axis_aligned"]
+        assert not kernels._geometry(disk_rows)["axis_aligned"]
+        for t in (0.012, 0.05, 0.3, 8.0):
+            for eps in (1e-10, 1e-13):
+                for want_grad in (False, True):
+                    box, e_box, _ = kernels._image(box_rows, t, disp, eps, want_grad)
+                    disk, e_disk, _ = kernels._image(disk_rows, t, disp, eps, want_grad)
+                    assert e_box <= eps and e_disk <= eps
+                    assert np.abs(box - disk).max() <= e_disk + 1e-13
+                    if not want_grad:
+                        assert (box - disk).min() >= -1e-15 * disk.max()
+
+
 def test_block_size_does_not_change_values(rng, monkeypatch):
     X = rng.uniform(0, 1, (301, 2))
     Y = rng.uniform(0, 1, (301, 2))
-    cases = [(s, t, rep) for s in (torus(0.3, 1.2), klein_bottle(0.8))
+    # torus(0.0, 1.5) and the Klein cover are rectangular: per-axis box sums
+    cases = [(s, t, rep) for s in (torus(0.3, 1.2), torus(0.0, 1.5), klein_bottle(0.8))
              for t in (0.05, 1.0) for rep in ("spectral", "image")]
 
     def evaluate():
-        return [fn(s, t, X, Y, eps=1e-13, representation=rep)[0]
+        return [(rep, fn(s, t, X, Y, eps=1e-13, representation=rep)[0])
                 for s, t, rep in cases for fn in (heat_values, heat_gradient_values)]
 
     wide = evaluate()
@@ -268,8 +294,11 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
     assert kernels._block_rows(40) == 3
     # BLAS orders the spectral contraction by the block's row count: seen up
     # to 1.35e-15 of the largest output; image sums are bitwise equal
-    for a, b in zip(wide, evaluate()):
-        assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
+    for (rep, a), (_, b) in zip(wide, evaluate()):
+        if rep == "image":
+            assert np.array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
 
 
 def test_gradient_vanishes_at_coincidence():

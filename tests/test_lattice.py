@@ -285,3 +285,17 @@ def test_covering_radius_values():
                - math.sqrt(0.5)) < 1e-12
     assert abs(covering_radius(ReducedLattice.from_parameters(0.5, HONEYCOMB_B))
                - 1.0 / math.sqrt(3.0)) < 1e-12
+
+
+def test_covering_radius_is_farthest_voronoi_vertex(rng):
+    # the closed form against the Voronoi cell, including the rectangular,
+    # honeycomb-edge (a = 1/2) and isosceles (a^2 + b^2 = 1) boundaries
+    a = np.concatenate([rng.uniform(0.0, 0.5, 1994), [0.0, 0.0, 0.5, 0.5, 0.3, 0.0]])
+    lo = np.sqrt(1.0 - a * a)
+    b = np.concatenate([lo[:1994] + rng.uniform(0.0, 3.0, 1994),
+                        [1.0, 2.5, HONEYCOMB_B, 1.7, lo[-2], 1.0]])
+    for ai, bi in zip(a, b):
+        red = ReducedLattice.from_parameters(ai, bi)
+        v = voronoi(red).vertices
+        farthest = float(np.max(np.hypot(v[:, 0], v[:, 1])))
+        assert abs(covering_radius(red) - farthest) <= 1e-14 * farthest

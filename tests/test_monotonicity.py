@@ -15,6 +15,7 @@ from flatheat import (Heat, InvalidParameter, NotSimple, Projection,
                       critical_point_census, klein_bottle, minimal_geodesic,
                       principal_eigenvalue, radial_curve, revalidate, scan,
                       torus)
+from flatheat import monotonicity, surfaces
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 
@@ -100,6 +101,67 @@ def test_scan_deterministic(generic_torus):
     r2 = scan(generic_torus, Projection(mode), cfg)
     assert r1.witnesses == r2.witnesses
     assert r1.points_checked == r2.points_checked
+
+
+def reference_witnesses(surface, kernel, cfg):
+    """Witnesses built one sample at a time and sorted on their own fields.
+
+    The derivatives come from the scan's own evaluation of the same sample
+    arrays; this checks which samples become witnesses, their fields and
+    their order.
+    """
+    dirs = monotonicity._scan_directions(surface, cfg.n_directions)
+    t_list = list(cfg.t_values) if isinstance(kernel, Heat) else [math.inf]
+    ns, tol = cfg.n_arc_samples, cfg.derivative_tolerance
+    witnesses = []
+    for base in np.array(cfg.base_points):
+        smax = surfaces._s_max(surface, base, dirs)
+        for t in t_list:
+            S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
+            Y = base[None, None, :] + S[:, :, None] * dirs[:, None, :]
+            X = np.broadcast_to(base, Y.shape)
+            dirs_b = np.broadcast_to(dirs[:, None, :], Y.shape)
+            deriv, err0 = monotonicity._eval_radial(surface, kernel, t, X, Y, dirs_b,
+                                                    cfg.kernel_epsilon)
+            err = np.full(deriv.shape, err0)
+            ambiguous = (deriv - err <= tol) & (deriv + err > tol)
+            if ambiguous.any():
+                d2, e2 = monotonicity._eval_radial(
+                    surface, kernel, t, X[ambiguous], Y[ambiguous], dirs_b[ambiguous],
+                    cfg.kernel_epsilon / 16.0)
+                deriv[ambiguous] = np.atleast_1d(d2)
+                err[ambiguous] = e2
+            for i, j in np.argwhere(deriv - err > tol):
+                witnesses.append(flatheat.ViolationWitness(
+                    base=(float(base[0]), float(base[1])),
+                    direction=(float(dirs[i, 0]), float(dirs[i, 1])),
+                    s=float(S[i, j]), t=t, radial_derivative=float(deriv[i, j]),
+                    error_bound=float(err[i, j]),
+                    kernel="heat" if isinstance(kernel, Heat) else "projection",
+                    eigenvalue=None if isinstance(kernel, Heat) else kernel.mode.eigenvalue))
+    witnesses.sort(key=lambda w: (w.t, w.base, math.atan2(w.direction[1], w.direction[0]),
+                                  w.s))
+    return tuple(witnesses)
+
+
+def test_scan_witnesses_match_per_sample_reference(generic_torus):
+    (p, q), (r, _) = np.random.default_rng(5).uniform(0, 1, (2, 2)) * [1.0, 0.7]
+    cases = [
+        # two bases share x1, so x2 orders them; a duplicated base point's
+        # witnesses tie on every sort key
+        (klein_bottle(0.7), Heat(),
+         ScanConfig(n_directions=40, n_arc_samples=12, t_values=(0.05, 0.5, 2.0),
+                    base_points=((p, q), (r, 0.6), (p, 0.1), (p, q)))),
+        (generic_torus, Projection(principal_eigenvalue(generic_torus)),
+         ScanConfig(n_directions=40, n_arc_samples=12,
+                    base_points=((0.1, 0.3), (0.0, 0.0), (0.1, 0.0)))),
+    ]
+    for surface, kernel, cfg in cases:
+        report = scan(surface, kernel, cfg)
+        expected = reference_witnesses(surface, kernel, cfg)
+        assert len({w.base for w in expected}) >= 2
+        assert len({(w.t, w.direction) for w in expected}) >= 2
+        assert report.witnesses == expected
 
 
 def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
