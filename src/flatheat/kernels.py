@@ -1,9 +1,10 @@
 """Laplace spectra and heat kernels on flat tori and Klein bottles.
 
 Every surface is the quotient of a cover torus R^2 / L by a finite deck
-group: a torus is its own cover (the identity alone), and a Klein bottle of
-height b is covered by the rectangular torus with rows (1, 0), (0, 2b), with
-the identity and the glide g(y) = (1 - y1, y2 + b) as deck elements.  So
+group (``surfaces._deck``): a torus is its own cover (the identity alone),
+and a Klein bottle of height b is covered by the rectangular torus with rows
+(1, 0), (0, 2b), with the identity and the glide g(y) = (1 - y1, y2 + b) as
+deck elements.  So
 
     K_t(x, y) = sum over deck elements h of K_L(x - h(y)),
 
@@ -22,6 +23,13 @@ product of two circles, and its heat kernel the product of theirs: the image
 route sums it over a box of images holding the disk, as a product of one
 Gaussian sum per axis.  That costs n0 + n1 exponentials per point for the
 n0 * n1 images of the box, which is what terms_used counts on that route.
+
+Spectral projections are the same deck sum taken over one eigenvalue shell
+of the cover, P(x, y) = sum over h and over the cover dual vectors p with
+4 pi^2 |p|^2 = lambda of cos(2 pi p.(x - h(y))) / cover area.  The explicit
+orthonormal eigenbases are the cover's eigenfunctions made deck-invariant
+(on a Klein bottle, products of one trigonometric factor per axis); they
+share no code with the deck sums, so they check them independently.
 
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
 broken by integer coordinates; box images by index along each axis) and
@@ -43,7 +51,7 @@ from .errors import (
     ToleranceUnreachable,
 )
 from .lattice import covering_radius_of_rows
-from .surfaces import FlatSurface, Torus
+from .surfaces import FlatSurface, Torus, _deck
 
 TERM_BUDGET = 10_000_000
 _TWO_PI = 2.0 * math.pi
@@ -167,10 +175,6 @@ def _geometry(rows: tuple):
     }
 
 
-def _torus_rows(surface: Torus) -> tuple:
-    return ((1.0, 0.0), (-surface.lattice.a, surface.lattice.b))
-
-
 def _block_rows(terms: int) -> int:
     """Rows per block, so that one (rows x terms) float64 array fits _BLOCK_BYTES."""
     return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * max(terms, 1))))
@@ -284,28 +288,27 @@ def _broadcast_pair(x, y):
     return np.broadcast_arrays(x, y)
 
 
+def _deck_displacements(surface: FlatSurface, x, y):
+    """Cover rows and the displacements x - h(y), stacked over deck elements h."""
+    x, y = _broadcast_pair(x, y)
+    rows, lin, shift = _deck(surface)
+    if len(lin) == 1:  # the identity alone (a torus): spare single queries the map
+        return rows, (x - y)[None]
+    shape = (len(lin),) + (1,) * (y.ndim - 1) + (2,)
+    return rows, x - (y * lin.reshape(shape) + shift.reshape(shape))
+
+
 def _deck_sum(surface: FlatSurface, t: float, x, y, eps: float,
               representation: str, want_grad: bool):
     """Sum the cover-lattice kernel (or its y-gradient) over the deck group.
 
-    A torus is its own cover with the identity as its one deck element.  A
-    Klein bottle of height b is covered by the rectangular torus with rows
-    (1, 0), (0, 2b); its deck elements are the identity and the glide g.  All
-    displacements x - h(y) go through one evaluator call; each of the k deck
-    elements gets eps / k.  Since g reverses x1, the chain rule negates the
-    first gradient component of the glide term.
+    All displacements x - h(y) go through one evaluator call; each of the k
+    deck elements gets eps / k.  Since the glide reverses x1, the chain rule
+    negates the first gradient component of its term.
     """
     _validate_time_eps(t, eps)
     rep = _resolve_rep(surface, t, representation)
-    x, y = _broadcast_pair(x, y)
-    if isinstance(surface, Torus):
-        rows, disp = _torus_rows(surface), (x - y)[None]
-    else:
-        # identity and glide as y -> y * lin + shift, stacked on a leading axis
-        b = surface.b
-        lin = np.array([[1.0, 1.0], [-1.0, 1.0]]).reshape((2,) + (1,) * (y.ndim - 1) + (2,))
-        shift = np.array([[0.0, 0.0], [1.0, b]]).reshape(lin.shape)
-        rows, disp = ((1.0, 0.0), (0.0, 2.0 * b)), x - (y * lin + shift)
+    rows, disp = _deck_displacements(surface, x, y)
     k = disp.shape[0]
     fn = _spectral if rep == "spectral" else _image
     out, err, terms = fn(rows, t, disp, eps / k, want_grad)
@@ -394,7 +397,11 @@ class SpectralMode:
     dual vector of the shared modulus; the multiplicity equals their count.
     Klein generators are triples (l1, l2, parity) with parity "cos"/"sin"
     following the admissibility rule (cosine modes need l2 even, sine modes
-    need l2 odd and l1 > 0); multiplicity counts real eigenfunctions.
+    need l2 odd and l1 > 0); multiplicity counts real eigenfunctions.  On the
+    cover torus (rows (1, 0), (0, 2b)) a Klein generator stands for the dual
+    vectors (+-l1, +-l2 / 2b), as many as its weight w in ``_klein_rule``; the
+    vectors (0, l2 / 2b) with l2 odd belong to no generator, since their
+    terms cancel in the deck sum.
     """
 
     eigenvalue: float
@@ -457,28 +464,13 @@ def _klein_mode_entries(b: float, lam_max: float):
     return entries
 
 
-def _klein_term_arrays(b: float, generators):
-    """Per-generator arrays (u, c, w / b, is_sin) for (l1, l2, parity) triples."""
-    rules = [_klein_rule(l1, l2) for l1, l2, _ in generators]
-    return (np.array([_TWO_PI * g[0] for g in generators]),
-            np.array([math.pi * g[1] / b for g in generators]),
-            np.array([r[0] / b for r in rules]),
-            np.array([r[1] for r in rules], dtype=bool))
-
-
-def _klein_trig(vals: np.ndarray, is_sin: np.ndarray):
-    c = np.cos(vals)
-    s = np.sin(vals)
-    return np.where(is_sin, s, c), np.where(is_sin, c, -s)  # (T, T')
-
-
 def enumerate_modes(surface: FlatSurface, lambda_max: float,
                     tol: float = 1e-9) -> list[SpectralMode]:
     """All eigenvalues <= lambda_max, grouped within relative tol, ascending."""
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
     if isinstance(surface, Torus):
-        geom = _geometry(_torus_rows(surface))
+        geom = _geometry(_deck(surface)[0])
         radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
         mn, _, r2 = _points_in_disk(geom["dual_rows"], radius + 1e-12)
         lam = _FOUR_PI_SQ * r2
@@ -515,51 +507,88 @@ def _check_mode(surface: FlatSurface, mode: SpectralMode) -> None:
             f"mode belongs to {mode.surface!r}, not {surface!r}")
 
 
-def _torus_generator_vectors(surface: Torus, mode: SpectralMode) -> np.ndarray:
-    geom = _geometry(_torus_rows(surface))
-    mn = np.array(mode.generators, dtype=float)
-    return mn @ geom["dual_rows"]
+def _shell(surface: FlatSurface, mode: SpectralMode) -> np.ndarray:
+    """The mode's cover dual vectors p (4 pi^2 |p|^2 = lambda) as rows; a Klein
+    generator (l1, l2) stands for (+-l1, +-l2 / 2b), see ``SpectralMode``."""
+    gens = mode.generators
+    if not isinstance(surface, Torus):
+        gens = list(dict.fromkeys((s1 * l1, s2 * l2) for l1, l2, _ in gens
+                                  for s1 in (1, -1) for s2 in (1, -1)))
+    return np.array(gens, dtype=float) @ _geometry(_deck(surface)[0])["dual_rows"]
+
+
+def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
+    """P_lambda(x, y) = sum over deck elements h and shell vectors p of
+    cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound; as
+    for the heat kernel, the glide negates the first gradient component."""
+    _check_mode(surface, mode)
+    rows, disp = _deck_displacements(surface, x, y)
+    vecs = _shell(surface, mode)
+    area = _geometry(rows)["covol"]
+    ph = _TWO_PI * disp @ vecs.T
+    if not want_grad:
+        return (np.cos(ph).sum(axis=-1) / area).sum(axis=0)
+    s = np.sin(ph) / area
+    out = np.stack([(s * (_TWO_PI * vecs[:, j])).sum(axis=-1) for j in (0, 1)], axis=-1)
+    out[1:, ..., 0] *= -1.0
+    scale = (disp.shape[0] * len(vecs) * _TWO_PI
+             * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / area)
+    return out.sum(axis=0), 1e-15 * max(scale, 1.0)
 
 
 def projection_kernel(surface: FlatSurface, mode: SpectralMode, x, y):
     """Spectral projection P_lambda(x, y) = sum_j phi_j(x) phi_j(y)."""
-    _check_mode(surface, mode)
-    x, y = _broadcast_pair(x, y)
-    if isinstance(surface, Torus):
-        vecs = _torus_generator_vectors(surface, mode)
-        ph = _TWO_PI * (x - y) @ vecs.T
-        out = np.cos(ph).sum(axis=-1) / surface.area
-    else:
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
-        tx, _ = _klein_trig(x[..., 0:1] * u, is_sin)
-        ty, _ = _klein_trig(y[..., 0:1] * u, is_sin)
-        out = (amp * tx * ty * np.cos(c * (x[..., 1:2] - y[..., 1:2]))).sum(axis=-1)
+    out = _projection(surface, mode, x, y, want_grad=False)
     return out if out.shape else float(out)
 
 
 def projection_gradient(surface: FlatSurface, mode: SpectralMode, x, y):
     """Gradient of P_lambda in the second argument, with an fp-level bound."""
+    return _projection(surface, mode, x, y, want_grad=True)
+
+
+def _eigenbasis(surface: FlatSurface, mode: SpectralMode, pts, want_grad: bool):
+    """Values (or gradients) of an orthonormal real eigenbasis of the mode:
+    sqrt(2 / A) {cos, sin}(2 pi p.x) for one of each pair +-p on a torus (the
+    constant for p = 0), the Klein functions above ``_klein_rule`` otherwise."""
     _check_mode(surface, mode)
-    x, y = _broadcast_pair(x, y)
+    pts = np.asarray(pts, dtype=float)
+    rows = []
     if isinstance(surface, Torus):
-        vecs = _torus_generator_vectors(surface, mode)
-        ph = _TWO_PI * (x - y) @ vecs.T
-        s = np.sin(ph) / surface.area
-        g1 = (s * (_TWO_PI * vecs[:, 0])).sum(axis=-1)
-        g2 = (s * (_TWO_PI * vecs[:, 1])).sum(axis=-1)
-        out = np.stack([g1, g2], axis=-1)
-        scale = len(vecs) * _TWO_PI * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / surface.area
+        amp = math.sqrt(2.0 / surface.area)
+        seen = set()
+        for (m, n), v in zip(mode.generators, _shell(surface, mode)):
+            if (-m, -n) in seen:
+                continue
+            seen.add((m, n))
+            if m == 0 and n == 0:
+                rows.append(np.zeros(pts.shape) if want_grad
+                            else np.full(pts.shape[:-1], 1.0 / math.sqrt(surface.area)))
+                continue
+            ph = _TWO_PI * pts @ v
+            if want_grad:
+                rows += [-(amp * _TWO_PI) * np.sin(ph)[..., None] * v,
+                         (amp * _TWO_PI) * np.cos(ph)[..., None] * v]
+            else:
+                rows += [amp * np.cos(ph), amp * np.sin(ph)]
     else:
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
-        tx, _ = _klein_trig(x[..., 0:1] * u, is_sin)
-        ty, dty = _klein_trig(y[..., 0:1] * u, is_sin)
-        d2 = x[..., 1:2] - y[..., 1:2]
-        g1 = (amp * tx * (dty * u) * np.cos(c * d2)).sum(axis=-1)
-        g2 = (amp * tx * ty * (c * np.sin(c * d2))).sum(axis=-1)
-        out = np.stack([g1, g2], axis=-1)
-        scale = float(np.sum(amp * np.maximum(u, c)))
-    err = 1e-15 * max(scale, 1.0)
-    return out, err
+        l1, l2 = np.array([g[:2] for g in mode.generators], dtype=float).T
+        w, is_sin, _ = np.array([_klein_rule(*g[:2]) for g in mode.generators]).T
+        u, c = _TWO_PI * l1, math.pi * l2 / surface.b
+        cx, sx = np.cos(pts[..., 0:1] * u), np.sin(pts[..., 0:1] * u)
+        tx, dtx = np.where(is_sin, sx, cx), np.where(is_sin, cx, -sx)  # T, T'
+        x2 = pts[..., 1]
+        for k, a0 in enumerate(np.sqrt(w / surface.b)):
+            f = a0 * tx[..., k]
+            c2, s2 = np.cos(c[k] * x2), np.sin(c[k] * x2)
+            if want_grad:
+                df = a0 * u[k] * dtx[..., k]
+                pair = [np.stack([df * c2, -f * c[k] * s2], axis=-1),
+                        np.stack([df * s2, f * c[k] * c2], axis=-1)]
+            else:
+                pair = [f * c2, f * s2]
+            rows += pair if c[k] > 0 else pair[:1]
+    return np.stack(rows, axis=0)
 
 
 def eigenbasis_values(surface: FlatSurface, mode: SpectralMode, pts) -> np.ndarray:
@@ -567,65 +596,12 @@ def eigenbasis_values(surface: FlatSurface, mode: SpectralMode, pts) -> np.ndarr
 
     Returns an array of shape (multiplicity,) + pts.shape[:-1].
     """
-    _check_mode(surface, mode)
-    pts = np.asarray(pts, dtype=float)
-    rows = []
-    if isinstance(surface, Torus):
-        area = surface.area
-        vecs = _torus_generator_vectors(surface, mode)
-        seen = set()
-        for (m, n), v in zip(mode.generators, vecs):
-            if (-m, -n) in seen:
-                continue
-            seen.add((m, n))
-            if m == 0 and n == 0:
-                rows.append(np.full(pts.shape[:-1], 1.0 / math.sqrt(area)))
-                continue
-            ph = _TWO_PI * pts @ v
-            rows.append(math.sqrt(2.0 / area) * np.cos(ph))
-            rows.append(math.sqrt(2.0 / area) * np.sin(ph))
-    else:
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
-        tx, _ = _klein_trig(pts[..., 0:1] * u, is_sin)
-        x2 = pts[..., 1]
-        for k, a0 in enumerate(np.sqrt(amp)):
-            rows.append(a0 * tx[..., k] * np.cos(c[k] * x2))
-            if c[k] > 0:
-                rows.append(a0 * tx[..., k] * np.sin(c[k] * x2))
-    return np.stack(rows, axis=0)
+    return _eigenbasis(surface, mode, pts, want_grad=False)
 
 
 def eigenbasis_gradients(surface: FlatSurface, mode: SpectralMode, pts) -> np.ndarray:
     """Gradients of the same orthonormal eigenbasis; shape (mult,) + pts.shape."""
-    _check_mode(surface, mode)
-    pts = np.asarray(pts, dtype=float)
-    rows = []
-    if isinstance(surface, Torus):
-        area = surface.area
-        vecs = _torus_generator_vectors(surface, mode)
-        seen = set()
-        for (m, n), v in zip(mode.generators, vecs):
-            if (-m, -n) in seen:
-                continue
-            seen.add((m, n))
-            if m == 0 and n == 0:
-                rows.append(np.zeros(pts.shape))
-                continue
-            ph = _TWO_PI * pts @ v
-            amp = math.sqrt(2.0 / area) * _TWO_PI
-            rows.append(-amp * np.sin(ph)[..., None] * v)
-            rows.append(amp * np.cos(ph)[..., None] * v)
-    else:
-        u, c, amp, is_sin = _klein_term_arrays(surface.b, mode.generators)
-        tx, dtx = _klein_trig(pts[..., 0:1] * u, is_sin)
-        x2 = pts[..., 1]
-        for k, a0 in enumerate(np.sqrt(amp)):
-            f, df = a0 * tx[..., k], a0 * u[k] * dtx[..., k]
-            c2, s2 = np.cos(c[k] * x2), np.sin(c[k] * x2)
-            rows.append(np.stack([df * c2, -f * c[k] * s2], axis=-1))
-            if c[k] > 0:
-                rows.append(np.stack([df * s2, f * c[k] * c2], axis=-1))
-    return np.stack(rows, axis=0)
+    return _eigenbasis(surface, mode, pts, want_grad=True)
 
 
 def fundamental_domain_grid(surface: FlatSurface, n: int, midpoint: bool = False):

@@ -4,7 +4,8 @@ A torus is R^2 / Lambda with Lambda in the canonical reduced frame.  A Klein
 bottle of height b is R^2 modulo (x1, x2) ~ (x1 + 1, x2) ~ (1 - x1, x2 + b);
 its orientable double cover is the rectangular torus with lattice
 {(1, 0), (0, 2b)} and the deck transformation is the glide map
-g(y) = (1 - y1, y2 + b).
+g(y) = (1 - y1, y2 + b).  ``_deck`` is the one description of the deck group
+(a torus is its own cover); orbits, distances and kernels all read it.
 
 Distances and minimal geodesics are closed forms.  The unit-speed segment
 x + s u is minimal exactly while s <= min |v|^2 / (2 v.u) over the deck
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,9 +78,23 @@ class Geodesic:
     s_max: float
 
 
+@lru_cache(maxsize=128)
+def _deck(surface: FlatSurface):
+    """(rows, lin, shift): the cover lattice's basis rows and the deck maps
+    y -> y * lin[h] + shift[h], identity first, as read-only arrays."""
+    if isinstance(surface, Torus):
+        rows = ((1.0, 0.0), (-surface.lattice.a, surface.lattice.b))
+        lin, shift = np.ones((1, 2)), np.zeros((1, 2))
+    else:
+        rows = ((1.0, 0.0), (0.0, 2.0 * surface.b))
+        lin, shift = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([[0.0, 0.0], [1.0, surface.b]])
+    lin.flags.writeable = shift.flags.writeable = False
+    return rows, lin, shift
+
+
 def glide(surface: KleinBottle, y) -> np.ndarray:
-    y = _vec(y)
-    return np.array([1.0 - y[0], y[1] + surface.b])
+    _, lin, shift = _deck(surface)
+    return _vec(y) * lin[1] + shift[1]
 
 
 def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray:
@@ -87,16 +103,12 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
     Torus: y + m1 b1 + m2 b2 for |m1|, |m2| <= shell.  Klein bottle: both
     (y1 + m, y2 + 2kb) and the glide images (1 - y1 + m, b + y2 + 2kb).
     """
-    y = _vec(y)
+    rows, lin, shift = _deck(surface)
     rng = np.arange(-shell, shell + 1)
     mm, kk = np.meshgrid(rng, rng, indexing="ij")
     mn = np.stack([mm.ravel(), kk.ravel()], axis=1).astype(float)
-    if isinstance(surface, Torus):
-        return y[None, :] + mn @ surface.lattice.basis
-    cover = np.array([[1.0, 0.0], [0.0, 2.0 * surface.b]])
-    direct = y[None, :] + mn @ cover
-    flipped = glide(surface, y)[None, :] + mn @ cover
-    return np.concatenate([direct, flipped], axis=0)
+    images = _vec(y) * lin + shift
+    return (images[:, None, :] + (mn @ np.array(rows))[None]).reshape(-1, 2)
 
 
 def surface_distance(surface: FlatSurface, x, y) -> float:
@@ -109,8 +121,9 @@ def surface_distance(surface: FlatSurface, x, y) -> float:
     x, y = _vec(x), _vec(y)
     if isinstance(surface, Torus):
         return torus_distance(surface.lattice, x, y)
-    periods = np.array([1.0, 2.0 * surface.b])
-    d = x - np.stack([y, glide(surface, y)])
+    rows, lin, shift = _deck(surface)
+    periods = np.diag(rows)
+    d = x - (y * lin + shift)
     d -= periods * np.round(d / periods)
     return float(np.min(np.hypot(d[:, 0], d[:, 1])))
 

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatheat import (InvalidParameter, KernelQuery, ModeSurfaceMismatch,
-                      NonPositiveTime, ToleranceUnreachable, eigenbasis_values,
-                      enumerate_modes, fundamental_domain_grid, glide,
+                      NonPositiveTime, ToleranceUnreachable, eigenbasis_gradients,
+                      eigenbasis_values, enumerate_modes, fundamental_domain_grid, glide,
                       gradient_sum_check, heat_kernel, heat_kernel_gradient,
                       klein_bottle, principal_eigenvalue,
                       projection_diagonal_scan, projection_gradient,
@@ -52,6 +52,15 @@ def brute_force_klein_kernel(b, t, x, y, span=14):
                 d = x - y_im + np.array([m, 2 * b * n])
                 total += math.exp(-(d @ d) / (4 * t))
     return total / (4 * math.pi * t)
+
+
+def eigenbasis_projection(surface, mode, X, Y):
+    """sum_j phi_j(x) phi_j(y) and sum_j phi_j(x) grad phi_j(y) over the explicit
+    orthonormal eigenbasis: a projection reference that uses no cover torus."""
+    phi_x = eigenbasis_values(surface, mode, X)
+    value = (phi_x * eigenbasis_values(surface, mode, Y)).sum(axis=0)
+    grad = (phi_x[..., None] * eigenbasis_gradients(surface, mode, Y)).sum(axis=0)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +169,22 @@ def test_klein_kernel_matches_brute_force(rng):
 def test_klein_kernel_matches_eigen_expansion(rng):
     """Klein kernel and gradient against sum_lambda exp(-lambda t) P_lambda.
 
-    The reference sums the Klein eigenfunctions themselves, not the cover
-    torus.  With lambda_max = 40 / t the dropped tail is far below 1e-13:
-    there are about b lambda / (8 pi) spectral pairs below lambda, each
-    weighing at most (4 / b) (1 + sqrt(lambda)) exp(-lambda t), so the tail
-    is about sqrt(lambda_max) exp(-40) / (2 pi t) < 1e-15.
+    The reference sums products of the explicit Klein eigenfunctions, not the
+    cover torus, whose deck sum ``projection_kernel`` shares with the heat
+    kernel's spectral route.  With lambda_max = 40 / t the dropped tail is far
+    below 1e-13: there are about b lambda / (8 pi) spectral pairs below
+    lambda, each weighing at most (4 / b) (1 + sqrt(lambda)) exp(-lambda t),
+    so the tail is about sqrt(lambda_max) exp(-40) / (2 pi t) < 1e-15.
     """
     X = rng.uniform(0, 1, (12, 2))
     Y = rng.uniform(0, 1, (12, 2))
     for b in (0.3, 0.8, 1.3):
         surface = klein_bottle(b)
         for t in (0.1, 0.5, 2.0):
-            modes = enumerate_modes(surface, 40.0 / t)
-            ref = sum(math.exp(-m.eigenvalue * t) * projection_kernel(surface, m, X, Y)
-                      for m in modes)
-            ref_grad = sum(math.exp(-m.eigenvalue * t) * projection_gradient(surface, m, X, Y)[0]
-                           for m in modes)
+            terms = [(math.exp(-m.eigenvalue * t), eigenbasis_projection(surface, m, X, Y))
+                     for m in enumerate_modes(surface, 40.0 / t)]
+            ref = sum(w * p for w, (p, _) in terms)
+            ref_grad = sum(w * g for w, (_, g) in terms)
             for rep in ("spectral", "image"):
                 v, e, _, _ = heat_values(surface, t, X, Y, eps=1e-13, representation=rep)
                 g, eg, _, _ = heat_gradient_values(surface, t, X, Y, eps=1e-13,
@@ -421,19 +430,37 @@ def test_gradient_sum_constant():
 
 
 def test_projection_gradient_matches_fd(rng):
-    surface = torus(0.3, 1.2)
-    mode = enumerate_modes(surface, 30.0)[1]
     h = 1e-6
-    for _ in range(10):
-        x = rng.uniform(0, 1, 2)
-        y = rng.uniform(0, 1, 2)
-        grad, _ = projection_gradient(surface, mode, x, y)
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (projection_kernel(surface, mode, x, y + e)
-                  - projection_kernel(surface, mode, x, y - e)) / (2 * h)
-            assert abs(float(fd) - grad[k]) < 5e-7
+    for surface in (torus(0.3, 1.2), klein_bottle(0.8), klein_bottle(1.3)):
+        mode = enumerate_modes(surface, 70.0)[1]
+        for _ in range(10):
+            x = rng.uniform(0, 1, 2)
+            y = rng.uniform(0, 1, 2)
+            grad, _ = projection_gradient(surface, mode, x, y)
+            for k in range(2):
+                e = np.zeros(2)
+                e[k] = h
+                fd = (projection_kernel(surface, mode, x, y + e)
+                      - projection_kernel(surface, mode, x, y - e)) / (2 * h)
+                assert abs(float(fd) - grad[k]) < 5e-7
+
+
+def test_projections_equal_eigenbasis_products(rng):
+    """P_lambda as a deck sum over the cover shell equals sum_j phi_j(x) phi_j(y).
+
+    Every mode with lambda <= 400, points well outside the fundamental domain;
+    on Klein bottles this checks the map from generators (l1, l2) to cover
+    vectors (+-l1, +-l2 / 2b) and the cancellation of the unnamed ones.
+    """
+    X = rng.uniform(-1, 2, (64, 2))
+    Y = rng.uniform(-1, 2, (64, 2))
+    surfaces = [torus(0.0, 1.0), torus(0.5, HONEYCOMB_B), torus(0.3, 1.2),
+                klein_bottle(0.3), klein_bottle(0.8), klein_bottle(1.0), klein_bottle(1.3)]
+    for surface in surfaces:
+        for mode in enumerate_modes(surface, 400.0):
+            value, grad = eigenbasis_projection(surface, mode, X, Y)
+            assert np.abs(projection_kernel(surface, mode, X, Y) - value).max() <= 1e-13
+            assert np.abs(projection_gradient(surface, mode, X, Y)[0] - grad).max() <= 2e-12
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +500,8 @@ def test_klein_kernel_equals_double_cover_combination(rng):
 
 
 def test_large_time_projection_limit(rng):
-    # K_t - 1/A  ~  exp(-lam1 t) P_1  with the rest bounded by the lam2 tail
+    # K_t - 1/A  ~  exp(-lam1 t) P_1  with the rest bounded by the lam2 tail;
+    # P_1 from the explicit eigenbasis, independent of the kernel's deck sum
     for surface in (torus(0.0, 1.0), torus(0.5, HONEYCOMB_B), klein_bottle(1.3)):
         area = surface.area
         modes = enumerate_modes(surface, 170.0)
@@ -481,7 +509,7 @@ def test_large_time_projection_limit(rng):
         c2 = 2.0 * (modes[2].multiplicity + 2) / area
         X = rng.uniform(0, 1, (20, 2))
         Y = rng.uniform(0, 1, (20, 2))
-        p1 = projection_kernel(surface, modes[1], X, Y)
+        p1, _ = eigenbasis_projection(surface, modes[1], X, Y)
         for t in (1.0, 2.0, 4.0):
             vals, _, _, _ = heat_values(surface, t, X, Y, eps=1e-15)
             resid = np.abs(vals - 1.0 / area - math.exp(-lam1 * t) * p1)
