@@ -19,10 +19,14 @@ certified by a Gaussian ring bound: once all points inside a radius are
 summed, the discarded tail is dominated by an explicit erfc integral.
 
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
-product of two circles, and its heat kernel the product of theirs: the image
-route sums it over a box of images holding the disk, as a product of one
-Gaussian sum per axis.  That costs n0 + n1 exponentials per point for the
-n0 * n1 images of the box, which is what terms_used counts on that route.
+product of two circles, and its heat kernel the product of theirs.  Both
+routes then sum a box holding the disk, as a product of one sum per axis
+(``_axis_product``): the image route a Gaussian sum, costing n0 + n1
+exponentials per point for the n0 * n1 images of the box; the spectral route
+a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
+one cosine and one sine per axis and point, for the half box of
+((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  terms_used counts the box terms,
+not the per-axis ones.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -87,7 +91,8 @@ def _ring_tail(alpha: float, radius: float, rho: float, covol: float,
     if moment == 0:
         integral = _TWO_PI * (j1 + rho * j0)
     else:
-        j2 = s * e / (2.0 * alpha) + math.sqrt(math.pi) * ec / (4.0 * alpha ** 1.5)
+        # alpha * sa, not alpha ** 1.5: the power raises OverflowError for huge t
+        j2 = s * e / (2.0 * alpha) + math.sqrt(math.pi) * ec / (4.0 * alpha * sa)
         integral = _TWO_PI * (j2 + 3.0 * rho * j1 + 2.0 * rho * rho * j0)
     return integral / covol
 
@@ -158,7 +163,7 @@ def _geometry(rows: tuple):
     """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1)).
 
     "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
-    Gaussian image sum factors into one sum per axis.
+    lattice sums factor into one sum per axis; "periods" are then |u0|, |v1|.
     """
     (u0, u1), (v0, v1) = rows
     det = u0 * v1 - u1 * v0
@@ -169,6 +174,7 @@ def _geometry(rows: tuple):
         "rho": covering_radius_of_rows(primal),
         "covol": abs(det),
         "axis_aligned": u1 == 0 and v0 == 0,
+        "periods": np.abs(np.diag(primal)),
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),
@@ -184,27 +190,94 @@ def _block_rows(terms: int) -> int:
 # lattice-sum evaluators on displacements d = x - h(y), h a deck element
 
 
+def _axis_product(out: np.ndarray, a, b, scale: float) -> None:
+    """Write a box sum whose terms are a product of one factor per axis.
+
+    a holds the per-axis sums (A0, A1), so the value is scale * A0 * A1; with
+    per-axis derivative sums b = (B0, B1) the gradient is
+    scale * (B0 * A1, A0 * B1).  b is None for values.
+    """
+    if b is None:
+        out[:] = scale * a[0] * a[1]
+    else:
+        out[:, 0] = scale * b[0] * a[1]
+        out[:, 1] = scale * a[0] * b[1]
+
+
+def _harmonic_sums(theta: np.ndarray, cos_w: list, sin_w: list | None):
+    """sum_m cos_w[m] cos(m theta), and sum_m sin_w[m] sin(m theta) unless sin_w is None.
+
+    cos(m theta) and sin(m theta) follow from those of theta by angle
+    addition, so each entry costs two trigonometric calls for any number of
+    terms.  Their rounding grows about linearly in m, as the rounding of the
+    phase m theta does when each term is evaluated directly.  The sums run
+    in m order with elementwise operations only, so each entry's bits do not
+    depend on the block it is in.
+    """
+    c1, s1 = np.cos(theta), np.sin(theta)
+    cm, sm = c1, s1
+    acc_c = np.full(theta.shape, cos_w[0])
+    acc_s = None if sin_w is None else np.zeros(theta.shape)
+    for m in range(1, len(cos_w)):
+        if m > 1:
+            cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+        acc_c += cos_w[m] * cm
+        if acc_s is not None:
+            acc_s += sin_w[m] * sm
+    return acc_c, acc_s
+
+
 def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp, summed over the dual lattice."""
+    """Cover kernel (or y-gradient) at displacements disp, summed over the dual lattice.
+
+    Every dual point p with |p| <= radius is summed, one of each pair +-p with
+    weight 2.  A rectangular lattice, with periods L0, L1, sums the box
+    |p_k| <= radius instead, which holds that disk, so its omitted terms are
+    part of the disk's tail.  Its term is a product of one factor per axis,
+    so the box sum is C0 * C1 / area and the gradient (G0 * C1, C0 * G1) / area,
+    with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
+    G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
+    w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
+    point (``_harmonic_sums``) for the half box of
+    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
+    """
     geom = _geometry(rows)
     area = geom["covol"]
     alpha = _FOUR_PI_SQ * t
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    # p and -p contribute alike: sum one of each pair, with weight 2
-    _, pts, r2 = _points_in_disk(geom["dual_rows"], radius, half=True)
-    w = np.exp(-alpha * r2) * (2.0 / area)
-    w[0] = 1.0 / area  # the origin, first by modulus, has no partner
-    coef = _TWO_PI * pts * w[:, None] if want_grad else w
     flat = disp.reshape(-1, 2)
-    out = np.empty((flat.shape[0],) + coef.shape[1:])
-    step = _block_rows(len(pts))
-    for i in range(0, flat.shape[0], step):
-        ph = _TWO_PI * flat[i:i + step] @ pts.T
-        out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
+    out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
+    if geom["axis_aligned"]:
+        periods = geom["periods"]
+        cos_w, sin_w = [], []
+        for length in periods:
+            p = np.arange(math.floor(radius * length) + 1) / length  # p_k = m / L_k
+            w = 2.0 * np.exp(-alpha * (p * p))
+            w[0] = 1.0  # m = 0 has no partner
+            cos_w.append(w.tolist())
+            sin_w.append((_TWO_PI * p * w).tolist() if want_grad else None)
+        n0, n1 = (2 * len(w) - 1 for w in cos_w)
+        terms = (n0 * n1 + 1) // 2
+        step = _block_rows(max(n0, n1))
+        for i in range(0, flat.shape[0], step):
+            c, g = zip(*(_harmonic_sums((_TWO_PI / periods[k]) * flat[i:i + step, k],
+                                        cos_w[k], sin_w[k]) for k in (0, 1)))
+            _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
+    else:
+        # p and -p contribute alike: sum one of each pair, with weight 2
+        _, pts, r2 = _points_in_disk(geom["dual_rows"], radius, half=True)
+        terms = len(pts)
+        w = np.exp(-alpha * r2) * (2.0 / area)
+        w[0] = 1.0 / area  # the origin, first by modulus, has no partner
+        coef = _TWO_PI * pts * w[:, None] if want_grad else w
+        step = _block_rows(terms)
+        for i in range(0, flat.shape[0], step):
+            ph = _TWO_PI * flat[i:i + step] @ pts.T
+            out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
     err = pref * _ring_tail(alpha, radius, geom["dual_rho"], geom["dual_covol"], moment)
-    return out.reshape(disp.shape[:-1] + coef.shape[1:]), err, len(pts)
+    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
 
 
 def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
@@ -231,20 +304,17 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     spread = float(np.max(np.hypot(d0[:, 0], d0[:, 1]))) if len(d0) else 0.0
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
     if geom["axis_aligned"]:
-        lengths = np.abs(np.diag(lat))
-        half = np.floor((radius + spread) / lengths).astype(int)
-        axes = [lengths[k] * np.arange(-half[k], half[k] + 1) for k in (0, 1)]
+        periods = geom["periods"]
+        half = np.floor((radius + spread) / periods).astype(int)
+        axes = [periods[k] * np.arange(-half[k], half[k] + 1) for k in (0, 1)]
         terms = len(axes[0]) * len(axes[1])
         step = _block_rows(max(len(a) for a in axes))
         for i in range(0, flat.shape[0], step):
             z = [d0[i:i + step, k, None] - axes[k] for k in (0, 1)]
             e = [np.exp(-alpha * (zk * zk)) for zk in z]
-            s0, s1 = e[0].sum(axis=-1), e[1].sum(axis=-1)
-            if want_grad:
-                out[i:i + step, 0] = pref0 * 2.0 * alpha * (e[0] * z[0]).sum(axis=-1) * s1
-                out[i:i + step, 1] = pref0 * 2.0 * alpha * s0 * (e[1] * z[1]).sum(axis=-1)
-            else:
-                out[i:i + step] = pref0 * s0 * s1
+            g = [(e[k] * z[k]).sum(axis=-1) for k in (0, 1)] if want_grad else None
+            _axis_product(out[i:i + step], [ek.sum(axis=-1) for ek in e], g,
+                          pref0 * 2.0 * alpha if want_grad else pref0)
     else:
         _, pts, _ = _points_in_disk(lat, radius + spread)
         terms = len(pts)
@@ -280,11 +350,18 @@ def _validate_time_eps(t: float, eps: float) -> None:
         raise InvalidParameter(f"epsilon must be positive, got {eps}")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # a single point skips numpy's reduction overhead (about 2 us per array)
+    return all(map(math.isfinite, a.flat)) if a.size <= 8 else bool(np.isfinite(a).all())
+
+
 def _broadcast_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1:] != (2,) or y.shape[-1:] != (2,):
         raise InvalidParameter("points must have a trailing dimension of 2")
+    if not (_all_finite(x) and _all_finite(y)):
+        raise InvalidParameter("points must be finite")
     return np.broadcast_arrays(x, y)
 
 
@@ -325,9 +402,10 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     bound covers the truncated tail for every entry.  terms_used counts the
     lattice terms summed per point over all deck elements, so a Klein bottle
     counts its cover's terms twice; the spectral route sums one of each pair
-    of dual points +-p, with weight 2.  On a rectangular cover the image
-    route counts the n0 * n1 images of its box, though it evaluates them as
-    a product of two per-axis sums of n0 and n1 terms.
+    of dual points +-p, with weight 2.  On a rectangular cover both routes
+    count the terms of their box, though they evaluate them as a product of
+    two per-axis sums: the n0 * n1 images of the image box, and the half
+    box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
     """
     return _deck_sum(surface, t, x, y, eps, representation, want_grad=False)
 
@@ -348,8 +426,12 @@ class KernelQuery:
     representation: str = "auto"
 
     def __post_init__(self):
-        object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
-        object.__setattr__(self, "y", (float(self.y[0]), float(self.y[1])))
+        x = (float(self.x[0]), float(self.x[1]))
+        y = (float(self.y[0]), float(self.y[1]))
+        if not all(map(math.isfinite, x + y)):
+            raise InvalidParameter(f"points must be finite, got x={x}, y={y}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         _validate_time_eps(self.t, self.epsilon)
         if self.representation not in ("auto", "spectral", "image"):
             raise InvalidParameter(f"unknown representation {self.representation!r}")

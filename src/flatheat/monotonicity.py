@@ -11,6 +11,7 @@ configurations in closed form and return revalidatable witnesses.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,6 +75,11 @@ class ScanConfig:
     kernel_epsilon: float = 1e-13
 
     def __post_init__(self):
+        for name in ("n_directions", "n_arc_samples"):
+            n = getattr(self, name)
+            if not isinstance(n, numbers.Integral):
+                raise InvalidParameter(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if self.n_directions < 4:
             raise InvalidParameter("n_directions must be at least 4")
         if self.n_arc_samples < 8:
@@ -87,6 +93,8 @@ class ScanConfig:
             object.__setattr__(
                 self, "base_points",
                 tuple((float(p[0]), float(p[1])) for p in self.base_points))
+            if not all(math.isfinite(c) for p in self.base_points for c in p):
+                raise InvalidParameter("base_points must be finite")
 
 
 @dataclass(frozen=True)
@@ -263,13 +271,26 @@ def _witness_objects(kernel, tasks, dirs, columns) -> tuple:
     dir_of = [tuple(u) for u in dirs.tolist()]
     kind = "heat" if isinstance(kernel, Heat) else "projection"
     eigenvalue = None if isinstance(kernel, Heat) else kernel.mode.eigenvalue
-    return tuple(
-        ViolationWitness(base=base_of[k], direction=dir_of[d], s=sv, t=tv,
-                         radial_derivative=dv, error_bound=ev, kernel=kind,
-                         eigenvalue=eigenvalue)
-        for k, d, sv, tv, dv, ev in zip(
+    # The frozen dataclass __init__ costs about twice as much as setting the
+    # fields directly.  Setting them in field order, as __init__ does, keeps
+    # the instance dicts key-sharing, so the objects compare, hash, print and
+    # take memory as constructed ones do.
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for k, d, sv, tv, dv, ev in zip(
             owner[order].tolist(), i[order].tolist(), s[order].tolist(), t[order].tolist(),
-            deriv[order].tolist(), err[order].tolist()))
+            deriv[order].tolist(), err[order].tolist()):
+        w = new(ViolationWitness)
+        put(w, "base", base_of[k])
+        put(w, "direction", dir_of[d])
+        put(w, "s", sv)
+        put(w, "t", tv)
+        put(w, "radial_derivative", dv)
+        put(w, "error_bound", ev)
+        put(w, "kernel", kind)
+        put(w, "eigenvalue", eigenvalue)
+        out.append(w)
+    return tuple(out)
 
 
 def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode:

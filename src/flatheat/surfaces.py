@@ -153,6 +153,8 @@ def minimal_geodesic(surface: FlatSurface, base, direction) -> Geodesic:
     """
     base = _vec(base)
     u = _vec(direction)
+    if not all(map(math.isfinite, (*base, *u))):
+        raise InvalidParameter("base and direction must be finite")
     nu = float(np.hypot(*u))
     if nu == 0:
         raise InvalidParameter("direction must be non-zero")

@@ -263,12 +263,14 @@ def test_gradient_blocks_stay_within_memory_budget(rng):
 
 
 def test_rectangular_box_route_matches_disk_route(rng):
-    """The per-axis box sum of a rectangular lattice against its disk sum.
+    """The per-axis box sums of a rectangular lattice against its disk sums.
 
     The rows (1, 0), (1, h) span the same lattice as (1, 0), (0, h) but are
-    not axis-aligned, so they take the disk route.  The box holds the disk,
-    so the two differ by at most the disk route's tail bound, and the box
-    sum of positive terms is not below the disk sum beyond rounding.
+    not axis-aligned, so they take the disk routes.  The box holds the disk,
+    so the two differ by at most the disk route's tail bound and rounding,
+    and the box sum of positive image terms is not below the disk sum beyond
+    rounding.  Both routes draw their radius from the same lattice data, so
+    the spectral box certifies exactly the disk's bound.
     """
     heights = [2.0 * b for b in (0.3, 0.7, 1.0, 1.5)] + [torus(0.0, 1.3).lattice.b]
     disp = rng.uniform(-1, 2, (2, 40, 2))
@@ -285,6 +287,12 @@ def test_rectangular_box_route_matches_disk_route(rng):
                     assert np.abs(box - disk).max() <= e_disk + 1e-13
                     if not want_grad:
                         assert (box - disk).min() >= -1e-15 * disk.max()
+                    # cosine sums cancel: seen up to 2.0e-15 of the largest output
+                    box, e_box, n_box = kernels._spectral(box_rows, t, disp, eps, want_grad)
+                    disk, e_disk, n_disk = kernels._spectral(disk_rows, t, disp, eps, want_grad)
+                    assert e_box == e_disk <= eps
+                    assert n_box >= n_disk
+                    assert np.abs(box - disk).max() <= e_disk + 4e-15 * np.abs(disk).max()
 
 
 def test_block_size_does_not_change_values(rng, monkeypatch):
@@ -295,16 +303,17 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
              for t in (0.05, 1.0) for rep in ("spectral", "image")]
 
     def evaluate():
-        return [(rep, fn(s, t, X, Y, eps=1e-13, representation=rep)[0])
+        return [(s, rep, fn(s, t, X, Y, eps=1e-13, representation=rep)[0])
                 for s, t, rep in cases for fn in (heat_values, heat_gradient_values)]
 
     wide = evaluate()
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
     assert kernels._block_rows(40) == 3
-    # BLAS orders the spectral contraction by the block's row count: seen up
-    # to 1.35e-15 of the largest output; image sums are bitwise equal
-    for (rep, a), (_, b) in zip(wide, evaluate()):
-        if rep == "image":
+    # BLAS orders the disk route's spectral contraction by the block's row
+    # count: seen up to 1.35e-15 of the largest output.  Image sums and the
+    # per-axis spectral sums run elementwise and are bitwise equal.
+    for (s, rep, a), (_, _, b) in zip(wide, evaluate()):
+        if rep == "image" or s != torus(0.3, 1.2):
             assert np.array_equal(a, b)
         else:
             assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
@@ -327,6 +336,31 @@ def test_kernel_rejects_bad_queries():
                     representation="fourier")
     with pytest.raises(InvalidParameter):
         KernelQuery(surface=surface, x=(0, 0), y=(0.1, 0.1), t=1.0, epsilon=0.0)
+
+
+def test_kernel_rejects_non_finite_points():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(InvalidParameter):
+        KernelQuery(surface=torus(0.0, 1.0), x=(nan, 0.0), y=(0.1, 0.1), t=0.3)
+    with pytest.raises(InvalidParameter):
+        KernelQuery(surface=torus(0.0, 1.0), x=(0.0, 0.0), y=(0.1, -inf), t=0.3)
+    for surface, t in ((klein_bottle(0.8), 0.3), (torus(0.3, 1.2), 0.01)):
+        for bad in (nan, inf):
+            for fn in (heat_values, heat_gradient_values):
+                with pytest.raises(InvalidParameter):
+                    fn(surface, t, np.array([bad, 0.0]), np.array([0.1, 0.1]))
+                with pytest.raises(InvalidParameter):
+                    fn(surface, t, np.zeros((3, 2)), np.array([[0.1, 0.1]] * 2 + [[0.0, bad]]))
+
+
+def test_gradient_at_huge_time_is_zero():
+    # the moment-1 tail once raised OverflowError from alpha ** 1.5 at t >= ~1e205
+    for surface in (klein_bottle(0.8), torus(0.3, 1.2)):
+        for t in (1e210, 1e300):
+            out = heat_kernel_gradient(KernelQuery(surface=surface, x=(0.1, 0.2),
+                                                   y=(0.4, 0.3), t=t))
+            assert out.gradient == (0.0, 0.0)
+            assert math.isfinite(out.error_bound) and out.error_bound <= 1e-10
 
 
 def test_unreachable_tolerance_raises():

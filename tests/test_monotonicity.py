@@ -31,6 +31,23 @@ def test_scan_config_validation():
         ScanConfig(derivative_tolerance=0.0)
 
 
+def test_scan_config_rejects_non_integer_sizes():
+    for bad in (8.5, 8.0, "8"):
+        with pytest.raises(InvalidParameter):
+            ScanConfig(n_directions=bad)
+        with pytest.raises(InvalidParameter):
+            ScanConfig(n_arc_samples=bad)
+    cfg = ScanConfig(n_directions=np.int64(8), n_arc_samples=np.int32(8), t_values=(0.5,))
+    assert (cfg.n_directions, cfg.n_arc_samples) == (8, 8)
+    assert scan(torus(0.0, 1.0), Heat(), cfg).points_checked == (8 + 5) * 8
+
+
+def test_scan_config_rejects_non_finite_base_points():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidParameter):
+            ScanConfig(base_points=[(0.1, 0.2), (bad, 0.0)])
+
+
 def test_honeycomb_heat_scan_is_monotone_quick(honeycomb_torus):
     cfg = ScanConfig(n_directions=48, n_arc_samples=16, t_values=(0.05, 0.5, 5.0))
     report = scan(honeycomb_torus, Heat(), cfg)
@@ -162,6 +179,21 @@ def test_scan_witnesses_match_per_sample_reference(generic_torus):
         assert len({w.base for w in expected}) >= 2
         assert len({(w.t, w.direction) for w in expected}) >= 2
         assert report.witnesses == expected
+
+
+def test_scan_witnesses_share_the_constructed_layout():
+    """Scan witnesses skip the dataclass __init__; they must hold the same
+    fields in the same order, and take the same key-sharing dict, as ones it
+    builds, so they compare, hash and print alike."""
+    cfg = ScanConfig(n_directions=24, n_arc_samples=12, t_values=(0.05, 2.0),
+                     base_points=((0.1, 0.2), (0.3, 0.5)))
+    report = scan(klein_bottle(0.8), Heat(), cfg)
+    assert len(report.witnesses) > 10
+    for w in report.witnesses:
+        built = flatheat.ViolationWitness(**vars(w))
+        assert list(vars(w).items()) == list(vars(built).items())
+        assert sys.getsizeof(vars(w)) == sys.getsizeof(vars(built))
+        assert w == built and hash(w) == hash(built) and repr(w) == repr(built)
 
 
 def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):

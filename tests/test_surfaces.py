@@ -139,6 +139,15 @@ def test_minimal_geodesic_rejects_zero_direction():
         minimal_geodesic(torus(0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
 
 
+def test_minimal_geodesic_rejects_non_finite_input():
+    nan = float("nan")
+    for surface in (torus(0.3, 1.2), klein_bottle(0.8)):
+        with pytest.raises(InvalidParameter):
+            minimal_geodesic(surface, (nan, 0.0), (1.0, 0.0))
+        with pytest.raises(InvalidParameter):
+            minimal_geodesic(surface, (0.0, 0.0), (float("inf"), 1.0))
+
+
 def test_klein_bottle_rejects_bad_height():
     with pytest.raises(InvalidParameter):
         klein_bottle(-1.0)
