@@ -36,9 +36,15 @@ orthonormal eigenbases are the cover's eigenfunctions made deck-invariant
 share no code with the deck sums, so they check them independently.
 
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
-broken by integer coordinates; box images by index along each axis) and
-blocks have a fixed size for a given term count, so repeated evaluations are
-bitwise reproducible.
+broken by integer coordinates), and a call works through its points in
+blocks whose size follows from the term count and one byte budget
+(``_block_rows``), so repeated evaluations are bitwise reproducible.  Image
+sums are laid out term-major, one (terms x points) array per block reduced
+over the terms, which numpy does row by row: so the images go farthest first
+(disk images by descending modulus, box images by descending |index|), and a
+block is never left one point wide in a batch (``_blocks``).  A point then
+gets the same bits in any batch; alone, as one column, it is summed
+pairwise and may differ from its batch value in the last bits.
 """
 from __future__ import annotations
 
@@ -60,11 +66,10 @@ from .surfaces import FlatSurface, Torus, _deck
 TERM_BUDGET = 10_000_000
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
-# Evaluators work in blocks of rows.  A block holds a few (rows x terms)
-# float64 arrays at once (the image gradient about five), so the rows per
-# block come from a byte budget for one such array, capped at _CHUNK.
-_CHUNK = 2048
-_BLOCK_BYTES = 8 << 20
+# Evaluators work in blocks of points.  The points per block come from a
+# byte budget for all the float64 arrays a block keeps live at once, sized
+# for a core's cache; each route states how many floats per point it keeps.
+_BLOCK_BYTES = 1 << 20
 _EPS_FLOOR = 1e-300
 
 
@@ -175,15 +180,43 @@ def _geometry(rows: tuple):
         "covol": abs(det),
         "axis_aligned": u1 == 0 and v0 == 0,
         "periods": np.abs(np.diag(primal)),
+        # the diagonals of the dual and primal rows, as (2, 1) columns
+        "axis_scales": (np.diag(dual_rows)[:, None], np.diag(primal)[:, None]),
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),
     }
 
 
-def _block_rows(terms: int) -> int:
-    """Rows per block, so that one (rows x terms) float64 array fits _BLOCK_BYTES."""
-    return max(1, min(_CHUNK, _BLOCK_BYTES // (8 * max(terms, 1))))
+def _block_rows(width: int) -> int:
+    """Points per block, so that width float64 values per point fit _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _blocks(n: int, step: int) -> list:
+    """Slices of step points over range(n), a one-point tail joined to the block before.
+
+    numpy reduces a (terms x 1) block pairwise but a wider one row by row.
+    With step >= 2 every block of a batch is at least two points wide, so
+    each point gets the same bits whatever the step.  A single point, and
+    every point of a block too wide for the budget (step 1), is summed
+    pairwise.
+    """
+    starts = list(range(0, n, step))
+    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+@lru_cache(maxsize=256)
+def _far_first_axis(length: float, half: int) -> np.ndarray:
+    """Box images m * length, |m| <= half, as a column ordered by descending |m|."""
+    m = np.arange(half, 0, -1)
+    idx = np.zeros(2 * half + 1)
+    idx[0:-1:2], idx[1:-1:2] = -m, m
+    col = (length * idx)[:, None]
+    col.flags.writeable = False
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +293,7 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
             sin_w.append((_TWO_PI * p * w).tolist() if want_grad else None)
         n0, n1 = (2 * len(w) - 1 for w in cos_w)
         terms = (n0 * n1 + 1) // 2
-        step = _block_rows(max(n0, n1))
+        step = _block_rows(16)  # about 16 (points,) arrays over both axes
         for i in range(0, flat.shape[0], step):
             c, g = zip(*(_harmonic_sums((_TWO_PI / periods[k]) * flat[i:i + step, k],
                                         cos_w[k], sin_w[k]) for k in (0, 1)))
@@ -272,7 +305,7 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
         coef = _TWO_PI * pts * w[:, None] if want_grad else w
-        step = _block_rows(terms)
+        step = _block_rows(2 * terms)  # the phases and their sines
         for i in range(0, flat.shape[0], step):
             ph = _TWO_PI * flat[i:i + step] @ pts.T
             out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
@@ -291,42 +324,62 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
     axis k: n0 + n1 exponentials per point for n0 * n1 terms.
+
+    Sums are laid out term-major: each block is a (terms x points) array
+    built from the coordinate columns of d0 and reduced over axis 0, so the
+    elementwise loops run over points.  Such a reduction adds the terms one
+    at a time in row order, so the rows go farthest first (disk images by
+    descending modulus, box indices by descending |m|), and the largest
+    terms, which carry the value, come last.
     """
     geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
     pref0 = 1.0 / (4.0 * math.pi * t)
     moment = 1 if want_grad else 0
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
+    scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     flat = disp.reshape(-1, 2)
     lat = geom["rows"]
-    d0 = flat - np.round(flat @ geom["dual_rows"].T) @ lat
-    spread = float(np.max(np.hypot(d0[:, 0], d0[:, 1]))) if len(d0) else 0.0
+    if geom["axis_aligned"]:
+        # x - round(x / L) L on the coordinate rows: the bits of the matrix
+        # form below, whose off-diagonal products are zeros
+        cols = flat.T.copy()
+        d0 = cols - np.round(cols * geom["axis_scales"][0]) * geom["axis_scales"][1]
+    else:
+        d0 = (flat - np.round(flat @ geom["dual_rows"].T) @ lat).T
+    spread = float(np.max(np.hypot(d0[0], d0[1]))) if len(flat) else 0.0
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
     if geom["axis_aligned"]:
-        periods = geom["periods"]
-        half = np.floor((radius + spread) / periods).astype(int)
-        axes = [periods[k] * np.arange(-half[k], half[k] + 1) for k in (0, 1)]
+        half = np.floor((radius + spread) / geom["periods"]).astype(int)
+        axes = [_far_first_axis(float(length), int(h))
+                for length, h in zip(geom["periods"], half)]
         terms = len(axes[0]) * len(axes[1])
-        step = _block_rows(max(len(a) for a in axes))
-        for i in range(0, flat.shape[0], step):
-            z = [d0[i:i + step, k, None] - axes[k] for k in (0, 1)]
-            e = [np.exp(-alpha * (zk * zk)) for zk in z]
-            g = [(e[k] * z[k]).sum(axis=-1) for k in (0, 1)] if want_grad else None
-            _axis_product(out[i:i + step], [ek.sum(axis=-1) for ek in e], g,
-                          pref0 * 2.0 * alpha if want_grad else pref0)
+        # per axis, the differences, their squares and the Gaussians
+        for blk in _blocks(flat.shape[0], _block_rows(3 * max(len(a) for a in axes))):
+            sums, grads = [], []
+            for k in (0, 1):
+                z = d0[k][blk] - axes[k]
+                e = np.exp(-alpha * (z * z))
+                sums.append(e.sum(axis=0))
+                if want_grad:
+                    grads.append(np.multiply(e, z, out=z).sum(axis=0))
+            _axis_product(out[blk], sums, grads if want_grad else None, scale)
     else:
         _, pts, _ = _points_in_disk(lat, radius + spread)
         terms = len(pts)
-        step = _block_rows(terms)
-        for i in range(0, flat.shape[0], step):
-            z = d0[i:i + step, None, :] - pts[None, :, :]
-            e = np.exp(-alpha * (z[..., 0] ** 2 + z[..., 1] ** 2))
+        far = pts[::-1]  # farthest first
+        p0, p1 = far[:, 0:1], far[:, 1:2]
+        # both difference columns, their squares and the Gaussians
+        for blk in _blocks(flat.shape[0], _block_rows(4 * terms)):
+            z0 = d0[0][blk] - p0
+            z1 = d0[1][blk] - p1
+            e = np.exp(-alpha * (z0 * z0 + z1 * z1))
             if want_grad:
-                out[i:i + step, 0] = pref0 * 2.0 * alpha * (e * z[..., 0]).sum(axis=-1)
-                out[i:i + step, 1] = pref0 * 2.0 * alpha * (e * z[..., 1]).sum(axis=-1)
+                out[blk, 0] = scale * np.multiply(e, z0, out=z0).sum(axis=0)
+                out[blk, 1] = scale * np.multiply(e, z1, out=z1).sum(axis=0)
             else:
-                out[i:i + step] = pref0 * e.sum(axis=-1)
+                out[blk] = scale * e.sum(axis=0)
     err = pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
     return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
 
@@ -371,8 +424,15 @@ def _deck_displacements(surface: FlatSurface, x, y):
     rows, lin, shift = _deck(surface)
     if len(lin) == 1:  # the identity alone (a torus): spare single queries the map
         return rows, (x - y)[None]
-    shape = (len(lin),) + (1,) * (y.ndim - 1) + (2,)
-    return rows, x - (y * lin.reshape(shape) + shift.reshape(shape))
+    shape = (len(lin),) + (1,) * (y.ndim - 1)
+    if y.size <= 8:  # a few points: one broadcast costs less than two per-column passes
+        return rows, x - (y * lin.reshape(shape + (2,)) + shift.reshape(shape + (2,)))
+    # per coordinate, so that the loops run over points, not over pairs
+    out = np.empty((len(lin),) + y.shape)
+    for c in (0, 1):
+        np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape) + shift[:, c].reshape(shape),
+                    out=out[..., c])
+    return rows, out
 
 
 def _deck_sum(surface: FlatSurface, t: float, x, y, eps: float,

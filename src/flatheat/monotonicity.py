@@ -51,13 +51,16 @@ _SCAN_NOTES = (
 
 
 def worker_count() -> int:
-    """Thread cap for scan fan-out; FLAT_HEAT_THREADS overrides."""
+    """Thread cap for scan fan-out: the CPUs this process may run on, at most
+    4; FLAT_HEAT_THREADS overrides."""
     env = os.environ.get("FLAT_HEAT_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise InvalidParameter(f"FLAT_HEAT_THREADS must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -87,8 +90,9 @@ class ScanConfig:
         object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
         if not self.t_values or any(not (t > 0 and math.isfinite(t)) for t in self.t_values):
             raise InvalidParameter("t_values must be positive and finite")
-        if not (self.derivative_tolerance > 0 and self.kernel_epsilon > 0):
-            raise InvalidParameter("tolerances must be positive")
+        tols = (self.derivative_tolerance, self.kernel_epsilon)
+        if not all(tol > 0 and math.isfinite(tol) for tol in tols):
+            raise InvalidParameter("tolerances must be positive and finite")
         if self.base_points is not None:
             object.__setattr__(
                 self, "base_points",
@@ -184,7 +188,7 @@ def _eval_radial(surface, kernel, t, X, Y, dirs_b, eps):
         grads, err, _, _ = heat_gradient_values(surface, t, X, Y, eps=eps)
     else:
         grads, err = projection_gradient(surface, kernel.mode, X, Y)
-    return (grads * dirs_b).sum(axis=-1), err
+    return grads[..., 0] * dirs_b[..., 0] + grads[..., 1] * dirs_b[..., 1], err
 
 
 def _scan_task(surface, kernel, cfg, t, base, dirs, smax):

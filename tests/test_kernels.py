@@ -54,6 +54,30 @@ def brute_force_klein_kernel(b, t, x, y, span=14):
     return total / (4 * math.pi * t)
 
 
+def longdouble_image_sums(rows, t, disp, chunk=25):
+    """Image sums of the cover kernel and of its y-gradient at displacements
+    disp, summed in long double over every image within sqrt(320 t) + 2.2 of
+    the origin (the rest weigh below e^-80 at |d| <= 2.2); each comes with
+    the sum of the absolute values of its terms.  Returns
+    ((value, value size), (gradient, gradient size)) as float64 arrays."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    lat = np.array(rows, dtype=np.longdouble)
+    reach = math.sqrt(320.0 * t) + 2.2
+    det = abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
+    span = math.ceil(reach / det * max(math.hypot(*r) for r in rows)) + 1
+    m = np.arange(-span, span + 1)
+    images = np.stack(np.meshgrid(m, m, indexing="ij"), -1).reshape(-1, 2) @ lat
+    images = images[np.hypot(images[:, 0], images[:, 1]) <= reach]
+    parts = []
+    for i in range(0, len(disp), chunk):
+        z = disp[i:i + chunk].astype(np.longdouble)[:, None, :] - images[None]
+        e = np.exp(-(z[..., 0] ** 2 + z[..., 1] ** 2) / (4 * t)) / (4 * pi * t)
+        ge = z * (e / (2 * t))[..., None]
+        parts.append((e.sum(axis=1), ge.sum(axis=1), np.abs(ge).sum(axis=1)))
+    val, grad, grad_size = (np.concatenate(p).astype(float) for p in zip(*parts))
+    return (val, val), (grad, grad_size)
+
+
 def eigenbasis_projection(surface, mode, X, Y):
     """sum_j phi_j(x) phi_j(y) and sum_j phi_j(x) grad phi_j(y) over the explicit
     orthonormal eigenbasis: a projection reference that uses no cover torus."""
@@ -295,6 +319,27 @@ def test_rectangular_box_route_matches_disk_route(rng):
                     assert np.abs(box - disk).max() <= e_disk + 4e-15 * np.abs(disk).max()
 
 
+def test_image_route_matches_longdouble_sum(rng):
+    """Image sums against a long-double sum over every image that matters.
+
+    Each entry may be off by its truncation bound plus 48 u sum |term|, with
+    u = 2^-53.  Terms are added one at a time; adding the nearest images
+    first left about 100 u sum |term| on the honeycomb at t = 8, and the
+    farthest first about 24.  The disk route runs on two sheared lattices,
+    the per-axis box route on a rectangular one.
+    """
+    u = 2.0 ** -53
+    disp = rng.uniform(-1.5, 1.5, (150, 2))
+    for rows in (((1.0, 0.0), (-0.3, 1.2)), ((1.0, 0.0), (0.5, HONEYCOMB_B)),
+                 ((1.0, 0.0), (0.0, 1.6))):
+        assert kernels._geometry(rows)["axis_aligned"] == (rows[1][0] == 0.0)
+        for t in (0.05, 0.3, 2.0, 8.0):
+            refs = longdouble_image_sums(rows, t, disp)
+            for want_grad, (ref, size) in enumerate(refs):
+                out, err, _ = kernels._image(rows, t, disp, 1e-20, bool(want_grad))
+                assert (np.abs(out - ref) <= err + 48 * u * size).all(), (rows, t, want_grad)
+
+
 def test_block_size_does_not_change_values(rng, monkeypatch):
     X = rng.uniform(0, 1, (301, 2))
     Y = rng.uniform(0, 1, (301, 2))
@@ -306,12 +351,17 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
         return [(s, rep, fn(s, t, X, Y, eps=1e-13, representation=rep)[0])
                 for s, t, rep in cases for fn in (heat_values, heat_gradient_values)]
 
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)  # one block per call
     wide = evaluate()
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
-    assert kernels._block_rows(40) == 3
+    # blocks of 2 to 208 points on the image routes; four of them leave a
+    # one-point tail, among them the torus (0.3, 1.2) at t = 1, whose 643
+    # images go in blocks of 2
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 45_000)
+    assert kernels._block_rows(4 * 643) == 2
     # BLAS orders the disk route's spectral contraction by the block's row
     # count: seen up to 1.35e-15 of the largest output.  Image sums and the
-    # per-axis spectral sums run elementwise and are bitwise equal.
+    # per-axis spectral sums run elementwise, and their term-major sums add
+    # row by row in every block at least two points wide: bitwise equal.
     for (s, rep, a), (_, _, b) in zip(wide, evaluate()):
         if rep == "image" or s != torus(0.3, 1.2):
             assert np.array_equal(a, b)

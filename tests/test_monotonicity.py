@@ -48,6 +48,25 @@ def test_scan_config_rejects_non_finite_base_points():
             ScanConfig(base_points=[(0.1, 0.2), (bad, 0.0)])
 
 
+def test_scan_config_rejects_non_finite_tolerances():
+    # an infinite derivative tolerance would certify every sample as monotone
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            ScanConfig(derivative_tolerance=bad)
+        with pytest.raises(InvalidParameter):
+            ScanConfig(kernel_epsilon=bad)
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("FLAT_HEAT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert monotonicity.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert monotonicity.worker_count() == 4
+    monkeypatch.setenv("FLAT_HEAT_THREADS", "3")
+    assert monotonicity.worker_count() == 3
+
+
 def test_honeycomb_heat_scan_is_monotone_quick(honeycomb_torus):
     cfg = ScanConfig(n_directions=48, n_arc_samples=16, t_values=(0.05, 0.5, 5.0))
     report = scan(honeycomb_torus, Heat(), cfg)
