@@ -180,8 +180,6 @@ def _geometry(rows: tuple):
         "covol": abs(det),
         "axis_aligned": u1 == 0 and v0 == 0,
         "periods": np.abs(np.diag(primal)),
-        # the diagonals of the dual and primal rows, as (2, 1) columns
-        "axis_scales": (np.diag(dual_rows)[:, None], np.diag(primal)[:, None]),
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),
@@ -189,21 +187,25 @@ def _geometry(rows: tuple):
 
 
 def _block_rows(width: int) -> int:
-    """Points per block, so that width float64 values per point fit _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    """Points per block, so that width float64 values per point fit _BLOCK_BYTES.
+
+    At least two: a term count too large for the budget then exceeds it by
+    one more point's arrays, and ``_blocks`` never has to make a one-point
+    block of a batch.
+    """
+    return max(2, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _blocks(n: int, step: int) -> list:
-    """Slices of step points over range(n), a one-point tail joined to the block before.
+    """Slices of step >= 2 points over range(n), a one-point tail joined to the block before.
 
-    numpy reduces a (terms x 1) block pairwise but a wider one row by row.
-    With step >= 2 every block of a batch is at least two points wide, so
-    each point gets the same bits whatever the step.  A single point, and
-    every point of a block too wide for the budget (step 1), is summed
+    numpy reduces a (terms x 1) block pairwise but a wider one row by row,
+    so every block of a batch is at least two points wide, and each point
+    gets the same bits whatever the step.  Only a single point is summed
     pairwise.
     """
     starts = list(range(0, n, step))
-    if step > 1 and len(starts) > 1 and n - starts[-1] == 1:
+    if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
@@ -341,13 +343,9 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     radius = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     flat = disp.reshape(-1, 2)
     lat = geom["rows"]
-    if geom["axis_aligned"]:
-        # x - round(x / L) L on the coordinate rows: the bits of the matrix
-        # form below, whose off-diagonal products are zeros
-        cols = flat.T.copy()
-        d0 = cols - np.round(cols * geom["axis_scales"][0]) * geom["axis_scales"][1]
-    else:
-        d0 = (flat - np.round(flat @ geom["dual_rows"].T) @ lat).T
+    # x - round(x D^T) L with the points as columns: the same products and
+    # sums as with the points as rows, and contiguous coordinate rows
+    d0 = flat.T - lat.T @ np.round(geom["dual_rows"] @ flat.T)
     spread = float(np.max(np.hypot(d0[0], d0[1]))) if len(flat) else 0.0
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
     if geom["axis_aligned"]:

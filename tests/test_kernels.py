@@ -353,11 +353,11 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
 
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)  # one block per call
     wide = evaluate()
-    # blocks of 2 to 208 points on the image routes; four of them leave a
-    # one-point tail, among them the torus (0.3, 1.2) at t = 1, whose 643
-    # images go in blocks of 2
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 45_000)
-    assert kernels._block_rows(4 * 643) == 2
+    # blocks of 7 points on the per-axis spectral route, and of 2 (the floor)
+    # or 3 on the image routes, where the tori's 301 points leave a one-point
+    # tail to join to the block before
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
+    assert kernels._block_rows(40) == 3
     # BLAS orders the disk route's spectral contraction by the block's row
     # count: seen up to 1.35e-15 of the largest output.  Image sums and the
     # per-axis spectral sums run elementwise, and their term-major sums add
