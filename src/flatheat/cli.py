@@ -3,9 +3,17 @@
 Reports are a deterministic YAML-compatible key-value tree versioned as
 ``flatheat-report/1``; the JSON Schema ships with the package
 (``report_schema.json``).  ``--csv PATH`` additionally writes a sampled curve
-(columns ``s, value, derivative, error_bound``) for the commands that have a
-natural one-dimensional slice.  Exit codes: 0 success, 1 usage error, 2
-evaluator error, 3 scan verdict Violated under ``--expect monotone``.
+(columns ``s, value, derivative, error_bound``); only ``kernel``, ``scan`` and
+``counterexample``, the commands with a natural one-dimensional slice, accept
+it.  Exit codes: 0 success, 1 usage error, 2 evaluator error, 3 scan verdict
+Violated under ``--expect monotone``.
+
+Command contract: a ``_cmd_*`` function returns its report blocks (surface
+descriptor, parameters, results), followed by an exit code for ``scan`` and
+``selftest``; it prints nothing.  ``main`` alone owns the envelope (schema,
+command, version, the three blocks, then ``wall_time_seconds`` under
+``--timing``), the timing, the rendering and the exit code, so a field that
+every report carries is added there once.
 """
 from __future__ import annotations
 
@@ -81,92 +89,42 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-def _flow_list(seq) -> str | None:
-    items = list(seq)
-    if all(_is_number(v) for v in items):
-        return "[" + ", ".join(_fmt_scalar(v) for v in items) + "]"
-    return None
-
-
-def _emit_value(key: str, value, indent: int, out: list):
+def _emit(head: str, value, indent: int, out: list):
+    """Append the lines of one entry; head is "key:" or "-" for a list item."""
     pad = " " * indent
     scalar = _fmt_scalar(value)
     if scalar is not None:
-        out.append(f"{pad}{key}: {scalar}")
-        return
-    if isinstance(value, (list, tuple, np.ndarray)):
+        out.append(f"{pad}{head} {scalar}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
-        if not items:
-            out.append(f"{pad}{key}: []")
+        if all(_is_number(v) for v in items):
+            out.append(f"{pad}{head} [" + ", ".join(_fmt_scalar(v) for v in items) + "]")
             return
-        flow = _flow_list(items)
-        if flow is not None:
-            out.append(f"{pad}{key}: {flow}")
-            return
-        out.append(f"{pad}{key}:")
+        if head == "-":
+            raise InvalidParameter("nested non-numeric lists are not supported in reports")
+        out.append(f"{pad}{head}")
         for item in items:
-            _emit_list_item(item, indent + 2, out)
-        return
-    if isinstance(value, dict):
+            _emit("-", item, indent + 2, out)
+    elif isinstance(value, dict):
         if not value:
-            out.append(f"{pad}{key}: {{}}")
+            out.append(f"{pad}{head} {{}}")
             return
-        out.append(f"{pad}{key}:")
+        first = len(out)
+        if head != "-":
+            out.append(f"{pad}{head}")
         for k, v in value.items():
-            _emit_value(str(k), v, indent + 2, out)
-        return
-    raise InvalidParameter(f"cannot serialize value of type {type(value).__name__}")
-
-
-def _emit_list_item(item, indent: int, out: list):
-    pad = " " * indent
-    scalar = _fmt_scalar(item)
-    if scalar is not None:
-        out.append(f"{pad}- {scalar}")
-        return
-    if isinstance(item, (list, tuple, np.ndarray)):
-        flow = _flow_list(item)
-        if flow is not None:
-            out.append(f"{pad}- {flow}")
-            return
-        raise InvalidParameter("nested non-numeric lists are not supported in reports")
-    if isinstance(item, dict):
-        buf: list = []
-        for k, v in item.items():
-            _emit_value(str(k), v, indent + 2, buf)
-        if not buf:
-            out.append(f"{pad}- {{}}")
-            return
-        out.append(pad + "- " + buf[0][indent + 2:])
-        out.extend(buf[1:])
-        return
-    raise InvalidParameter(f"cannot serialize list item of type {type(item).__name__}")
+            _emit(f"{k}:", v, indent + 2, out)
+        if head == "-":  # a dict item starts on the dash line
+            out[first] = f"{pad}- " + out[first][indent + 2:]
+    else:
+        raise InvalidParameter(f"cannot serialize value of type {type(value).__name__}")
 
 
 def render_report(envelope: dict) -> str:
     out: list = []
     for key, value in envelope.items():
-        _emit_value(key, value, 0, out)
+        _emit(f"{key}:", value, 0, out)
     return "\n".join(out) + "\n"
-
-
-def _envelope(command: str, surface: dict, parameters: dict, results: dict,
-              started: float | None) -> dict:
-    env = {
-        "schema": "flatheat-report/1",
-        "command": command,
-        "version": __version__,
-        "surface": surface,
-        "parameters": parameters,
-        "results": results,
-    }
-    if started is not None:
-        env["wall_time_seconds"] = time.perf_counter() - started
-    return env
-
-
-def _print_report(env: dict):
-    sys.stdout.write(render_report(env))
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +180,12 @@ def _add_surface_flags(p: argparse.ArgumentParser, klein: bool = True):
                        help="use the Klein bottle of width b instead of a torus")
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--csv", metavar="PATH",
-                   help="write a sampled curve (s, value, derivative, error_bound)")
+def _add_common_flags(p: argparse.ArgumentParser, curve: bool = False):
+    if curve:
+        p.add_argument("--csv", metavar="PATH",
+                       help="write a sampled curve (s, value, derivative, error_bound)")
     p.add_argument("--timing", action="store_true",
                    help="include wall_time_seconds in the report")
-
-
-_CSV_COMMANDS = {"kernel", "scan", "counterexample"}
 
 
 def _write_csv(path: str, s, values, derivs, errs):
@@ -257,8 +213,7 @@ def _witness_dict(w) -> dict:
 # subcommand implementations
 
 
-def _cmd_reduce(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_reduce(args) -> tuple[dict, dict, dict]:
     rows = np.array([args.u, args.v], dtype=float)
     red = reduce(args.u, args.v)
     tag = classify(red).tag.value
@@ -270,25 +225,19 @@ def _cmd_reduce(args) -> int:
         "lattice_class": tag,
         "reconstruction_error": rec_err,
     }
-    env = _envelope("reduce", {"kind": "torus", "a": red.a, "b": red.b},
-                    {"u": list(args.u), "v": list(args.v)}, results, started)
-    _print_report(env)
-    return 0
+    return ({"kind": "torus", "a": red.a, "b": red.b},
+            {"u": list(args.u), "v": list(args.v)}, results)
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_classify(args) -> tuple[dict, dict, dict]:
     red = ReducedLattice.from_parameters(args.a, args.b)
     tag = classify(red, tol=args.tol).tag.value
-    env = _envelope("classify", {"kind": "torus", "a": red.a, "b": red.b},
-                    {"a": args.a, "b": args.b, "tol": args.tol},
-                    {"lattice_class": tag, "tol": args.tol}, started)
-    _print_report(env)
-    return 0
+    return ({"kind": "torus", "a": red.a, "b": red.b},
+            {"a": args.a, "b": args.b, "tol": args.tol},
+            {"lattice_class": tag, "tol": args.tol})
 
 
-def _cmd_kernel(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_kernel(args) -> tuple[dict, dict, dict]:
     surface = _surface_from(args)
     query = KernelQuery(surface=surface, x=args.x, y=args.y, t=args.t,
                         epsilon=args.eps, representation=args.rep)
@@ -308,13 +257,10 @@ def _cmd_kernel(args) -> int:
     }
     params = {"x": list(args.x), "y": list(args.y), "t": args.t,
               "eps": args.eps, "rep": args.rep}
-    env = _envelope("kernel", surface_descriptor(surface), params, results, started)
-    _print_report(env)
-    return 0
+    return surface_descriptor(surface), params, results
 
 
-def _cmd_scan(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_scan(args) -> tuple[dict, dict, dict, int]:
     surface = _surface_from(args)
     cfg = ScanConfig(n_directions=args.dirs, n_arc_samples=args.samples,
                      t_values=args.t_list, derivative_tolerance=args.tol,
@@ -343,29 +289,17 @@ def _cmd_scan(args) -> int:
               "samples": args.samples, "tol": args.tol}
     if args.expect:
         params["expect"] = args.expect
-    env = _envelope("scan", surface_descriptor(surface), params, results, started)
-    _print_report(env)
-    if args.expect == "monotone" and report.verdict is Verdict.VIOLATED:
-        return 3
-    return 0
+    violated = args.expect == "monotone" and report.verdict is Verdict.VIOLATED
+    return surface_descriptor(surface), params, results, 3 if violated else 0
 
 
-def _cmd_counterexample(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_counterexample(args) -> tuple[dict, dict, dict]:
     if args.kind == "generic":
         record = counterexample_generic(args.a, args.b)
     elif args.kind == "isosceles":
         record = counterexample_isosceles(args.a)
     else:
         record = counterexample_klein(args.b, xi=args.xi)
-    extras = {}
-    for key, value in sorted(record.extras.items()):
-        if _is_number(value):
-            extras[key] = float(value)
-        elif isinstance(value, (tuple, list, np.ndarray)):
-            extras[key] = [float(v) for v in np.asarray(value).ravel()]
-        else:
-            extras[key] = value
     results = {
         "kind": record.kind,
         "s_star": record.s_star,
@@ -373,17 +307,14 @@ def _cmd_counterexample(args) -> int:
         "increase": record.increase,
         "sample_count": len(record.s_values),
         "witness": _witness_dict(record.witness),
-        "extras": extras,
+        "extras": dict(sorted(record.extras.items())),
     }
     if args.csv:
         errs = np.full(len(record.s_values), record.witness.error_bound)
         _write_csv(args.csv, record.s_values, record.p_values,
                    record.dp_values, errs)
     params = {"kind": args.kind, "a": args.a, "b": args.b, "xi": args.xi}
-    env = _envelope("counterexample", surface_descriptor(record.surface),
-                    params, results, started)
-    _print_report(env)
-    return 0
+    return surface_descriptor(record.surface), params, results
 
 
 def _modes_up_to_index(surface, index: int):
@@ -396,8 +327,7 @@ def _modes_up_to_index(surface, index: int):
     raise InvalidParameter(f"lambda index {index} out of enumerable range")
 
 
-def _cmd_projection_diag(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_projection_diag(args) -> tuple[dict, dict, dict]:
     surface = _surface_from(args)
     if args.lambda_index < 0:
         raise InvalidParameter("--lambda-index must be non-negative")
@@ -414,14 +344,10 @@ def _cmd_projection_diag(args) -> int:
         "expected": diag.expected,
     }
     params = {"lambda_index": args.lambda_index, "grid": args.grid}
-    env = _envelope("projection-diag", surface_descriptor(surface), params,
-                    results, started)
-    _print_report(env)
-    return 0
+    return surface_descriptor(surface), params, results
 
 
-def _cmd_census(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_census(args) -> tuple[dict, dict, dict]:
     surface = torus(args.a, args.b)
     census = critical_point_census(surface, args.t, grid=args.grid)
     nmax, nmin, nsad = census.counts
@@ -435,13 +361,10 @@ def _cmd_census(args) -> int:
         "index_sum": census.index_sum,
     }
     params = {"t": args.t, "grid": args.grid}
-    env = _envelope("census", surface_descriptor(surface), params, results, started)
-    _print_report(env)
-    return 0
+    return surface_descriptor(surface), params, results
 
 
-def _cmd_pde_check(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_pde_check(args) -> tuple[dict, dict, dict]:
     red = ReducedLattice.from_parameters(args.a, args.b)
     state = pde_mod.gaussian_state(red, args.n)
     sigma = 4.0 / args.n
@@ -463,9 +386,7 @@ def _cmd_pde_check(args) -> int:
         "rel_linf_error": rel,
     }
     params = {"t": args.t, "n": args.n}
-    env = _envelope("pde-check", surface_descriptor(surface), params, results, started)
-    _print_report(env)
-    return 0
+    return surface_descriptor(surface), params, results
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +534,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args) -> int:
-    started = time.perf_counter() if args.timing else None
+def _cmd_selftest(args) -> tuple[dict, dict, dict, int]:
     checks = []
     failed = 0
     for name, fn in _selftest_checks():
@@ -623,9 +543,7 @@ def _cmd_selftest(args) -> int:
                        "detail": float(detail)})
         failed += 0 if ok else 1
     results = {"checks": checks, "passed": len(checks) - failed, "failed": failed}
-    env = _envelope("selftest", {"kind": "none"}, {}, results, started)
-    _print_report(env)
-    return 2 if failed else 0
+    return {"kind": "none"}, {}, results, 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--rep", choices=("spectral", "image", "auto"), default="auto")
-    _add_common_flags(p)
+    _add_common_flags(p, curve=True)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("scan", help="scan radial derivatives along minimal geodesics")
@@ -671,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--expect", choices=("monotone",), default=None,
                    help="exit 3 when the verdict is violated")
-    _add_common_flags(p)
+    _add_common_flags(p, curve=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("counterexample",
@@ -681,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.2)
     p.add_argument("--xi", type=float, default=0.25,
                    help="horizontal offset of the Klein base point")
-    _add_common_flags(p)
+    _add_common_flags(p, curve=True)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("projection-diag",
@@ -724,14 +642,19 @@ def main(argv=None) -> int:
             _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "csv", None) and args.command not in _CSV_COMMANDS:
-        print(f"error: --csv is not available for '{args.command}'", file=sys.stderr)
-        return 1
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        surface, parameters, results, *code = args.func(args)
+        env = {"schema": "flatheat-report/1", "command": args.command,
+               "version": __version__, "surface": surface,
+               "parameters": parameters, "results": results}
+        if args.timing:
+            env["wall_time_seconds"] = time.perf_counter() - started
+        sys.stdout.write(render_report(env))
     except FlatHeatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

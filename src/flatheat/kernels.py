@@ -746,6 +746,8 @@ def eigenbasis_gradients(surface: FlatSurface, mode: SpectralMode, pts) -> np.nd
 
 def fundamental_domain_grid(surface: FlatSurface, n: int, midpoint: bool = False):
     """An n x n sample grid of the fundamental domain, plus the cell area."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InvalidParameter(f"grid size must be a positive integer, got {n!r}")
     off = 0.5 if midpoint else 0.0
     s = (np.arange(n) + off) / n
     p, q = np.meshgrid(s, s, indexing="ij")

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateBasis
+from .errors import DegenerateBasis, InvalidParameter
 
 _DEGENERACY_RTOL = 1e-12
 # collapse a Voronoi hexagon to a rectangle when adjacent vertices coincide
@@ -69,17 +69,19 @@ class ReducedLattice:
     reflect: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParameter(f"a and b must be finite: ({self.a}, {self.b})")
         if not (-1e-12 <= self.a <= 0.5 + 1e-9):
-            raise ValueError(f"a out of range: {self.a}")
+            raise InvalidParameter(f"a out of range: {self.a}")
         if not self.b > 0:
-            raise ValueError(f"b must be positive: {self.b}")
+            raise InvalidParameter(f"b must be positive: {self.b}")
         if self.a * self.a + self.b * self.b < 1 - 1e-9:
-            raise ValueError(f"(a, b) = ({self.a}, {self.b}) lies below the unit circle")
+            raise InvalidParameter(f"(a, b) = ({self.a}, {self.b}) lies below the unit circle")
         if not self.scale > 0:
-            raise ValueError("scale must be positive")
+            raise InvalidParameter("scale must be positive")
         m = np.asarray(self.basis_change, dtype=np.int64)
         if abs(int(round(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))) != 1:
-            raise ValueError("basis_change must be unimodular")
+            raise InvalidParameter("basis_change must be unimodular")
 
     @classmethod
     def from_parameters(cls, a: float, b: float) -> "ReducedLattice":
@@ -287,7 +289,7 @@ def cut_distance(lat: ReducedLattice, direction) -> float:
     u = _vec(direction)
     nu = float(np.hypot(*u))
     if nu == 0:
-        raise ValueError("direction must be non-zero")
+        raise InvalidParameter("direction must be non-zero")
     return float(_cut_lengths(voronoi(lat).relevant_vectors, (u / nu)[None, :])[0])
 
 

@@ -33,8 +33,14 @@ def laplacian_coefficients(lat: ReducedLattice) -> dict:
     return {"g11": (a * a + b * b) / det, "g12": a / det, "g22": 1.0 / det}
 
 
+def _check_resolution(n: int):
+    if n < 2:
+        raise InvalidParameter("grid resolution must be at least 2")
+
+
 def stable_step(lat: ReducedLattice, n: int) -> float:
     """Largest explicit-Euler step allowed by the stability precondition."""
+    _check_resolution(n)
     g = laplacian_coefficients(lat)
     h = 1.0 / n
     return h * h / (2.0 * (g["g11"] + g["g22"] + 2.0 * abs(g["g12"])))
@@ -49,8 +55,7 @@ class GridSolution:
     time: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidParameter("grid resolution must be at least 2")
+        _check_resolution(self.n)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
         if self.time < 0:
@@ -80,6 +85,7 @@ def gaussian_state(lat: ReducedLattice, n: int, sigma: float | None = None,
     The field samples the analytic kernel at time sigma^2/2, so an evolved
     solution at time t is comparable to the kernel at t + sigma^2/2.
     """
+    _check_resolution(n)
     h = 1.0 / n
     sigma = 4.0 * h if sigma is None else float(sigma)
     if sigma <= 0:
@@ -99,6 +105,8 @@ def evolve(initial: GridSolution, t_final: float) -> GridSolution:
     All steps act at once: each Fourier mode of field - mean is multiplied
     by (1 + dt sigma)^steps (1 + last sigma), then the mean is added back.
     """
+    if not math.isfinite(t_final):
+        raise InvalidParameter(f"t_final must be finite, got {t_final}")
     if t_final < initial.time:
         raise InvalidParameter("t_final must not precede the current time")
     bound = stable_step(initial.lattice, initial.n)

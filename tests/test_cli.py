@@ -1,12 +1,17 @@
 """Command line interface: report structure, exit codes, determinism."""
 import json
 import math
+import re
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
-from flatheat.cli import main
+from flatheat import cli
+from flatheat.cli import main, render_report
+from flatheat.errors import InvalidParameter
 
 try:
     from importlib.resources import files
@@ -210,8 +215,114 @@ def test_domain_errors_exit_2(capsys):
     code, _, err = run(capsys, ["census", "--a", "0.3", "--b", "1.2",
                                 "--t", "0.5", "--grid", "32"])
     assert code == 2
+    point = ["--x", "0,0", "--y", "0.1,0.1", "--t", "0.5"]
+    for argv in (["classify", "--a", "0.25", "--b", "0.968"],
+                 ["kernel", "--a", "0.6", "--b", "1"] + point,
+                 ["kernel", "--b", "nan"] + point,
+                 ["kernel", "--a", "0", "--b", "inf"] + point,
+                 ["counterexample", "generic", "--b", "0.5"],
+                 ["projection-diag", "--b", "1", "--lambda-index", "1", "--grid", "0"],
+                 ["projection-diag", "--b", "1", "--lambda-index", "1", "--grid", "-3"],
+                 ["pde-check", "--a", "0", "--b", "1", "--t", "0.05", "--n", "0"],
+                 ["pde-check", "--a", "0", "--b", "1", "--t", "nan", "--n", "16"],
+                 ["pde-check", "--a", "0", "--b", "1", "--t", "inf", "--n", "16"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: InvalidParameter: "), (argv, err)
 
 
 def test_version_exits_zero(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
+
+
+def test_render_report_exact_bytes():
+    envelope = {
+        "schema": "flatheat-report/1",
+        "nested": {"inner": {"n": 1, "empty_list": [], "empty_dict": {}}},
+        "rows": [{"a": 1.5, "b": [1, 2.0]}, {"c": None, "d": {"e": "x"}}],
+        "flow": [1, np.float64(2.5), np.int64(-3), math.inf, -math.inf, math.nan],
+        "items": [[], {}, [0.5, 1e-10], "true", True, None, np.arange(2)],
+        "strings": {"plain": "abc def", "kw": "true", "num": "1e5", "colon": "a: b"},
+        "scalars": {"none": None, "yes": True, "no": False, "f64": np.float64(0.1),
+                    "i64": np.int64(7), "inf": math.inf, "ninf": -math.inf,
+                    "nan": math.nan, "big": 1e20, "tiny": 2.5e-12, "whole": 3.0},
+    }
+    assert render_report(envelope) == """\
+schema: flatheat-report/1
+nested:
+  inner:
+    n: 1
+    empty_list: []
+    empty_dict: {}
+rows:
+  - a: 1.5
+    b: [1, 2.0]
+  - c: null
+    d:
+      e: x
+flow: [1, 2.5, -3, .inf, -.inf, .nan]
+items:
+  - []
+  - {}
+  - [0.5, 1.0e-10]
+  - "true"
+  - true
+  - null
+  - [0, 1]
+strings:
+  plain: abc def
+  kw: "true"
+  num: "1e5"
+  colon: "a: b"
+scalars:
+  none: null
+  yes: true
+  no: false
+  f64: 0.1
+  i64: 7
+  inf: .inf
+  ninf: -.inf
+  nan: .nan
+  big: 1.0e+20
+  tiny: 2.5e-12
+  whole: 3.0
+"""
+    with pytest.raises(InvalidParameter):
+        render_report({"rows": [["a", "b"]]})
+    for bad in (object(), [object()]):
+        with pytest.raises(InvalidParameter):
+            render_report({"value": bad})
+
+
+
+def test_render_errors_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_classify",
+                        lambda args: ({"kind": "torus"}, {}, {"bad": object()}))
+    code, out, err = run(capsys, ["classify", "--a", "0", "--b", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParameter: cannot serialize")
+
+
+def _assert_matches(got, want, path="report"):
+    if isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12), path
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    else:
+        assert (type(got), got) == (type(want), want), path
+
+
+def test_readme_sample_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    argv = ["kernel", "--a", "0.5", "--b", "0.8660254037844386", "--x", "0,0",
+            "--y", "0.25,0.1", "--t", "0.2"]
+    assert "flatheat " + " ".join(argv) + "\n" in readme
+    sample = re.search(r"Sample output:\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+    _assert_matches(run_valid(capsys, argv), yaml.safe_load(sample))

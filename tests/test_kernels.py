@@ -483,6 +483,12 @@ def test_eigenbasis_orthonormal_on_grid():
     assert np.abs(gram - np.eye(len(funcs))).max() < 1e-12
 
 
+def test_fundamental_domain_grid_rejects_bad_sizes():
+    for n in (0, -3, 2.5):
+        with pytest.raises(InvalidParameter):
+            fundamental_domain_grid(torus(0.0, 1.0), n)
+
+
 def test_klein_eigenbasis_orthonormal_on_grid():
     surface = klein_bottle(1.3)
     pts, w = fundamental_domain_grid(surface, 128)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatheat import (DegenerateBasis, LatticeTag, RawBasis, ReducedLattice,
-                      classify, covering_radius, cut_distance, dual, reduce,
-                      torus_distance, voronoi)
+from flatheat import (DegenerateBasis, InvalidParameter, LatticeTag, RawBasis,
+                      ReducedLattice, classify, covering_radius, cut_distance,
+                      dual, reduce, torus_distance, voronoi)
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 
@@ -226,6 +226,25 @@ def test_cut_distance_examples():
     gen = ReducedLattice.from_parameters(0.3, 1.2)
     expected = (0.3 ** 2 + 1.2 ** 2) / (2 * 1.2)
     assert abs(cut_distance(gen, (0.0, 1.0)) - expected) < 1e-12
+
+
+def test_reduced_lattice_rejects_bad_parameters():
+    nan, inf = float("nan"), float("inf")
+    for a, b in [(0.25, 0.968), (0.6, 1.0), (-0.1, 1.0), (0.0, -1.0),
+                 (0.0, nan), (nan, 1.0), (0.0, inf), (inf, 1.0)]:
+        with pytest.raises(InvalidParameter):
+            ReducedLattice.from_parameters(a, b)
+    with pytest.raises(InvalidParameter):
+        ReducedLattice(a=0.0, b=1.0, scale=0.0, rotation=0.0,
+                       basis_change=((1, 0), (0, 1)))
+    with pytest.raises(InvalidParameter):
+        ReducedLattice(a=0.0, b=1.0, scale=1.0, rotation=0.0,
+                       basis_change=((2, 0), (0, 1)))
+
+
+def test_cut_distance_rejects_zero_direction():
+    with pytest.raises(InvalidParameter):
+        cut_distance(ReducedLattice.from_parameters(0.0, 1.0), (0.0, 0.0))
 
 
 def test_cut_distance_is_voronoi_membership_threshold(rng):

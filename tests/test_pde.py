@@ -116,6 +116,25 @@ def test_rejects_backward_time(square_lattice):
         evolve(evolved, 0.005)
 
 
+def test_evolve_rejects_non_finite_time(square_lattice):
+    state = gaussian_state(square_lattice, 16)
+    for t_final in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            evolve(state, t_final)
+
+
+def test_gaussian_state_rejects_small_grids(square_lattice):
+    for n in (1, 0, -3):
+        with pytest.raises(InvalidParameter):
+            gaussian_state(square_lattice, n)
+
+
+def test_stable_step_rejects_small_grids(square_lattice):
+    for n in (1, 0, -3):
+        with pytest.raises(InvalidParameter):
+            stable_step(square_lattice, n)
+
+
 def test_grid_solution_validation(square_lattice):
     with pytest.raises(InvalidParameter):
         GridSolution(lattice=square_lattice, n=8, dt=1e-5, field=np.ones((8, 9)))
