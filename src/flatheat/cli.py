@@ -14,11 +14,16 @@ descriptor, parameters, results), followed by an exit code for ``scan`` and
 command, version, the three blocks, then ``wall_time_seconds`` under
 ``--timing``), the timing, the rendering and the exit code, so a field that
 every report carries is added there once.
+
+The parser is built once per process (``build_parser`` is cached) and holds
+no handler; ``main`` looks up ``_cmd_<command>`` by name on every call
+(``pde-check`` -> ``_cmd_pde_check``).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -550,7 +555,10 @@ def _cmd_selftest(args) -> tuple[dict, dict, dict, int]:
 # parser assembly
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The flatheat argument parser, built once per process and shared by
+    every call (parsing leaves it unchanged); it binds no handler."""
     parser = argparse.ArgumentParser(
         prog="flatheat",
         description="Heat kernels on flat tori and Klein bottles: certified "
@@ -562,14 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_parse_pair, required=True, metavar="X,Y")
     p.add_argument("--v", type=_parse_pair, required=True, metavar="X,Y")
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("classify", help="classify a reduced lattice")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("kernel", help="evaluate the heat kernel at one query")
     _add_surface_flags(p)
@@ -579,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--rep", choices=("spectral", "image", "auto"), default="auto")
     _add_common_flags(p, curve=True)
-    p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("scan", help="scan radial derivatives along minimal geodesics")
     _add_surface_flags(p)
@@ -590,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=("monotone",), default=None,
                    help="exit 3 when the verdict is violated")
     _add_common_flags(p, curve=True)
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("counterexample",
                        help="produce a certified monotonicity counterexample")
@@ -600,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, default=0.25,
                    help="horizontal offset of the Klein base point")
     _add_common_flags(p, curve=True)
-    p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("projection-diag",
                        help="min/max of a spectral projection on the diagonal")
@@ -609,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index into the sorted distinct eigenvalues; 0 is trivial")
     p.add_argument("--grid", type=int, default=64)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_projection_diag)
 
     p = sub.add_parser("census", help="critical points of K_t(0, .) on a torus")
     p.add_argument("--a", type=float, required=True)
@@ -617,11 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", type=int, default=256)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("selftest", help="run the quick invariant suite")
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("pde-check",
                        help="finite-difference evolution vs analytic kernel")
@@ -630,21 +630,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common_flags(p)
-    p.set_defaults(func=_cmd_pde_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = build_parser().parse_args(
             _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     started = time.perf_counter()
     try:
-        surface, parameters, results, *code = args.func(args)
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        surface, parameters, results, *code = handler(args)
         env = {"schema": "flatheat-report/1", "command": args.command,
                "version": __version__, "surface": surface,
                "parameters": parameters, "results": results}

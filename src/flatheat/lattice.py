@@ -29,6 +29,15 @@ def _cross(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def _common_exponent(u: np.ndarray, v: np.ndarray) -> int:
+    """e with the largest |component| of u and v in [2^(e-1), 2^e).
+
+    Scaling both vectors by 2^-e is exact and brings the longer one near unit
+    size, so products such as u . v and u x v cannot overflow.
+    """
+    return math.frexp(float(max(np.abs(u).max(), np.abs(v).max())))[1]
+
+
 @dataclass(frozen=True)
 class RawBasis:
     """A pair of linearly independent plane vectors spanning a lattice."""
@@ -42,8 +51,10 @@ class RawBasis:
         object.__setattr__(self, "v", (float(v[0]), float(v[1])))
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise DegenerateBasis("basis vectors must be finite")
-        nu, nv = float(np.hypot(*u)), float(np.hypot(*v))
-        if abs(_cross(u, v)) <= _DEGENERACY_RTOL * nu * nv:
+        e = _common_exponent(u, v)
+        us, vs = np.ldexp(u, -e), np.ldexp(v, -e)
+        nu, nv = float(np.hypot(*us)), float(np.hypot(*vs))
+        if abs(_cross(us, vs)) <= _DEGENERACY_RTOL * nu * nv:
             raise DegenerateBasis(f"basis {tuple(u)}, {tuple(v)} is numerically dependent")
 
 
@@ -160,8 +171,10 @@ def reduce(basis, v=None) -> ReducedLattice:
     elif not isinstance(basis, RawBasis):
         raise TypeError("reduce expects a RawBasis or two vectors")
 
+    # reduce the exactly rescaled basis 2^-e (u, v); only the scale depends on e
     u0, v0 = _vec(basis.u), _vec(basis.v)
-    p, q = u0.copy(), v0.copy()
+    e = _common_exponent(u0, v0)
+    p, q = np.ldexp(u0, -e), np.ldexp(v0, -e)
     m = np.eye(2, dtype=np.int64)  # rows express (p, q) in terms of (u0, v0)
     for _ in range(256):
         if p @ p > q @ q:
@@ -196,10 +209,14 @@ def reduce(basis, v=None) -> ReducedLattice:
         (int(m[1, 1]) * det, -int(m[0, 1]) * det),
         (-int(m[1, 0]) * det, int(m[0, 0]) * det),
     )
+    try:
+        scale = math.ldexp(math.sqrt(s2), e)
+    except OverflowError:
+        raise InvalidParameter("the shortest lattice vector overflows a float") from None
     return ReducedLattice(
         a=min(a, 0.5),
         b=b,
-        scale=math.sqrt(s2),
+        scale=scale,
         rotation=math.atan2(float(p[1]), float(p[0])),
         basis_change=inv,
         reflect=bool(reflect),
@@ -207,7 +224,12 @@ def reduce(basis, v=None) -> ReducedLattice:
 
 
 def classify(lat: ReducedLattice, tol: float = 1e-9) -> LatticeClass:
-    """Symmetry class of the canonical (a, b) pair; ties go to the more symmetric tag."""
+    """Symmetry class of the canonical (a, b) pair; ties go to the more symmetric tag.
+
+    Raises InvalidParameter unless tol is finite and non-negative.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"tol must be finite and non-negative, got {tol}")
     a, b = lat.a, lat.b
     if a <= tol:
         tag = LatticeTag.SQUARE if abs(b - 1.0) <= tol else LatticeTag.RECTANGULAR

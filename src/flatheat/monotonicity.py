@@ -593,16 +593,45 @@ def _census_gradient(surface, t, pts, eps):
     return np.asarray(g), err
 
 
+def _newton_steps(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps H^-1 g for a stack of 2x2 systems, and which were solvable.
+
+    A stacked solve raises for the whole stack when one matrix is singular;
+    then each cell is solved alone, and a singular one gets a zero step and
+    False.
+    """
+    try:
+        return np.linalg.solve(H, g[:, :, None])[:, :, 0], np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(g)
+        ok = np.ones(len(g), dtype=bool)
+        for k in range(len(g)):
+            try:
+                steps[k] = np.linalg.solve(H[k], g[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return steps, ok
+
+
 def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusResult:
     """Locate and classify the critical points of y -> K_t(0, y) on a torus.
 
     Sign-change cells of the gradient on a lattice-coordinate grid seed Newton
     refinement; the Hessian (finite differences of the analytic gradient)
-    classifies each zero.  Raises DegenerateCritical when |det H| falls below
-    1e-10 relative to |H|_F^2.
+    classifies each zero.  All seed cells step together: one gradient call per
+    Newton step evaluates every active cell at its 5 stencil points.  A cell
+    converges when its step falls below 1e-12; it is dropped when its Hessian
+    is singular, when it has not converged after _NEWTON_STEPS steps, or when
+    its last gradient exceeds 1e-5 of the largest on the grid.  Converged
+    cells are deduplicated in seed-cell order, so the first seed to reach a
+    critical point represents it.  Raises DegenerateCritical when |det H|
+    falls below 1e-10 relative to |H|_F^2.
     """
     if not isinstance(surface, Torus):
         raise InvalidParameter("census requires a torus")
+    if not isinstance(grid, numbers.Integral):
+        raise InvalidParameter(f"grid must be an integer, got {grid!r}")
+    grid = int(grid)
     if grid < 64:
         raise InvalidParameter("grid must be at least 64")
     lat = surface.lattice
@@ -622,31 +651,33 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
         cells &= (corners.min(axis=0) <= tau) & (corners.max(axis=0) >= -tau)
     gscale = float(np.max(np.hypot(G[..., 0], G[..., 1])))
     h = 1e-6
-    found = []   # (lattice coords in [0,1)^2, hessian)
     offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    for i, j in np.argwhere(cells):
-        y = (np.array([i + 0.5, j + 0.5]) / grid) @ B
-        converged = False
-        for _ in range(_NEWTON_STEPS):
-            g5, _ = _census_gradient(surface, t, y[None, :] + offsets, eps)
-            g0 = g5[0]
-            H = np.stack([(g5[1] - g5[2]) / (2 * h), (g5[3] - g5[4]) / (2 * h)], axis=1)
-            H = 0.5 * (H + H.T)
-            try:
-                step = np.linalg.solve(H, g0)
-            except np.linalg.LinAlgError:
-                break
-            y = y - step
-            if np.hypot(*step) < 1e-12:
-                converged = True
-                break
-        if not converged or np.hypot(*g0) > 1e-5 * gscale:
-            continue
-        c = (y @ Binv) % 1.0
+    y = ((np.argwhere(cells) + 0.5) / grid) @ B
+    n = len(y)
+    g0 = np.zeros((n, 2))
+    hess = np.zeros((n, 2, 2))
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for _ in range(_NEWTON_STEPS):
+        if not len(active):
+            break
+        g5, _ = _census_gradient(surface, t, (y[active, None, :] + offsets).reshape(-1, 2), eps)
+        g5 = g5.reshape(-1, 5, 2)
+        ha = np.stack([(g5[:, 1] - g5[:, 2]) / (2 * h), (g5[:, 3] - g5[:, 4]) / (2 * h)], axis=2)
+        ha = 0.5 * (ha + ha.transpose(0, 2, 1))
+        g0[active], hess[active] = g5[:, 0], ha
+        step, solvable = _newton_steps(ha, g5[:, 0])
+        y[active] -= step
+        done = solvable & (np.hypot(step[:, 0], step[:, 1]) < 1e-12)
+        converged[active[done]] = True
+        active = active[solvable & ~done]
+    found = []   # (lattice coords in [0,1)^2, hessian), in seed-cell order
+    for k in np.flatnonzero(converged & (np.hypot(g0[:, 0], g0[:, 1]) <= 1e-5 * gscale)):
+        c = (y[k] @ Binv) % 1.0
         c[c > 1.0 - 1e-9] = 0.0
         if any(_torus_coord_gap(c, c0) < 1e-6 for c0, _ in found):
             continue
-        found.append((c, H))
+        found.append((c, hess[k]))
     maxima, minima, saddles = [], [], []
     for c, H in found:
         det = float(np.linalg.det(H))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, UnstableStep
+from . import kernels
 from .lattice import ReducedLattice
-from .kernels import heat_values
 from .surfaces import Torus
 
 
@@ -34,8 +34,14 @@ def laplacian_coefficients(lat: ReducedLattice) -> dict:
 
 
 def _check_resolution(n: int):
+    """Reject n < 2, and grids of more than kernels.TERM_BUDGET nodes before
+    anything is allocated."""
     if n < 2:
         raise InvalidParameter("grid resolution must be at least 2")
+    if n * n > kernels.TERM_BUDGET:
+        raise InvalidParameter(
+            f"grid resolution {n} needs {n * n} nodes, more than the budget of "
+            f"{kernels.TERM_BUDGET}")
 
 
 def stable_step(lat: ReducedLattice, n: int) -> float:
@@ -94,8 +100,8 @@ def gaussian_state(lat: ReducedLattice, n: int, sigma: float | None = None,
         dt = 0.5 * stable_step(lat, n)
     surf = Torus(lattice=lat)
     sol = GridSolution(lattice=lat, n=n, dt=float(dt), field=np.zeros((n, n)))
-    vals, _, _, _ = heat_values(surf, 0.5 * sigma * sigma, np.zeros(2),
-                                sol.nodes_plane, eps=1e-14)
+    vals, _, _, _ = kernels.heat_values(surf, 0.5 * sigma * sigma, np.zeros(2),
+                                        sol.nodes_plane, eps=1e-14)
     return GridSolution(lattice=lat, n=n, dt=float(dt), field=vals, time=0.0)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from flatheat import cli
+from flatheat import cli, kernels
 from flatheat.cli import main, render_report
 from flatheat.errors import InvalidParameter
 
@@ -217,6 +217,8 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     point = ["--x", "0,0", "--y", "0.1,0.1", "--t", "0.5"]
     for argv in (["classify", "--a", "0.25", "--b", "0.968"],
+                 ["classify", "--a", "0", "--b", "1", "--tol", "nan"],
+                 ["classify", "--a", "0", "--b", "1", "--tol", "-1"],
                  ["kernel", "--a", "0.6", "--b", "1"] + point,
                  ["kernel", "--b", "nan"] + point,
                  ["kernel", "--a", "0", "--b", "inf"] + point,
@@ -229,6 +231,41 @@ def test_domain_errors_exit_2(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: InvalidParameter: "), (argv, err)
+
+
+def test_pde_check_over_the_work_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 32 * 32 - 1)
+    code, out, err = run(capsys, ["pde-check", "--a", "0", "--b", "1",
+                                  "--t", "0.02", "--n", "32"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParameter: grid resolution 32")
+
+
+def test_reduce_huge_basis(capsys):
+    doc = run_valid(capsys, ["reduce", "--u", "1e300,0", "--v", "0,1e300"])
+    assert doc["results"]["lattice_class"] == "Square"
+    assert doc["results"]["scale"] == 1e300
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+    original = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "flatheat":
+            built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        codes = [run(capsys, argv)[0] for argv in (
+            ["classify", "--a", "0", "--b", "1"], ["no-such-command"],
+            ["reduce", "--u", "3,1", "--v", "1,2"], ["classify", "--a", "0", "--b", "1"])]
+    finally:
+        cli.build_parser.cache_clear()
+    assert codes == [0, 1, 0, 0]
+    assert len(built) == 1
 
 
 def test_version_exits_zero(capsys):

@@ -137,6 +137,27 @@ def test_reduce_rejects_dependent_basis():
         RawBasis((1.0, 0.0), (1.0 + 1e-15, 1e-15))
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_extreme_scales():
+    ref = reduce((3.0, 1.0), (1.0, 2.0))
+    for factor in (1e300, 1e-300):
+        RawBasis((factor, 0.0), (0.0, factor))
+        red = reduce((3.0 * factor, 1.0 * factor), (1.0 * factor, 2.0 * factor))
+        assert abs(red.a - ref.a) < 1e-12 and abs(red.b - ref.b) < 1e-12
+        assert (red.basis_change, red.reflect) == (ref.basis_change, ref.reflect)
+        assert abs(red.scale / (ref.scale * factor) - 1.0) < 1e-12
+    # scaling by a power of two is exact, so only the scale moves
+    for e in (-1070, -996, 996, 1020):
+        red = reduce((math.ldexp(3.0, e), math.ldexp(1.0, e)),
+                     (math.ldexp(1.0, e), math.ldexp(2.0, e)))
+        assert (red.a, red.b, red.rotation, red.basis_change, red.reflect) == \
+            (ref.a, ref.b, ref.rotation, ref.basis_change, ref.reflect)
+        assert red.scale == math.ldexp(ref.scale, e)
+    with pytest.raises(InvalidParameter):
+        reduce((1.7e308, 1.7e308), (-1.7e308, 1.7e308))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(0.01, 0.49),
@@ -185,6 +206,14 @@ def test_classify_ties_prefer_more_symmetric():
     red = ReducedLattice.from_parameters(1e-12, 1.0)
     assert classify(red).tag is LatticeTag.SQUARE
 
+
+
+def test_classify_rejects_bad_tolerance():
+    red = ReducedLattice.from_parameters(0.0, 1.0)
+    for tol in (math.nan, math.inf, -1.0, -1e-300):
+        with pytest.raises(InvalidParameter):
+            classify(red, tol=tol)
+    assert classify(red, tol=0.0).tag is LatticeTag.SQUARE
 
 def test_dual_pairings_are_integral():
     red = ReducedLattice.from_parameters(0.3, 1.2)

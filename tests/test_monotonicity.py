@@ -403,3 +403,105 @@ def test_census_rejects_bad_inputs(square_torus, klein13):
         critical_point_census(square_torus, 0.5, grid=32)
     with pytest.raises(InvalidParameter):
         critical_point_census(klein13, 0.5)
+
+
+def test_census_rejects_non_integer_grid(square_torus):
+    for grid in (64.0, 128.5, "64"):
+        with pytest.raises(InvalidParameter):
+            critical_point_census(square_torus, 0.5, grid=grid)
+    assert critical_point_census(square_torus, 0.4, grid=np.int64(64)).counts == (1, 1, 2)
+
+
+def _census_per_cell(surface, t, grid):
+    """Reference census: Newton refinement one seed cell at a time, one
+    5-point gradient call per step, as the census did before batching."""
+    B = surface.lattice.basis
+    Binv = np.linalg.inv(B)
+    lam1 = principal_eigenvalue(surface).eigenvalue
+    eps = max(math.exp(-lam1 * t) * math.sqrt(lam1) / surface.area * 1e-9, 1e-280)
+    coords = np.stack(np.meshgrid(np.arange(grid) / grid, np.arange(grid) / grid,
+                                  indexing="ij"), axis=-1)
+    G, _ = monotonicity._census_gradient(surface, t, coords @ B, eps)
+    cells = np.ones((grid, grid), dtype=bool)
+    for k in range(2):
+        gk = G[..., k]
+        corners = np.stack([gk, np.roll(gk, -1, 0), np.roll(gk, -1, 1),
+                            np.roll(np.roll(gk, -1, 0), -1, 1)])
+        tau = 1e-3 * float(np.max(np.abs(gk)))
+        cells &= (corners.min(axis=0) <= tau) & (corners.max(axis=0) >= -tau)
+    gscale = float(np.max(np.hypot(G[..., 0], G[..., 1])))
+    h = 1e-6
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    found = []
+    for i, j in np.argwhere(cells):
+        y = (np.array([i + 0.5, j + 0.5]) / grid) @ B
+        converged = False
+        for _ in range(monotonicity._NEWTON_STEPS):
+            g5, _ = monotonicity._census_gradient(surface, t, y[None, :] + offsets, eps)
+            g0 = g5[0]
+            H = np.stack([(g5[1] - g5[2]) / (2 * h), (g5[3] - g5[4]) / (2 * h)], axis=1)
+            H = 0.5 * (H + H.T)
+            try:
+                step = np.linalg.solve(H, g0)
+            except np.linalg.LinAlgError:
+                break
+            y = y - step
+            if np.hypot(*step) < 1e-12:
+                converged = True
+                break
+        if not converged or np.hypot(*g0) > 1e-5 * gscale:
+            continue
+        c = (y @ Binv) % 1.0
+        c[c > 1.0 - 1e-9] = 0.0
+        if any(monotonicity._torus_coord_gap(c, c0) < 1e-6 for c0, _ in found):
+            continue
+        found.append((c, H))
+    groups = {"maxima": [], "minima": [], "saddles": []}
+    for c, H in found:
+        det = float(np.linalg.det(H))
+        kind = ("saddles" if det < 0 else
+                "maxima" if float(np.trace(H)) < 0 else "minima")
+        groups[kind].append((float(c[0]), float(c[1])))
+    return {kind: sorted(points) for kind, points in groups.items()}
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, HONEYCOMB_B), (0.3, 1.2),
+                                 (0.3, math.sqrt(1 - 0.09))])
+def test_census_matches_per_cell_newton(a, b):
+    surface = torus(a, b)
+    for t in (0.1, 0.5, 1.0):
+        got = critical_point_census(surface, t, grid=64)
+        want = _census_per_cell(surface, t, 64)
+        for kind, points in want.items():
+            assert len(getattr(got, kind)) == len(points), (a, b, t, kind)
+            if points:
+                assert np.abs(np.array(getattr(got, kind)) - points).max() <= 1e-12
+
+
+def test_census_gradient_calls_bounded(monkeypatch, honeycomb_torus, square_torus):
+    batches = []
+    original = monotonicity._census_gradient
+
+    def counted(surface, t, pts, eps):
+        batches.append(np.asarray(pts).size // 2)
+        return original(surface, t, pts, eps)
+
+    monkeypatch.setattr(monotonicity, "_census_gradient", counted)
+    for surface, grid in ((honeycomb_torus, 128), (square_torus, 64), (square_torus, 256)):
+        batches.clear()
+        critical_point_census(surface, 0.5, grid=grid)
+        assert len(batches) <= 1 + monotonicity._NEWTON_STEPS
+        assert batches[0] == grid * grid
+        assert batches[1] > 5 * 6  # every seed cell of the census in one call
+
+
+def test_newton_solve_drops_only_singular_cells():
+    H = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 0.0], [0.0, -1.0]]])
+    g = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, 3.0]])
+    steps, ok = monotonicity._newton_steps(H, g)
+    assert ok.tolist() == [True, False, True]
+    for k in (0, 2):
+        assert np.array_equal(steps[k], np.linalg.solve(H[k], g[k]))
+    steps, ok = monotonicity._newton_steps(H[[0, 2]], g[[0, 2]])
+    assert ok.tolist() == [True, True]
+    assert np.array_equal(steps, np.stack([np.linalg.solve(H[k], g[k]) for k in (0, 2)]))

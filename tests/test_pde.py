@@ -8,6 +8,7 @@ from flatheat import (GridSolution, InvalidParameter, ReducedLattice, Torus,
                       UnstableStep, evolve, gaussian_state,
                       laplacian_coefficients, radial_derivative_field,
                       stable_step, voronoi)
+from flatheat import kernels
 from flatheat.kernels import heat_values
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
@@ -134,6 +135,16 @@ def test_stable_step_rejects_small_grids(square_lattice):
         with pytest.raises(InvalidParameter):
             stable_step(square_lattice, n)
 
+
+
+def test_grids_over_the_work_budget_rejected(square_lattice, monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 100)
+    assert stable_step(square_lattice, 10) > 0
+    for n in (11, 64):
+        with pytest.raises(InvalidParameter):
+            stable_step(square_lattice, n)
+        with pytest.raises(InvalidParameter):
+            gaussian_state(square_lattice, n)
 
 def test_grid_solution_validation(square_lattice):
     with pytest.raises(InvalidParameter):
