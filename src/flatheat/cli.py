@@ -175,14 +175,13 @@ def _surface_from(args):
     return torus(args.a, args.b)
 
 
-def _add_surface_flags(p: argparse.ArgumentParser, klein: bool = True):
+def _add_surface_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=float, default=0.0,
                    help="first lattice parameter (ignored with --klein)")
     p.add_argument("--b", type=float, required=True,
                    help="second lattice parameter / Klein width")
-    if klein:
-        p.add_argument("--klein", action="store_true",
-                       help="use the Klein bottle of width b instead of a torus")
+    p.add_argument("--klein", action="store_true",
+                   help="use the Klein bottle of width b instead of a torus")
 
 
 def _add_common_flags(p: argparse.ArgumentParser, curve: bool = False):

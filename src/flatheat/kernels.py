@@ -44,7 +44,12 @@ over the terms, which numpy does row by row: so the images go farthest first
 (disk images by descending modulus, box images by descending |index|), and a
 block is never left one point wide in a batch (``_blocks``).  A point then
 gets the same bits in any batch; alone, as one column, it is summed
-pairwise and may differ from its batch value in the last bits.
+pairwise and may differ from its batch value in the last bits.  The spectral
+disk route (non-rectangular tori) and the projections contract phases and
+weights with BLAS matrix products (``@``), which may round a row differently
+depending on the block it sits in, so there a point's bits depend on its
+batch as well.  A Klein bottle query always holds two displacements, one per
+deck element, and its points measured batch-independent on every route.
 """
 from __future__ import annotations
 

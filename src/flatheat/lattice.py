@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateBasis, InvalidParameter
 
 _DEGENERACY_RTOL = 1e-12
+_FAR_BASIS = "the basis change to the reduced basis overflows int64"
 # collapse a Voronoi hexagon to a rectangle when adjacent vertices coincide
 _VERTEX_COLLAPSE = 1e-12
 
@@ -29,13 +30,13 @@ def _cross(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _common_exponent(u: np.ndarray, v: np.ndarray) -> int:
-    """e with the largest |component| of u and v in [2^(e-1), 2^e).
+def _common_exponent(*vectors: np.ndarray) -> int:
+    """e with the largest |component| of the vectors in [2^(e-1), 2^e).
 
-    Scaling both vectors by 2^-e is exact and brings the longer one near unit
+    Scaling the vectors by 2^-e is exact and brings the longest one near unit
     size, so products such as u . v and u x v cannot overflow.
     """
-    return math.frexp(float(max(np.abs(u).max(), np.abs(v).max())))[1]
+    return math.frexp(float(max(np.abs(w).max() for w in vectors)))[1]
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class RawBasis:
         us, vs = np.ldexp(u, -e), np.ldexp(v, -e)
         nu, nv = float(np.hypot(*us)), float(np.hypot(*vs))
         if abs(_cross(us, vs)) <= _DEGENERACY_RTOL * nu * nv:
-            raise DegenerateBasis(f"basis {tuple(u)}, {tuple(v)} is numerically dependent")
+            raise DegenerateBasis(f"basis {self.u}, {self.v} is numerically dependent")
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,8 @@ def reduce(basis, v=None) -> ReducedLattice:
     """Lagrange-Gauss reduce a basis to the canonical (a, b) frame.
 
     Accepts either a RawBasis or two vectors.  Raises DegenerateBasis when the
-    input is numerically dependent.
+    input is numerically dependent, and InvalidParameter when b, the scale or
+    an entry of the basis change leaves the float or int64 range.
     """
     if v is not None:
         basis = RawBasis((float(basis[0]), float(basis[1])), (float(v[0]), float(v[1])))
@@ -175,19 +177,33 @@ def reduce(basis, v=None) -> ReducedLattice:
     u0, v0 = _vec(basis.u), _vec(basis.v)
     e = _common_exponent(u0, v0)
     p, q = np.ldexp(u0, -e), np.ldexp(v0, -e)
-    m = np.eye(2, dtype=np.int64)  # rows express (p, q) in terms of (u0, v0)
+    # rows express (p, q) in terms of (u0, v0); Python ints, so they cannot wrap
+    m = np.array([[1, 0], [0, 1]], dtype=object)
     for _ in range(256):
         if p @ p > q @ q:
             p, q = q.copy(), p.copy()
             m = m[::-1].copy()
-        k = round(float(p @ q) / float(p @ p))
+        # p . q / p . p with p scaled to unit size, as p . p may underflow
+        f = _common_exponent(p)
+        ps = np.ldexp(p, -f)
+        try:
+            k = round(math.ldexp(float(ps @ q) / float(ps @ ps), -f))
+        except OverflowError:
+            raise InvalidParameter(_FAR_BASIS) from None
         if k == 0:
             break
-        q = q - k * p
+        q = q - float(k) * p
         m[1] -= k * m[0]
+        if max(map(abs, m[1])) >= 2 ** 62:  # the final q - p step stays in int64
+            raise InvalidParameter(_FAR_BASIS)
     else:  # pragma: no cover - Gauss reduction terminates long before this
         raise DegenerateBasis("reduction failed to converge")
 
+    # finish with p at unit size, as ps is: q is about b times longer
+    if _common_exponent(q) - f > 1020:
+        raise InvalidParameter("b, the aspect ratio of the lattice, overflows a float")
+    rotation = math.atan2(float(p[1]), float(p[0]))
+    p, q, e = ps, np.ldexp(q, -f), e + f
     s2 = float(p @ p)
     if _cross(p, q) < 0:
         q = -q
@@ -217,7 +233,7 @@ def reduce(basis, v=None) -> ReducedLattice:
         a=min(a, 0.5),
         b=b,
         scale=scale,
-        rotation=math.atan2(float(p[1]), float(p[0])),
+        rotation=rotation,
         basis_change=inv,
         reflect=bool(reflect),
     )

@@ -79,9 +79,7 @@ class GridSolution:
 
     @property
     def nodes_plane(self) -> np.ndarray:
-        s = np.arange(self.n) / self.n
-        p, q = np.meshgrid(s, s, indexing="ij")
-        return np.stack([p, q], axis=-1) @ self.lattice.basis
+        return kernels.fundamental_domain_grid(Torus(lattice=self.lattice), self.n)[0]
 
 
 def gaussian_state(lat: ReducedLattice, n: int, sigma: float | None = None,

@@ -247,6 +247,21 @@ def test_reduce_huge_basis(capsys):
     assert doc["results"]["scale"] == 1e300
 
 
+def test_reduce_far_apart_vector_lengths(capsys):
+    # |v| / |u| = 1e-170 makes p . p underflow to 0 in the common frame
+    doc = run_valid(capsys, ["reduce", "--u", "1,0", "--v", "0,1e-170"])
+    assert doc["results"]["a"] == 0.0
+    assert doc["results"]["lattice_class"] == "Rectangular"
+    assert abs(doc["results"]["b"] / 1e170 - 1.0) < 1e-15
+    assert abs(doc["results"]["scale"] / 1e-170 - 1.0) < 1e-15
+    # b beyond the float range, and a basis change beyond int64, are refused
+    for argv in (["reduce", "--u", "1,0", "--v", "0,1e-310"],
+                 ["reduce", "--u", "1e-150,0", "--v", "0.5,0.5"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: InvalidParameter: "), (argv, err)
+
+
 def test_parser_built_once(capsys, monkeypatch):
     built = []
     original = cli.argparse.ArgumentParser.__init__

@@ -137,6 +137,29 @@ def test_reduce_rejects_dependent_basis():
         RawBasis((1.0, 0.0), (1.0 + 1e-15, 1e-15))
 
 
+def test_degenerate_basis_message_prints_plain_floats():
+    with pytest.raises(DegenerateBasis) as info:
+        RawBasis((1.0, 0.0), np.array([1.0, 1e-15]))
+    assert str(info.value) == "basis (1.0, 0.0), (1.0, 1e-15) is numerically dependent"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_vectors_of_far_apart_lengths():
+    # the same rectangle at ratios whose p . p is normal and underflows
+    for ratio in (1e-150, 1e-170, 1e-300):
+        red = reduce((1.0, 0.0), (0.0, ratio))
+        ref = reduce((1.0, 0.0), (0.0, 1e-150))
+        assert (red.a, red.rotation, red.basis_change, red.reflect) == \
+            (ref.a, ref.rotation, ref.basis_change, ref.reflect)
+        assert abs(red.b * ratio - 1.0) < 1e-15 and abs(red.scale / ratio - 1.0) < 1e-15
+        rows = np.array([[1.0, 0.0], [0.0, ratio]])
+        assert np.abs(red.reconstruct_basis() - rows).max() <= 1e-16
+    with pytest.raises(InvalidParameter):
+        reduce((1.0, 0.0), (0.0, 1e-310))       # b overflows a float
+    with pytest.raises(InvalidParameter):
+        reduce((1e-150, 0.0), (0.5, 0.5))       # basis change entries near 5e149
+
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reduce_extreme_scales():

@@ -113,6 +113,39 @@ def test_witnesses_revalidate_at_tighter_epsilon(generic_torus):
         assert abs(deriv - w.radial_derivative) <= w.error_bound + err + 1e-15
 
 
+def test_revalidate_reproduces_klein_scan_witnesses_bitwise():
+    """At the scan's own epsilon, revalidate rebuilds a witness the first pass
+    certified from the same sample point and the same derivative form.  On a
+    Klein bottle a point's gradient bits do not depend on its batch, so the
+    derivative comes back bit for bit.  A witness taken from the epsilon/16
+    retry carries a smaller bound and is skipped."""
+    kb = klein_bottle(0.8)
+    cfg = ScanConfig(n_directions=24, n_arc_samples=12, t_values=(0.05, 2.0),
+                     base_points=((0.1, 0.2), (0.3, 0.5)))
+    checked = 0
+    for w in scan(kb, Heat(), cfg).witnesses:
+        deriv, err = revalidate(kb, w, cfg.kernel_epsilon)
+        if err != w.error_bound:
+            continue
+        assert deriv == w.radial_derivative, w
+        checked += 1
+    assert checked >= 10
+
+
+def test_counterexample_witnesses_revalidate_bitwise():
+    """Each hand-built witness is sampled as revalidate rebuilds it."""
+    records = [counterexample_generic(0.3, 1.2), counterexample_klein(1.5),
+               counterexample_klein(0.8)]
+    records += [counterexample_isosceles(a) for a in (0.02, 0.08, 0.1, 0.3, 0.45)]
+    for rec in records:
+        w = rec.witness
+        eps = 1e-13
+        if w.kernel == "heat":  # the epsilon the Klein b < 1 segment ran at
+            lam = principal_eigenvalue(rec.surface).eigenvalue
+            eps = max(math.exp(-lam * w.t) * 1e-8, 1e-280)
+        assert revalidate(rec.surface, w, eps) == (w.radial_derivative, w.error_bound), rec.kind
+
+
 def test_heat_scan_violated_on_generic_at_unit_time(generic_torus):
     cfg = ScanConfig(n_directions=24, n_arc_samples=16, t_values=(1.0,))
     report = scan(generic_torus, Heat(), cfg)
