@@ -65,7 +65,7 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import covering_radius_of_rows
+from .lattice import _all_finite, _geometry
 from .surfaces import FlatSurface, Torus, _deck
 
 TERM_BUDGET = 10_000_000
@@ -165,30 +165,7 @@ def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# cached lattice geometry
-
-
-@lru_cache(maxsize=128)
-def _geometry(rows: tuple):
-    """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1)).
-
-    "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
-    lattice sums factor into one sum per axis; "periods" are then |u0|, |v1|.
-    """
-    (u0, u1), (v0, v1) = rows
-    det = u0 * v1 - u1 * v0
-    primal = np.array(rows, dtype=float)
-    dual_rows = np.array([[v1, -v0], [-u1, u0]]) / det
-    return {
-        "rows": primal,
-        "rho": covering_radius_of_rows(primal),
-        "covol": abs(det),
-        "axis_aligned": u1 == 0 and v0 == 0,
-        "periods": np.abs(np.diag(primal)),
-        "dual_rows": dual_rows,
-        "dual_rho": covering_radius_of_rows(dual_rows),
-        "dual_covol": 1.0 / abs(det),
-    }
+# point blocks and cached box images
 
 
 def _block_rows(width: int) -> int:
@@ -404,11 +381,6 @@ def _validate_time_eps(t: float, eps: float) -> None:
         raise NonPositiveTime(f"heat kernel needs t > 0, got {t}")
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidParameter(f"epsilon must be positive, got {eps}")
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    # a single point skips numpy's reduction overhead (about 2 us per array)
-    return all(map(math.isfinite, a.flat)) if a.size <= 8 else bool(np.isfinite(a).all())
 
 
 def _broadcast_pair(x, y):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,7 @@ _VERTEX_COLLAPSE = 1e-12
 
 
 def _vec(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(2)
-    return v
+    return np.asarray(x, dtype=float).reshape(2)
 
 
 def _cross(u, v) -> float:
@@ -319,33 +319,81 @@ def _cut_lengths(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return bound.min(axis=1)
 
 
+def _unit(direction) -> np.ndarray:
+    """direction / |direction|; InvalidParameter unless both are finite and non-zero."""
+    u = _vec(direction)
+    if not 0.0 < math.hypot(*u) < math.inf:  # math.hypot does not warn on overflow
+        raise InvalidParameter(f"direction must be finite and non-zero, got {u.tolist()}")
+    return u / float(np.hypot(*u))
+
+
 def cut_distance(lat: ReducedLattice, direction) -> float:
     """Distance from the origin to the Voronoi boundary along a unit direction.
 
     Equals min over relevant vectors l with u.l > 0 of |l|^2 / (2 u.l).
     """
-    u = _vec(direction)
-    nu = float(np.hypot(*u))
-    if nu == 0:
-        raise InvalidParameter("direction must be non-zero")
-    return float(_cut_lengths(voronoi(lat).relevant_vectors, (u / nu)[None, :])[0])
+    return float(_cut_lengths(voronoi(lat).relevant_vectors, _unit(direction)[None, :])[0])
 
 
-def _shift_table(lat: ReducedLattice) -> np.ndarray:
-    b = lat.basis
-    mn = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-    return mn @ b
+def _all_finite(a: np.ndarray) -> bool:
+    # a single point skips numpy's reduction overhead (about 2 us per array)
+    return all(map(math.isfinite, a.flat)) if a.size <= 8 else bool(np.isfinite(a).all())
+
+
+@lru_cache(maxsize=128)
+def _geometry(rows: tuple):
+    """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1)).
+
+    "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
+    lattice sums factor into one sum per axis; "periods" are then |u0|, |v1|.
+    "window" holds the lattice vectors of the 3 x 3 window of
+    ``_nearest_window`` by component, shape (2, 9, 1).
+    """
+    (u0, u1), (v0, v1) = rows
+    det = u0 * v1 - u1 * v0
+    primal = np.array(rows, dtype=float)
+    dual_rows = np.array([[v1, -v0], [-u1, u0]]) / det
+    window = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float) @ primal
+    return {
+        "rows": primal,
+        "rho": covering_radius_of_rows(primal),
+        "covol": abs(det),
+        "axis_aligned": u1 == 0 and v0 == 0,
+        "periods": np.abs(np.diag(primal)),
+        "dual_rows": dual_rows,
+        "dual_rho": covering_radius_of_rows(dual_rows),
+        "dual_covol": 1.0 / abs(det),
+        "window": window.T[:, :, None],
+    }
+
+
+def _nearest_window(rows: tuple, d) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives d - l, by component (2, 9, P), and their norms (9, P):
+    l runs over the 3 x 3 window of lattice points of the basis rows around
+    the rounding of each of the P displacements in d (shape (..., 2)).
+    Raises InvalidParameter unless d is finite.
+
+    Rounding in lattice coordinates c = d @ inv(rows) leaves |c_i| <= 1/2, so
+    the window holds the nearest lattice point if the Voronoi cell lies in
+    |c_i| < 3/2.  The canonical reduced basis (1, 0), (-a, b) has its cell in
+    |c_2| <= 1/2 + a (1 - a) / (2 b^2) <= 2/3, |c_1| <= 1/2 + a |c_2| <= 5/6
+    (``test_torus_distance_brute_force`` checks it against a 9 x 9 window);
+    on an orthogonal basis, such as the Klein cover, per-axis rounding is exact.
+    """
+    d = np.asarray(d, dtype=float).reshape(-1, 2)
+    if not _all_finite(d):
+        raise InvalidParameter("points must be finite")
+    geom = _geometry(rows)
+    d0 = d - np.rint(d @ geom["dual_rows"].T) @ geom["rows"]
+    cand = d0.T[:, None, :] - geom["window"]
+    return cand, np.hypot(cand[0], cand[1])
 
 
 def torus_distance(lat: ReducedLattice, x, y) -> float:
-    """Geodesic distance on the flat torus R^2 / lattice (canonical frame)."""
-    x, y = _vec(x), _vec(y)
-    b = lat.basis
-    d = x - y
-    coeff = np.linalg.solve(b.T, d)
-    d0 = d - b.T @ np.round(coeff)
-    cand = d0[None, :] - _shift_table(lat)
-    return float(np.min(np.hypot(cand[:, 0], cand[:, 1])))
+    """Geodesic distance on the flat torus R^2 / lattice (canonical frame).
+    Raises InvalidParameter unless x and y are finite."""
+    rows = ((1.0, 0.0), (-lat.a, lat.b))
+    return float(_nearest_window(rows, _vec(x) - _vec(y))[1].min())
 
 
 def covering_radius(lat: ReducedLattice) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidParameter, UnstableStep
 from . import kernels
-from .lattice import ReducedLattice
-from .surfaces import Torus
+from .lattice import ReducedLattice, _nearest_window
+from .surfaces import Torus, _deck
 
 
 def laplacian_coefficients(lat: ReducedLattice) -> dict:
@@ -135,25 +135,15 @@ def evolve(initial: GridSolution, t_final: float) -> GridSolution:
 
 
 def _voronoi_representatives(sol: GridSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rep, best, second) per node: the minimum-norm plane representative,
-    its norm and the runner-up norm; near-equal norms mark the cell boundary.
-    """
+    """(rep, best, second) per node: the minimum-norm representative over the
+    node's lattice window (``lattice._nearest_window``), its norm, which is
+    ``torus_distance`` to the origin, and the runner-up norm; near-equal
+    norms mark the cell boundary."""
+    cand, norms = _nearest_window(_deck(Torus(sol.lattice))[0], sol.nodes_plane)
+    rep = np.take_along_axis(cand, norms.argmin(axis=0)[None, None], axis=1)[:, 0].T
+    best, second = np.partition(norms, 1, axis=0)[:2]
     n = sol.n
-    s = np.arange(n) / n
-    p, q = np.meshgrid(s, s, indexing="ij")
-    coords = np.stack([p, q], axis=-1)
-    best = np.full((n, n), np.inf)
-    second = np.full((n, n), np.inf)
-    rep = np.zeros((n, n, 2))
-    for dp in (-1.0, 0.0, 1.0):
-        for dq in (-1.0, 0.0, 1.0):
-            cand = (coords + np.array([dp, dq])) @ sol.lattice.basis
-            r = np.hypot(cand[..., 0], cand[..., 1])
-            closer = r < best
-            second = np.where(closer, best, np.minimum(second, r))
-            rep = np.where(closer[..., None], cand, rep)
-            best = np.where(closer, r, best)
-    return rep, best, second
+    return rep.reshape(n, n, 2), best.reshape(n, n), second.reshape(n, n)
 
 
 def radial_derivative_field(sol: GridSolution):

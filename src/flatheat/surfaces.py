@@ -7,26 +7,23 @@ its orientable double cover is the rectangular torus with lattice
 g(y) = (1 - y1, y2 + b).  ``_deck`` is the one description of the deck group
 (a torus is its own cover); orbits, distances and kernels all read it.
 
-Distances and minimal geodesics are closed forms.  The unit-speed segment
-x + s u is minimal exactly while s <= min |v|^2 / (2 v.u) over the deck
-offsets v of x with v.u > 0: the Voronoi-relevant vectors on a torus; the
-cover translations (m, 2kb) and the glide offsets (1 + m - 2 x1, (2k + 1) b)
-on a Klein bottle.
+A distance is the nearest cover image over the deck elements; minimal
+geodesics are closed forms.  The unit-speed segment x + s u is minimal
+exactly while s <= min |v|^2 / (2 v.u) over the deck offsets v of x with
+v.u > 0: the Voronoi-relevant vectors on a torus; the cover translations
+(m, 2kb) and the glide offsets (1 + m - 2 x1, (2k + 1) b) on a Klein bottle.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import ReducedLattice, _cut_lengths, torus_distance, voronoi
-
-
-def _vec(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(2)
+from .lattice import ReducedLattice, _cut_lengths, _nearest_window, _unit, _vec, voronoi
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,10 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
 
     Torus: y + m1 b1 + m2 b2 for |m1|, |m2| <= shell.  Klein bottle: both
     (y1 + m, y2 + 2kb) and the glide images (1 - y1 + m, b + y2 + 2kb).
+    Raises InvalidParameter unless shell is a non-negative integer.
     """
+    if not (isinstance(shell, numbers.Integral) and shell >= 0):
+        raise InvalidParameter(f"shell must be a non-negative integer, got {shell!r}")
     rows, lin, shift = _deck(surface)
     rng = np.arange(-shell, shell + 1)
     mm, kk = np.meshgrid(rng, rng, indexing="ij")
@@ -112,20 +112,12 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
 
 
 def surface_distance(surface: FlatSurface, x, y) -> float:
-    """Geodesic distance: min plane distance over orbit representatives.
-
-    Tori: ``torus_distance``.  Klein bottles: the nearer of y and its glide
-    image, each wrapped per axis on the rectangular cover {(1, 0), (0, 2b)},
-    where per-axis rounding finds the nearest lattice point exactly.
+    """Geodesic distance: the nearest cover image of y over the deck elements,
+    the least norm over the lattice windows (``lattice._nearest_window``) of
+    the displacements x - h(y).  Raises InvalidParameter unless x, y are finite.
     """
-    x, y = _vec(x), _vec(y)
-    if isinstance(surface, Torus):
-        return torus_distance(surface.lattice, x, y)
     rows, lin, shift = _deck(surface)
-    periods = np.diag(rows)
-    d = x - (y * lin + shift)
-    d -= periods * np.round(d / periods)
-    return float(np.min(np.hypot(d[:, 0], d[:, 1])))
+    return float(_nearest_window(rows, _vec(x) - (_vec(y) * lin + shift))[1].min())
 
 
 def _s_max(surface: FlatSurface, base: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -152,11 +144,8 @@ def minimal_geodesic(surface: FlatSurface, base, direction) -> Geodesic:
     s_max is ``cut_distance`` of u and does not depend on the base.
     """
     base = _vec(base)
-    u = _vec(direction)
-    if not all(map(math.isfinite, (*base, *u))):
-        raise InvalidParameter("base and direction must be finite")
-    nu = float(np.hypot(*u))
-    if nu == 0:
-        raise InvalidParameter("direction must be non-zero")
-    u = u / nu
-    return Geodesic(tuple(base), tuple(u), float(_s_max(surface, base, u[None, :])[0]))
+    if not all(map(math.isfinite, base)):
+        raise InvalidParameter("base must be finite")
+    u = _unit(direction)
+    return Geodesic(tuple(map(float, base)), tuple(map(float, u)),
+                    float(_s_max(surface, base, u[None, :])[0]))

@@ -339,6 +339,24 @@ def test_torus_distance_symmetry_and_triangle(rng):
         assert dxy <= torus_distance(red, x, z) + torus_distance(red, z, y) + 1e-12
 
 
+def test_cut_distance_rejects_non_finite_direction():
+    # NaN or infinite components, or a length that overflows, leave no unit
+    # direction; the cut must not come back as inf
+    lat = ReducedLattice.from_parameters(0.3, 1.2)
+    nan, inf = float("nan"), float("inf")
+    for u in [(nan, 0.0), (inf, 1.0), (1.0, -inf), (0.0, nan), (1.5e308, 1.5e308)]:
+        with pytest.raises(InvalidParameter):
+            cut_distance(lat, u)
+
+
+def test_torus_distance_rejects_non_finite_points():
+    lat = ReducedLattice.from_parameters(0.3, 1.2)
+    nan, inf = float("nan"), float("inf")
+    for x, y in [((nan, 0.0), (0.1, 0.2)), ((0.0, 0.0), (inf, 0.2))]:
+        with pytest.raises(InvalidParameter):
+            torus_distance(lat, x, y)
+
+
 def test_torus_distance_brute_force(rng):
     red = ReducedLattice.from_parameters(0.25, 1.3)
     shifts = np.array([(m, n) for m in range(-4, 5) for n in range(-4, 5)], float)

@@ -225,3 +225,24 @@ def test_radial_derivative_field_square(square_lattice):
             keep &= np.hypot(rep[..., 0] - sx * vertex[0],
                              rep[..., 1] - sy * vertex[1]) > 3.0 / 128
     assert vals[keep].max() < 0.0
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, HONEYCOMB_B), (0.3, 1.2), (0.1, 3.0),
+                                  (0.25, 1.3)])
+def test_voronoi_representatives_are_nearest_images(a, b):
+    # best is torus_distance of the node bit for bit; rep differs from the
+    # node by a lattice vector and has that norm
+    from flatheat import torus_distance
+    from flatheat.pde import _voronoi_representatives
+    lat = ReducedLattice.from_parameters(a, b)
+    for n in (32, 64):
+        sol = GridSolution(lattice=lat, n=n, dt=1e-6, field=np.zeros((n, n)))
+        nodes = sol.nodes_plane
+        rep, best, second = _voronoi_representatives(sol)
+        dist = np.array([[torus_distance(lat, node, (0.0, 0.0)) for node in row]
+                         for row in nodes])
+        assert np.array_equal(best, dist)
+        assert np.array_equal(best, np.hypot(rep[..., 0], rep[..., 1]))
+        assert np.all(second >= best)
+        coeff = (nodes - rep) @ np.linalg.inv(lat.basis)
+        assert np.abs(coeff - np.round(coeff)).max() < 1e-12

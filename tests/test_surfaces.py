@@ -148,6 +148,37 @@ def test_minimal_geodesic_rejects_non_finite_input():
             minimal_geodesic(surface, (0.0, 0.0), (float("inf"), 1.0))
 
 
+def test_minimal_geodesic_rejects_non_finite_direction_and_stores_floats():
+    nan = float("nan")
+    for surface in (torus(0.3, 1.2), klein_bottle(0.8)):
+        for u in [(nan, 0.0), (1.0, nan), (1.5e308, 1.5e308)]:
+            with pytest.raises(InvalidParameter):
+                minimal_geodesic(surface, (0.0, 0.0), u)
+        geo = minimal_geodesic(surface, np.array([0.25, 0.5]), np.array([3.0, 4.0]))
+        assert geo.base == (0.25, 0.5) and geo.direction == (0.6, 0.8)
+        assert all(type(c) is float for c in geo.base + geo.direction)
+        assert "np." not in repr(geo)
+
+
+def test_surface_distance_rejects_non_finite_points():
+    nan, inf = float("nan"), float("inf")
+    for surface in (torus(0.3, 1.2), klein_bottle(0.8)):
+        for x, y in [((nan, 0.0), (0.1, 0.2)), ((0.0, 0.0), (0.1, inf)),
+                     ((0.0, 0.0), (-inf, 0.2))]:
+            with pytest.raises(InvalidParameter):
+                surface_distance(surface, x, y)
+
+
+def test_orbit_representatives_takes_non_negative_integer_shells():
+    kb = klein_bottle(1.3)
+    for shell in (1.5, -1, "2", None):
+        with pytest.raises(InvalidParameter):
+            orbit_representatives(kb, (0.2, 0.3), shell)
+    assert len(orbit_representatives(kb, (0.2, 0.3), 0)) == 2
+    assert len(orbit_representatives(kb, (0.2, 0.3), np.int64(2))) == 2 * 25
+    assert len(orbit_representatives(torus(0.3, 1.2), (0.2, 0.3), 1)) == 9
+
+
 def test_klein_bottle_rejects_bad_height():
     with pytest.raises(InvalidParameter):
         klein_bottle(-1.0)
