@@ -25,8 +25,12 @@ routes then sum a box holding the disk, as a product of one sum per axis
 exponentials per point for the n0 * n1 images of the box; the spectral route
 a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
 one cosine and one sine per axis and point, for the half box of
-((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  terms_used counts the box terms,
-not the per-axis ones.
+((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  The image route stacks the
+differences of both axes into one array, so both axes share each numpy
+call; the spectral route sums up to _FEW_POINTS displacements (a single
+query) in float arithmetic, which rounds as numpy does, and more one axis
+at a time in numpy.  terms_used counts the box terms, not the per-axis
+ones.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -36,8 +40,16 @@ orthonormal eigenbases are the cover's eigenfunctions made deck-invariant
 share no code with the deck sums, so they check them independently.
 
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
-broken by integer coordinates), and a call works through its points in
-blocks whose size follows from the term count and one byte budget
+broken by integer coordinates), and each point's coordinates are computed
+alone, so their bits do not depend on the other points enumerated with them.
+A disk of any radius is then a prefix of the sorted enumeration of a larger
+one, and one cached enumeration per lattice serves every radius up to its own
+(``_disk``): a call takes the prefix r^2 <= R^2 (1 + 1e-12), and a call
+beyond the cached radius enumerates again out to at least twice that radius.
+The cache holds the _DISK_LATTICES most recently used lattices and no
+enumeration of more than _DISK_POINTS points (a share of TERM_BUDGET), so it
+never holds more than 16 MB.  A call works through its points in blocks
+whose size follows from the term count and one byte budget
 (``_block_rows``), so repeated evaluations are bitwise reproducible.  Image
 sums are laid out term-major, one (terms x points) array per block reduced
 over the terms, which numpy does row by row: so the images go farthest first
@@ -54,6 +66,8 @@ deck element, and its points measured batch-independent on every route.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,6 +90,14 @@ _FOUR_PI_SQ = 4.0 * math.pi ** 2
 # for a core's cache; each route states how many floats per point it keeps.
 _BLOCK_BYTES = 1 << 20
 _EPS_FLOOR = 1e-300
+# A disk of radius R holds the lattice points with r^2 <= R^2 (1 + _DISK_SLACK).
+_DISK_SLACK = 1e-12
+# The enumeration cache (``_disk``): lattices kept, and the most points one
+# entry may hold (40 bytes each: two int64 indices and three float64 values).
+_DISK_LATTICES = 16
+_DISK_POINTS = TERM_BUDGET // 400
+# Spectral box sums over up to this many points run in float arithmetic.
+_FEW_POINTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +129,16 @@ def _ring_tail(alpha: float, radius: float, rho: float, covol: float,
     return integral / covol
 
 
+def _disk_bound(radius: float, rho: float, covol: float) -> float:
+    """Upper bound on the lattice points within radius: their Voronoi cells,
+    of area covol, lie in the disk of radius + rho."""
+    return math.pi * (radius + rho) ** 2 / covol
+
+
 def _radius_for(alpha: float, rho: float, covol: float, eps: float,
                 prefactor: float, moment: int = 0) -> float:
-    """Smallest enumeration radius (up to ~20%) with prefactor * tail <= eps."""
+    """Smallest enumeration radius (up to ~20%) with prefactor * tail <= eps,
+    and that bound, prefactor * tail."""
     eps = max(eps, _EPS_FLOOR)
     c0 = prefactor * _TWO_PI / covol * (1.0 / (2.0 * alpha) + 3.0 * rho + 2.0 * rho * rho + 1.0)
     u = 0.0
@@ -117,37 +146,73 @@ def _radius_for(alpha: float, rho: float, covol: float, eps: float,
         u = math.sqrt(math.log(c0 / eps) / alpha)
     r = 2.0 * rho + u + 1e-9
     for _ in range(400):
-        if math.pi * (r + rho) ** 2 / covol > TERM_BUDGET:
+        if _disk_bound(r, rho, covol) > TERM_BUDGET:
             raise ToleranceUnreachable(
                 f"certified tolerance {eps:g} needs more than {TERM_BUDGET} terms")
-        if prefactor * _ring_tail(alpha, r, rho, covol, moment) <= eps:
-            return r
+        bound = prefactor * _ring_tail(alpha, r, rho, covol, moment)
+        if bound <= eps:
+            return r, bound
         r *= 1.2
     raise ToleranceUnreachable("tail bound failed to converge")  # pragma: no cover
 
 
-def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
-    """Integer combinations m*u + n*v within radius of the origin.
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitting constant for float64
 
-    For each m, the admissible n lie between the roots of the quadratic
-    |m u + n v|^2 = radius^2.  With half, only the origin and the half-plane
-    m > 0 or (m = 0, n > 0): one of each pair of points +-p.  Returns
-    (mn, pts, r2) sorted by (r2, m, n) for reproducible summation.
+
+def _fma(a: np.ndarray, b: float, c: np.ndarray) -> np.ndarray:
+    """a * b + c rounded once, from float64 operations alone, for integers a
+    below 2^26 in magnitude.
+
+    The product and the first sum are made exact as pairs of floats (Dekker's
+    product: with b split in two halves of 26 bits, a * b_hi and a * b_lo are
+    exact; Knuth's two-sum), the two low parts are added rounding to odd, and
+    one final sum rounds to nearest: Boldo and Melquiond's emulated FMA,
+    exact barring overflow and underflow.  Elementwise, so each entry's bits
+    do not depend on the others.
+    """
+    hi = _SPLIT * b
+    b_hi = hi - (hi - b)
+    p = a * b
+    p_lo = (a * b_hi - p) + a * (b - b_hi)
+    s = c + p
+    z = s - c
+    s_lo = (c - (s - z)) + (p - z)
+    v = s_lo + p_lo
+    z = v - s_lo
+    v_err = (s_lo - (v - z)) + (p_lo - z)
+    # round to odd: an inexact sum with an even last bit moves one ulp toward the exact one
+    even = (v.view(np.int64) & 1) == 0
+    v = np.where((v_err != 0) & even, np.nextafter(v, np.copysign(np.inf, v_err)), v)
+    return s + v
+
+
+def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
+    """Integer combinations m*u + n*v with r^2 <= radius^2 (1 + _DISK_SLACK).
+
+    For each m, the candidate n lie between the roots of the quadratic
+    |m u + n v|^2 = radius^2, widened a little; the r^2 test decides.  With
+    half, only the origin and the half-plane m > 0 or (m = 0, n > 0): one of
+    each pair of points +-p.  A point is fl(fl(m u) + n v), rounded as a
+    fused multiply-add rounds it (and as an FMA-contracting matrix product
+    ``(m, n) @ rows`` does), each point on its own, so a point's bits and
+    its place in the order do not depend on the radius.  Returns (mn, pts,
+    r2), read-only and sorted by (r2, m, n) for reproducible summation.
     """
     (u0, u1), (v0, v1) = rows.tolist()
     a_quad = v0 * v0 + v1 * v1
-    m_r = radius * math.sqrt(a_quad) / abs(u0 * v1 - u1 * v0)
+    reach = radius * (1.0 + _DISK_SLACK)
+    m_r = reach * math.sqrt(a_quad) / abs(u0 * v1 - u1 * v0)
     m_lo = 0 if half else math.ceil(-m_r - 1e-9)
     ms, n_los, counts = [], [], []
     for m in range(m_lo, math.floor(m_r + 1e-9) + 1):
         w0, w1 = m * u0, m * u1
         b_quad = 2.0 * (v0 * w0 + v1 * w1)
-        disc = b_quad * b_quad - 4.0 * a_quad * (w0 * w0 + w1 * w1 - radius * radius)
+        disc = b_quad * b_quad - 4.0 * a_quad * (w0 * w0 + w1 * w1 - reach * reach)
         if disc < 0:
             continue
         sq = math.sqrt(disc)
-        n_lo = math.ceil((-b_quad - sq) / (2.0 * a_quad) - 1e-12)
-        n_hi = math.floor((-b_quad + sq) / (2.0 * a_quad) + 1e-12)
+        n_lo = math.ceil((-b_quad - sq) / (2.0 * a_quad) - 1e-9)
+        n_hi = math.floor((-b_quad + sq) / (2.0 * a_quad) + 1e-9)
         if half and m == 0:
             n_lo = 0
         if n_hi >= n_lo:
@@ -158,10 +223,55 @@ def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
     starts = np.cumsum(counts) - counts
     n = np.repeat(np.array(n_los) - starts, counts) + np.arange(starts[-1] + counts[-1])
     mn = np.stack([np.repeat(ms, counts), n], axis=1)
-    pts = mn.astype(float) @ rows
+    f = mn.astype(float)
+    pts = np.empty(f.shape)
+    for j, (uj, vj) in enumerate(((u0, v0), (u1, v1))):
+        # with one of the products exactly zero, no fused rounding is needed
+        pts[:, j] = f[:, 0] * uj + f[:, 1] * vj if uj == 0 or vj == 0 else _fma(f[:, 1], vj, f[:, 0] * uj)
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    order = np.lexsort((mn[:, 1], mn[:, 0], r2))
-    return mn[order], pts[order], r2[order]
+    keep = np.flatnonzero(r2 <= radius * radius * (1.0 + _DISK_SLACK))
+    order = keep[np.lexsort((mn[keep, 1], mn[keep, 0], r2[keep]))]
+    out = mn[order], pts[order], r2[order]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+_disks: OrderedDict = OrderedDict()
+_disks_lock = threading.Lock()
+
+
+def _disk(rows: tuple, radius: float, half: bool = False, dual: bool = False):
+    """``_points_in_disk`` of the lattice spanned by rows (its dual, with dual),
+    as a prefix of the cached enumeration of that lattice.
+
+    A miss enumerates out to twice the radius, or to twice the cached radius
+    if that is larger, unless the disk may then hold more than _DISK_POINTS
+    points; then to the radius alone.  The result is cached unless it holds
+    more than _DISK_POINTS points, and the _DISK_LATTICES most recently used
+    entries are kept.  The prefix is bitwise what a fresh enumeration at the
+    radius returns (``_points_in_disk``).
+    """
+    key = (rows, half, dual)
+    with _disks_lock:
+        entry = _disks.get(key)
+        if entry is not None:
+            _disks.move_to_end(key)
+    if entry is None or entry[0] < radius:
+        geom = _geometry(rows)
+        rho, covol = (geom["dual_rho"], geom["dual_covol"]) if dual else (geom["rho"], geom["covol"])
+        reach = 2.0 * radius if entry is None else max(radius, 2.0 * entry[0])
+        if _disk_bound(reach, rho, covol) > _DISK_POINTS:
+            reach = radius
+        entry = (reach, *_points_in_disk(geom["dual_rows" if dual else "rows"], reach, half))
+        if len(entry[1]) <= _DISK_POINTS:
+            with _disks_lock:
+                _disks[key] = entry
+                _disks.move_to_end(key)
+                while len(_disks) > _DISK_LATTICES:
+                    _disks.popitem(last=False)
+    k = int(np.searchsorted(entry[3], radius * radius * (1.0 + _DISK_SLACK), side="right"))
+    return entry[1][:k], entry[2][:k], entry[3][:k]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +311,19 @@ def _far_first_axis(length: float, half: int) -> np.ndarray:
     col = (length * idx)[:, None]
     col.flags.writeable = False
     return col
+
+
+@lru_cache(maxsize=256)
+def _box_frequencies(rows: tuple, top: int):
+    """For the dual box of an axis-aligned lattice, with p_k = m / L_k for
+    m <= top: p^2 and 2 pi p, of shape (top + 1, 2), and the angular
+    frequencies 2 pi / L_k as a column, all read-only."""
+    periods = _geometry(rows)["periods"]
+    p = np.arange(top + 1)[:, None] / periods
+    out = p * p, _TWO_PI * p, (_TWO_PI / periods)[:, None]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +367,40 @@ def _harmonic_sums(theta: np.ndarray, cos_w: list, sin_w: list | None):
     return acc_c, acc_s
 
 
+def _harmonic_point_sums(theta: np.ndarray, tops: tuple, cos_w: np.ndarray,
+                         sin_w: np.ndarray | None):
+    """``_harmonic_sums`` of both axes at once for a few angles: theta is
+    axis-major, shape (2, P), tops = (M0, M1), and the weights of shape
+    (M + 1, 2), M = max(tops), hold axis k's in column k.
+
+    The same recurrence and sums run in float arithmetic, which rounds each
+    operation as numpy's elementwise operations do, so each entry gets the
+    bits ``_harmonic_sums`` gives it, at a fraction of the cost of numpy calls
+    on arrays of one or two entries.  Each entry stops at its own axis's M.
+    Returns the cosine sums and the sine sums (None without sin_w), each of
+    shape (2, P).
+    """
+    cos1, sin1 = np.cos(theta).tolist(), np.sin(theta).tolist()
+    wc = cos_w.T.tolist()
+    ws = None if sin_w is None else sin_w.T.tolist()
+    sums_c, sums_s = [], []
+    for k, top in enumerate(tops):
+        row_c, row_s = [], []
+        for c, s in zip(cos1[k], sin1[k]):
+            cm, sm, acc_c, acc_s = c, s, wc[k][0], 0.0
+            for m in range(1, top + 1):
+                if m > 1:
+                    cm, sm = cm * c - sm * s, sm * c + cm * s
+                acc_c += wc[k][m] * cm
+                if ws is not None:
+                    acc_s += ws[k][m] * sm
+            row_c.append(acc_c)
+            row_s.append(acc_s)
+        sums_c.append(row_c)
+        sums_s.append(row_s)
+    return np.array(sums_c), None if ws is None else np.array(sums_s)
+
+
 def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at displacements disp, summed over the dual lattice.
 
@@ -255,36 +412,40 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
     with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
     G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
     w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
-    point (``_harmonic_sums``) for the half box of
-    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
+    point (``_harmonic_sums``, or ``_harmonic_point_sums`` for a few points)
+    for the half box of ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
     area = geom["covol"]
     alpha = _FOUR_PI_SQ * t
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
-    radius = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
+    radius, err = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
     flat = disp.reshape(-1, 2)
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
     if geom["axis_aligned"]:
-        periods = geom["periods"]
-        cos_w, sin_w = [], []
-        for length in periods:
-            p = np.arange(math.floor(radius * length) + 1) / length  # p_k = m / L_k
-            w = 2.0 * np.exp(-alpha * (p * p))
-            w[0] = 1.0  # m = 0 has no partner
-            cos_w.append(w.tolist())
-            sin_w.append((_TWO_PI * p * w).tolist() if want_grad else None)
-        n0, n1 = (2 * len(w) - 1 for w in cos_w)
+        tops = tuple(math.floor(radius * length) for length in geom["periods"])
+        p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
+        w = 2.0 * np.exp(-alpha * p2)
+        w[0] = 1.0  # m = 0 has no partner
+        sin_w = two_pi_p * w if want_grad else None
+        n0, n1 = (2 * m + 1 for m in tops)
         terms = (n0 * n1 + 1) // 2
-        step = _block_rows(16)  # about 16 (points,) arrays over both axes
-        for i in range(0, flat.shape[0], step):
-            c, g = zip(*(_harmonic_sums((_TWO_PI / periods[k]) * flat[i:i + step, k],
-                                        cos_w[k], sin_w[k]) for k in (0, 1)))
-            _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
+        if flat.shape[0] <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
+            c, g = _harmonic_point_sums(np.multiply(freq, flat.T, order="C"), tops, w, sin_w)
+            _axis_product(out, c, g, 1.0 / area)
+        else:
+            cos_lists = [w[:top + 1, k].tolist() for k, top in enumerate(tops)]
+            sin_lists = [sin_w[:top + 1, k].tolist() if want_grad else None
+                         for k, top in enumerate(tops)]
+            step = _block_rows(16)  # about 16 (points,) arrays over both axes
+            for i in range(0, flat.shape[0], step):
+                c, g = zip(*(_harmonic_sums(flat[i:i + step, k] * freq[k], cos_lists[k],
+                                            sin_lists[k]) for k in (0, 1)))
+                _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
     else:
         # p and -p contribute alike: sum one of each pair, with weight 2
-        _, pts, r2 = _points_in_disk(geom["dual_rows"], radius, half=True)
+        _, pts, r2 = _disk(rows, radius, half=True, dual=True)
         terms = len(pts)
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
@@ -293,7 +454,6 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
         for i in range(0, flat.shape[0], step):
             ph = _TWO_PI * flat[i:i + step] @ pts.T
             out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
-    err = pref * _ring_tail(alpha, radius, geom["dual_rho"], geom["dual_covol"], moment)
     return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
 
 
@@ -322,31 +482,34 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     moment = 1 if want_grad else 0
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
     scale = pref0 * 2.0 * alpha if want_grad else pref0
-    radius = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
+    radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     flat = disp.reshape(-1, 2)
     lat = geom["rows"]
     # x - round(x D^T) L with the points as columns: the same products and
     # sums as with the points as rows, and contiguous coordinate rows
     d0 = flat.T - lat.T @ np.round(geom["dual_rows"] @ flat.T)
-    spread = float(np.max(np.hypot(d0[0], d0[1]))) if len(flat) else 0.0
+    spread = float(np.hypot(d0[0], d0[1]).max()) if len(flat) else 0.0
     out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
     if geom["axis_aligned"]:
-        half = np.floor((radius + spread) / geom["periods"]).astype(int)
-        axes = [_far_first_axis(float(length), int(h))
-                for length, h in zip(geom["periods"], half)]
-        terms = len(axes[0]) * len(axes[1])
-        # per axis, the differences, their squares and the Gaussians
-        for blk in _blocks(flat.shape[0], _block_rows(3 * max(len(a) for a in axes))):
-            sums, grads = [], []
-            for k in (0, 1):
-                z = d0[k][blk] - axes[k]
-                e = np.exp(-alpha * (z * z))
-                sums.append(e.sum(axis=0))
-                if want_grad:
-                    grads.append(np.multiply(e, z, out=z).sum(axis=0))
+        axes = [_far_first_axis(length, math.floor((radius + spread) / length))
+                for length in geom["periods"].tolist()]
+        n0, n = len(axes[0]), len(axes[0]) + len(axes[1])
+        terms = n0 * (n - n0)
+        # the differences of both axes, stacked, and their Gaussians
+        for blk in _blocks(flat.shape[0], _block_rows(2 * n)):
+            z = np.empty((n, blk.stop - blk.start))
+            np.subtract(d0[0][blk], axes[0], out=z[:n0])
+            np.subtract(d0[1][blk], axes[1], out=z[n0:])
+            e = z * z
+            e *= -alpha
+            np.exp(e, out=e)
+            sums = e[:n0].sum(axis=0), e[n0:].sum(axis=0)
+            if want_grad:
+                np.multiply(e, z, out=z)
+                grads = z[:n0].sum(axis=0), z[n0:].sum(axis=0)
             _axis_product(out[blk], sums, grads if want_grad else None, scale)
     else:
-        _, pts, _ = _points_in_disk(lat, radius + spread)
+        _, pts, _ = _disk(rows, radius + spread)
         terms = len(pts)
         far = pts[::-1]  # farthest first
         p0, p1 = far[:, 0:1], far[:, 1:2]
@@ -360,7 +523,6 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
                 out[blk, 1] = scale * np.multiply(e, z1, out=z1).sum(axis=0)
             else:
                 out[blk] = scale * e.sum(axis=0)
-    err = pref * _ring_tail(alpha, radius, geom["rho"], geom["covol"], moment)
     return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
 
 
@@ -384,43 +546,65 @@ def _validate_time_eps(t: float, eps: float) -> None:
 
 
 def _broadcast_pair(x, y):
+    """x and y as float arrays of one shape (..., 2); InvalidParameter unless finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1:] != (2,) or y.shape[-1:] != (2,):
         raise InvalidParameter("points must have a trailing dimension of 2")
     if not (_all_finite(x) and _all_finite(y)):
         raise InvalidParameter("points must be finite")
-    return np.broadcast_arrays(x, y)
+    return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
 
 
-def _deck_displacements(surface: FlatSurface, x, y):
-    """Cover rows and the displacements x - h(y), stacked over deck elements h."""
-    x, y = _broadcast_pair(x, y)
+def _pair_displacements(surface: FlatSurface, x, y):
+    """Cover rows and the displacements x - h(y), shape (deck elements, 2), of
+    one pair of finite points given as float pairs.  Float arithmetic rounds
+    each operation as numpy does, and an overflow gives inf without a warning;
+    raises InvalidParameter when a displacement overflows."""
     rows, lin, shift = _deck(surface)
-    if len(lin) == 1:  # the identity alone (a torus): spare single queries the map
-        return rows, (x - y)[None]
-    shape = (len(lin),) + (1,) * (y.ndim - 1)
-    if y.size <= 8:  # a few points: one broadcast costs less than two per-column passes
-        return rows, x - (y * lin.reshape(shape + (2,)) + shift.reshape(shape + (2,)))
-    # per coordinate, so that the loops run over points, not over pairs
-    out = np.empty((len(lin),) + y.shape)
-    for c in (0, 1):
-        np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape) + shift[:, c].reshape(shape),
-                    out=out[..., c])
-    return rows, out
+    (x0, x1), (y0, y1) = x, y
+    if len(lin) == 1:  # the identity alone (a torus)
+        disp = np.array([[x0 - y0, x1 - y1]])
+    else:
+        disp = np.array([[x0 - (y0 * l0 + s0), x1 - (y1 * l1 + s1)]
+                         for (l0, l1), (s0, s1) in zip(lin.tolist(), shift.tolist())])
+    if not _all_finite(disp):
+        raise InvalidParameter("points must not be so far apart that x - h(y) overflows")
+    return rows, disp
 
 
-def _deck_sum(surface: FlatSurface, t: float, x, y, eps: float,
+def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
+    """Cover rows and the displacements x - h(y), stacked over deck elements h,
+    for float arrays x, y of one shape (..., 2) (``_broadcast_pair``).
+    Raises InvalidParameter when a displacement overflows."""
+    if x.shape == (2,):
+        return _pair_displacements(surface, x.tolist(), y.tolist())
+    rows, lin, shift = _deck(surface)
+    with np.errstate(over="ignore"):
+        if len(lin) == 1:  # the identity alone (a torus)
+            disp = (x - y)[None]
+        else:  # per coordinate, so that the loops run over points, not over pairs
+            shape = (len(lin),) + (1,) * (y.ndim - 1)
+            disp = np.empty((len(lin),) + y.shape)
+            for c in (0, 1):
+                np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
+                            + shift[:, c].reshape(shape), out=disp[..., c])
+    if not _all_finite(disp):
+        raise InvalidParameter("points must not be so far apart that x - h(y) overflows")
+    return rows, disp
+
+
+def _deck_sum(surface: FlatSurface, t: float, rows: tuple, disp: np.ndarray, eps: float,
               representation: str, want_grad: bool):
-    """Sum the cover-lattice kernel (or its y-gradient) over the deck group.
+    """Sum the cover-lattice kernel (or its y-gradient) over the deck group,
+    at the displacements disp = x - h(y) on the cover lattice with basis rows,
+    for a checked time and tolerance.
 
-    All displacements x - h(y) go through one evaluator call; each of the k
-    deck elements gets eps / k.  Since the glide reverses x1, the chain rule
+    All displacements go through one evaluator call; each of the k deck
+    elements gets eps / k.  Since the glide reverses x1, the chain rule
     negates the first gradient component of its term.
     """
-    _validate_time_eps(t, eps)
     rep = _resolve_rep(surface, t, representation)
-    rows, disp = _deck_displacements(surface, x, y)
     k = disp.shape[0]
     fn = _spectral if rep == "spectral" else _image
     out, err, terms = fn(rows, t, disp, eps / k, want_grad)
@@ -442,13 +626,17 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     two per-axis sums: the n0 * n1 images of the image box, and the half
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
     """
-    return _deck_sum(surface, t, x, y, eps, representation, want_grad=False)
+    _validate_time_eps(t, eps)
+    return _deck_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
+                     representation, want_grad=False)
 
 
 def heat_gradient_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
                          representation: str = "auto"):
     """Gradient of K_t(x, .) in the second argument, on arrays of points."""
-    return _deck_sum(surface, t, x, y, eps, representation, want_grad=True)
+    _validate_time_eps(t, eps)
+    return _deck_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
+                     representation, want_grad=True)
 
 
 @dataclass(frozen=True)
@@ -489,16 +677,17 @@ class KernelGradient:
 
 
 def heat_kernel(query: KernelQuery) -> KernelValue:
-    vals, err, terms, rep = heat_values(
-        query.surface, query.t, np.array(query.x), np.array(query.y),
-        eps=query.epsilon, representation=query.representation)
+    # the query checked its points, time and tolerance when it was made
+    vals, err, terms, rep = _deck_sum(
+        query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
+        query.epsilon, query.representation, want_grad=False)
     return KernelValue(float(vals), err, terms, rep)
 
 
 def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
-    grads, err, terms, rep = heat_gradient_values(
-        query.surface, query.t, np.array(query.x), np.array(query.y),
-        eps=query.epsilon, representation=query.representation)
+    grads, err, terms, rep = _deck_sum(
+        query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
+        query.epsilon, query.representation, want_grad=True)
     return KernelGradient((float(grads[0]), float(grads[1])), err, terms, rep)
 
 
@@ -583,13 +772,21 @@ def _klein_mode_entries(b: float, lam_max: float):
 
 def enumerate_modes(surface: FlatSurface, lambda_max: float,
                     tol: float = 1e-9) -> list[SpectralMode]:
-    """All eigenvalues <= lambda_max, grouped within relative tol, ascending."""
+    """All eigenvalues <= lambda_max, grouped within relative tol, ascending.
+
+    Raises InvalidParameter when the cover's dual lattice may hold more than
+    TERM_BUDGET points with 4 pi^2 |p|^2 <= lambda_max, before enumerating.
+    """
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
+    rows = _deck(surface)[0]
+    geom = _geometry(rows)
+    radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
+    if _disk_bound(radius, geom["dual_rho"], geom["dual_covol"]) > TERM_BUDGET:
+        raise InvalidParameter(
+            f"lambda_max {lambda_max:g} needs more than {TERM_BUDGET} dual lattice points")
     if isinstance(surface, Torus):
-        geom = _geometry(_deck(surface)[0])
-        radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
-        mn, _, r2 = _points_in_disk(geom["dual_rows"], radius + 1e-12)
+        mn, _, r2 = _disk(rows, radius + 1e-12, dual=True)
         lam = _FOUR_PI_SQ * r2
         entries = sorted(
             ((float(l), (int(m), int(n)), 1) for l, (m, n) in zip(lam, mn)
@@ -639,7 +836,7 @@ def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool)
     cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound; as
     for the heat kernel, the glide negates the first gradient component."""
     _check_mode(surface, mode)
-    rows, disp = _deck_displacements(surface, x, y)
+    rows, disp = _deck_displacements(surface, *_broadcast_pair(x, y))
     vecs = _shell(surface, mode)
     area = _geometry(rows)["covol"]
     ph = _TWO_PI * disp @ vecs.T

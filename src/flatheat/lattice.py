@@ -391,9 +391,11 @@ def _nearest_window(rows: tuple, d) -> tuple[np.ndarray, np.ndarray]:
 
 def torus_distance(lat: ReducedLattice, x, y) -> float:
     """Geodesic distance on the flat torus R^2 / lattice (canonical frame).
-    Raises InvalidParameter unless x and y are finite."""
+    Raises InvalidParameter unless x, y and x - y are finite."""
     rows = ((1.0, 0.0), (-lat.a, lat.b))
-    return float(_nearest_window(rows, _vec(x) - _vec(y))[1].min())
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite displacement
+        d = _vec(x) - _vec(y)
+    return float(_nearest_window(rows, d)[1].min())
 
 
 def covering_radius(lat: ReducedLattice) -> float:

@@ -114,10 +114,13 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
 def surface_distance(surface: FlatSurface, x, y) -> float:
     """Geodesic distance: the nearest cover image of y over the deck elements,
     the least norm over the lattice windows (``lattice._nearest_window``) of
-    the displacements x - h(y).  Raises InvalidParameter unless x, y are finite.
+    the displacements x - h(y).  Raises InvalidParameter unless x, y and the
+    displacements are finite.
     """
     rows, lin, shift = _deck(surface)
-    return float(_nearest_window(rows, _vec(x) - (_vec(y) * lin + shift))[1].min())
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite displacement
+        d = _vec(x) - (_vec(y) * lin + shift)
+    return float(_nearest_window(rows, d)[1].min())
 
 
 def _s_max(surface: FlatSurface, base: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ quadrature for mass/semigroup identities, and closed-form eigenvalue data.
 """
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ def test_mode_surface_mismatch_rejected():
     mode = enumerate_modes(torus(0.0, 1.0), 50.0)[1]
     with pytest.raises(ModeSurfaceMismatch):
         projection_kernel(torus(0.3, 1.2), mode, (0.0, 0.0), (0.1, 0.1))
+
+
+def test_enumerate_modes_refuses_more_than_the_term_budget(monkeypatch):
+    # a budget of 200 points: lambda <= 2000 holds about 160 dual points on the
+    # square torus (lambda area / 4 pi), lambda <= 4000 about 320
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 200)
+    for surface in (torus(0.0, 1.0), torus(0.3, 1.2), klein_bottle(0.7)):
+        assert enumerate_modes(surface, 200.0)
+        with pytest.raises(InvalidParameter):
+            enumerate_modes(surface, 4000.0)
+    with pytest.raises(InvalidParameter):
+        enumerate_modes(torus(0.0, 1.0), 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +382,191 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
             assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
 
 
+def test_emulated_fma_rounds_once(rng):
+    """kernels._fma(a, b, c) is a * b + c rounded once: the exact rational
+    value, which float(Fraction) rounds correctly."""
+    from fractions import Fraction
+    a = rng.integers(-3000, 3001, 4000).astype(float)
+    b = rng.uniform(-3, 3, 4000) * 2.0 ** rng.integers(-20, 20, 4000)
+    c = rng.integers(-3000, 3001, 4000) * rng.uniform(-3, 3, 4000)
+    c[:1000] = -a[:1000] * b[0]  # near-total cancellation
+    got = kernels._fma(a, b[0], c)
+    want = [float(Fraction(x) * Fraction(float(b[0])) + Fraction(z)) for x, z in zip(a, c)]
+    assert np.array_equal(got, want)
+    # exact value just off a tie of the final rounding: 3 b = 2^-53 + e, e tiny,
+    # so only the low parts, rounded to odd, decide between 1 and 1 + 2^-52
+    for k, c0 in ((3, 1.0), (5, 1.0), (7, -1.0), (11, 2.0 ** 40), (13, -(2.0 ** -30))):
+        for sign in (1.0, -1.0):
+            bk = sign * math.ulp(c0) / 2 / k
+            got = kernels._fma(np.array([float(k)]), bk, np.array([c0]))
+            assert got[0] == float(Fraction(k) * Fraction(bk) + Fraction(c0)), (k, c0, sign)
+    for bk in b[:200]:
+        got = kernels._fma(a[:50], float(bk), c[:50])
+        want = [float(Fraction(x) * Fraction(float(bk)) + Fraction(z)) for x, z in zip(a[:50], c[:50])]
+        assert np.array_equal(got, want)
+
+
+LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),
+                   (0.3, 1.2)]
+
+
+def test_cached_disk_prefix_matches_fresh_enumeration(monkeypatch):
+    """A prefix of the cached enumeration is bitwise a fresh enumeration at its
+    radius, on the primal and dual lattices of every class, for whole disks
+    and half disks, including radii equal to the modulus of lattice points."""
+    monkeypatch.setattr(kernels, "_disks", OrderedDict())
+    for a, b in LATTICE_CLASSES:
+        rows = ((1.0, 0.0), (-a, b))
+        for dual in (False, True):
+            basis = kernels._geometry(rows)["dual_rows" if dual else "rows"]
+            for half in (False, True):
+                kernels._disk(rows, 9.0, half, dual)  # the cache now reaches 18
+                _, _, r2 = kernels._points_in_disk(basis, 7.0, half)
+                moduli = np.sqrt(r2[[1, 2, 5, len(r2) // 2, len(r2) - 1]]).tolist()
+                for radius in moduli + [0.0, 0.3, 1.0, 2.5, 7.7, 18.0]:
+                    fresh = kernels._points_in_disk(basis, radius, half)
+                    cached = kernels._disk(rows, radius, half, dual)
+                    assert kernels._disks[rows, half, dual][0] == 18.0  # served, not rebuilt
+                    for f, c in zip(fresh, cached):
+                        assert f.dtype == c.dtype and np.array_equal(f, c), (rows, dual, half, radius)
+                    if radius in moduli:  # a point on the circle is in the disk
+                        assert (fresh[2] >= radius * radius * (1 - 1e-15)).any()
+
+
+def _cache_snapshots(surface, query_args):
+    """The value, gradient, error bound and terms used of each query, as bytes."""
+    out = []
+    for t, eps, rep in query_args:
+        x, y = np.array([0.13, 0.71]), np.array([[0.52, -0.33], [0.9, 0.41], [-0.2, 1.3]])
+        for fn in (heat_values, heat_gradient_values):
+            for args in ((x, y[0]), (x, y)):
+                v, err, terms, used = fn(surface, t, *args, eps=eps, representation=rep)
+                out.append((np.asarray(v).tobytes(), err, terms, used))
+        q = KernelQuery(surface=surface, x=tuple(x), y=tuple(y[1]), t=t, epsilon=eps,
+                        representation=rep)
+        value, grad = heat_kernel(q), heat_kernel_gradient(q)
+        out.append((value.value, grad.gradient, value.error_bound, grad.terms_used))
+    return out
+
+
+def test_kernel_bits_do_not_depend_on_the_enumeration_cache(monkeypatch):
+    """Values, gradients, bounds and term counts from a cold cache, after a
+    larger-radius enumeration and after a smaller one are bitwise equal."""
+    monkeypatch.setattr(kernels, "_disks", OrderedDict())
+    query_args = [(t, eps, rep) for t in (0.003, 0.04, 0.5, 6.0) for eps in (1e-6, 1e-13)
+                  for rep in ("image", "spectral")]
+    for a, b in LATTICE_CLASSES[2:]:
+        surface = torus(a, b)
+        rows = ((1.0, 0.0), (-a, b))
+        cold = []
+        for args in query_args:
+            kernels._disks.clear()
+            cold += _cache_snapshots(surface, [args])
+        for warm_radius in (40.0, 0.2):
+            kernels._disks.clear()
+            kernels._disk(rows, warm_radius)
+            kernels._disk(rows, warm_radius, half=True, dual=True)
+            assert _cache_snapshots(surface, query_args) == cold, (a, b, warm_radius)
+
+
+def test_enumeration_cache_caps_points_and_evicts_lattices(monkeypatch):
+    monkeypatch.setattr(kernels, "_disks", OrderedDict())
+    monkeypatch.setattr(kernels, "_DISK_POINTS", 100)
+    monkeypatch.setattr(kernels, "_DISK_LATTICES", 2)
+    iso, honeycomb, generic = [((1.0, 0.0), (-a, b)) for a, b in LATTICE_CLASSES[2:]]
+    # a miss enumerates out to twice the radius, and grows to twice the cached one
+    kernels._disk(generic, 1.0)
+    assert kernels._disks[generic, False, False][0] == 2.0
+    kernels._disk(generic, 2.5)
+    assert kernels._disks[generic, False, False][0] == 4.0
+    # unless the doubled disk may hold more than 100 points: then to the radius
+    mn, _, _ = kernels._disk(iso, 3.0)
+    assert len(mn) <= 100 and kernels._disks[iso, False, False][0] == 3.0
+    # over 100 points: enumerated, not cached; the smaller entry stays
+    big = kernels._disk(iso, 8.0)
+    assert len(big[0]) > 100 and kernels._disks[iso, False, False][0] == 3.0
+    for f, c in zip(kernels._points_in_disk(np.array(iso), 8.0), big):
+        assert np.array_equal(f, c)
+    # two lattices fit; a third evicts the least recently used
+    assert list(kernels._disks) == [(generic, False, False), (iso, False, False)]
+    kernels._disk(generic, 1.0)
+    kernels._disk(honeycomb, 1.0)
+    assert list(kernels._disks) == [(generic, False, False), (honeycomb, False, False)]
+
+
+def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
+    """The box routes as two per-axis passes, one sum loop per axis: the
+    reference for the joint evaluation in ``kernels._spectral`` and
+    ``kernels._image`` on axis-aligned lattices."""
+    geom = kernels._geometry(rows)
+    periods = geom["periods"]
+    flat = disp.reshape(-1, 2)
+    out = np.empty((len(flat), 2) if want_grad else len(flat))
+    if rep == "spectral":
+        area, alpha = geom["covol"], FOUR_PI_SQ * t
+        pref = (2 * math.pi if want_grad else 1.0) / area
+        radius, _ = kernels._radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref,
+                                        int(want_grad))
+        sums = []
+        for k, length in enumerate(periods):
+            p = np.arange(math.floor(radius * length) + 1) / length
+            w = 2.0 * np.exp(-alpha * (p * p))
+            w[0] = 1.0
+            cos_w, sin_w = w.tolist(), (2 * math.pi * p * w).tolist()
+            theta = (2 * math.pi / length) * flat[:, k]
+            c1, s1 = np.cos(theta), np.sin(theta)
+            cm, sm = c1, s1
+            acc_c, acc_s = np.full(theta.shape, cos_w[0]), np.zeros(theta.shape)
+            for m in range(1, len(cos_w)):
+                if m > 1:
+                    cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
+                acc_c += cos_w[m] * cm
+                acc_s += sin_w[m] * sm
+            sums.append((acc_c, acc_s))
+        scale = 1.0 / area
+    else:
+        alpha, pref0 = 1.0 / (4.0 * t), 1.0 / (4.0 * math.pi * t)
+        pref = pref0 * (2.0 * alpha if want_grad else 1.0)
+        radius, _ = kernels._radius_for(alpha, geom["rho"], geom["covol"], eps, pref,
+                                        int(want_grad))
+        d0 = flat.T - geom["rows"].T @ np.round(geom["dual_rows"] @ flat.T)
+        spread = float(np.max(np.hypot(d0[0], d0[1])))
+        sums = []
+        for k, length in enumerate(periods):
+            half = int(np.floor((radius + spread) / length))
+            z = d0[k] - kernels._far_first_axis(float(length), half)
+            e = np.exp(-alpha * (z * z))
+            sums.append((e.sum(axis=0), (e * z).sum(axis=0)))
+        scale = pref0 * 2.0 * alpha if want_grad else pref0
+    (a0, b0), (a1, b1) = sums
+    if want_grad:
+        out[:, 0], out[:, 1] = scale * b0 * a1, scale * a0 * b1
+    else:
+        out[:] = scale * a0 * a1
+    return out.reshape(disp.shape[:-1] + out.shape[1:])
+
+
+def test_box_routes_match_per_axis_reference(rng):
+    """The box routes of a rectangular cover, whose image sums share numpy
+    calls between the axes and whose spectral sums over a few points run in
+    float arithmetic, give bitwise the per-axis loops' output: for one
+    displacement, the two of a Klein query, and batches on both sides of
+    _FEW_POINTS."""
+    heights = [1.5, 2.7] + [2.0 * b for b in (0.2, 0.7, 1.0, 1.4)]
+    sizes = (1, 2, kernels._FEW_POINTS, kernels._FEW_POINTS + 1, 300)
+    disps = [rng.uniform(-1.5, 2.5, (n, 2)) for n in sizes]
+    for h in heights:
+        rows = ((1.0, 0.0), (0.0, h))
+        for t in (0.003, 0.02, 0.15, 1.0, 10.0):
+            for eps in (1e-6, 1e-10, 1e-13):
+                for want_grad in (False, True):
+                    for disp in disps:
+                        for rep, fn in (("spectral", kernels._spectral), ("image", kernels._image)):
+                            ref = _per_axis_box_reference(rows, t, disp, eps, want_grad, rep)
+                            got = fn(rows, t, disp, eps, want_grad)[0]
+                            assert np.array_equal(got, ref), (h, t, eps, want_grad, len(disp), rep)
+
+
 def test_gradient_vanishes_at_coincidence():
     out = heat_kernel_gradient(KernelQuery(surface=torus(0.3, 1.2),
                                            x=(0.2, 0.4), y=(0.2, 0.4), t=0.3))
@@ -401,6 +599,25 @@ def test_kernel_rejects_non_finite_points():
                     fn(surface, t, np.array([bad, 0.0]), np.array([0.1, 0.1]))
                 with pytest.raises(InvalidParameter):
                     fn(surface, t, np.zeros((3, 2)), np.array([[0.1, 0.1]] * 2 + [[0.0, bad]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_displacements_are_rejected():
+    """Finite points whose displacement x - h(y) overflows raise the typed
+    error, with no RuntimeWarning, in every kernel entry point."""
+    for surface in (klein_bottle(0.7), torus(0.3, 1.2), torus(0.0, 1.0)):
+        mode = enumerate_modes(surface, 50.0)[1]
+        for x, y in (((1e308, 0.0), (-1e308, 0.0)), ((0.0, -1e308), (0.0, 1e308))):
+            for fn in (heat_values, heat_gradient_values):
+                with pytest.raises(InvalidParameter):
+                    fn(surface, 0.1, np.array(x), np.array(y))
+                with pytest.raises(InvalidParameter):
+                    fn(surface, 0.1, np.array([x, (0.0, 0.0), x]), np.array([y, y, (0.1, 0.2)]))
+            with pytest.raises(InvalidParameter):
+                projection_kernel(surface, mode, x, y)
+            for fn in (heat_kernel, heat_kernel_gradient):
+                with pytest.raises(InvalidParameter):
+                    fn(KernelQuery(surface=surface, x=x, y=y, t=0.1))
 
 
 def test_gradient_at_huge_time_is_zero():

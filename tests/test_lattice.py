@@ -349,10 +349,13 @@ def test_cut_distance_rejects_non_finite_direction():
             cut_distance(lat, u)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_torus_distance_rejects_non_finite_points():
     lat = ReducedLattice.from_parameters(0.3, 1.2)
     nan, inf = float("nan"), float("inf")
-    for x, y in [((nan, 0.0), (0.1, 0.2)), ((0.0, 0.0), (inf, 0.2))]:
+    # the last pair is finite, but x - y overflows
+    for x, y in [((nan, 0.0), (0.1, 0.2)), ((0.0, 0.0), (inf, 0.2)),
+                 ((1e308, 0.0), (-1e308, 0.0))]:
         with pytest.raises(InvalidParameter):
             torus_distance(lat, x, y)
 

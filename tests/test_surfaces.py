@@ -160,11 +160,14 @@ def test_minimal_geodesic_rejects_non_finite_direction_and_stores_floats():
         assert "np." not in repr(geo)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_surface_distance_rejects_non_finite_points():
     nan, inf = float("nan"), float("inf")
-    for surface in (torus(0.3, 1.2), klein_bottle(0.8)):
+    for surface in (torus(0.3, 1.2), torus(0.0, 1.0), klein_bottle(0.8)):
+        # the last two pairs are finite, but x - h(y) overflows
         for x, y in [((nan, 0.0), (0.1, 0.2)), ((0.0, 0.0), (0.1, inf)),
-                     ((0.0, 0.0), (-inf, 0.2))]:
+                     ((0.0, 0.0), (-inf, 0.2)), ((1e308, 0.0), (-1e308, 0.0)),
+                     ((0.0, 1e308), (0.0, -1e308))]:
             with pytest.raises(InvalidParameter):
                 surface_distance(surface, x, y)
 
