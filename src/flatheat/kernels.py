@@ -16,7 +16,10 @@ and each K_L is evaluated by one of two dual routes over the cover lattice:
 Poisson summation says the two must agree; the test suite checks that they do
 within the certified truncation bounds carried by every value.  Truncation is
 certified by a Gaussian ring bound: once all points inside a radius are
-summed, the discarded tail is dominated by an explicit erfc integral.
+summed, the discarded tail is dominated by an explicit erfc integral.  Both
+routes sum at displacements reduced modulo the cover lattice, as distances
+are (``lattice._recentre``, exactly for far-out ones), so a far-out point
+loses no digits beyond those x - h(y) itself rounds away.
 
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
 product of two circles, and its heat kernel the product of theirs.  Both
@@ -34,38 +37,41 @@ ones.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
-4 pi^2 |p|^2 = lambda of cos(2 pi p.(x - h(y))) / cover area.  The explicit
-orthonormal eigenbases are the cover's eigenfunctions made deck-invariant
-(on a Klein bottle, products of one trigonometric factor per axis); they
-share no code with the deck sums, so they check them independently.
+4 pi^2 |p|^2 = lambda of cos(2 pi p.(x - h(y))) / cover area: the spectral
+disk route's cosine sum (``_cosine_sum``) with weight 1 / area.  The mode
+table reads the cover's dual disk too, a Klein bottle's from its half disk.
+The explicit orthonormal eigenbases are the cover's eigenfunctions made
+deck-invariant (on a Klein bottle, products of one trigonometric factor per
+axis); they share no code with the deck sums, so they check them
+independently.
 
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
 broken by integer coordinates), and each point's coordinates are computed
-alone, so their bits do not depend on the other points enumerated with them.
-A disk of any radius is then a prefix of the sorted enumeration of a larger
-one, and one cached enumeration per lattice serves every radius up to its own
-(``_disk``): a call takes the prefix r^2 <= R^2 (1 + 1e-12), and a call
-beyond the cached radius enumerates again out to at least twice that radius.
-The cache holds the _DISK_LATTICES most recently used lattices and no
-enumeration of more than _DISK_POINTS points (a share of TERM_BUDGET), so it
-never holds more than 16 MB.  A call works through its points in blocks
-whose size follows from the term count and one byte budget
+alone, elementwise as m u + n v, so their bits do not depend on the other
+points enumerated with them.  A disk of any radius is then a prefix of the
+sorted enumeration of a larger one, and one cached enumeration per lattice
+serves every radius up to its own (``_disk``): a call takes the prefix
+r^2 <= R^2 (1 + 1e-12), and a call beyond the cached radius enumerates again
+out to at least twice that radius.  The cache holds the _DISK_LATTICES most recently
+used lattices and no enumeration of more than _DISK_POINTS points (a share of
+TERM_BUDGET), so it never holds more than 16 MB.  A call works through its
+points in blocks whose size follows from the term count and one byte budget
 (``_block_rows``), so repeated evaluations are bitwise reproducible.  Image
 sums are laid out term-major, one (terms x points) array per block reduced
 over the terms, which numpy does row by row: so the images go farthest first
 (disk images by descending modulus, box images by descending |index|), and a
 block is never left one point wide in a batch (``_blocks``).  A point then
-gets the same bits in any batch; alone, as one column, it is summed
-pairwise and may differ from its batch value in the last bits.  The spectral
-disk route (non-rectangular tori) and the projections contract phases and
-weights with BLAS matrix products (``@``), which may round a row differently
-depending on the block it sits in, so there a point's bits depend on its
-batch as well.  A Klein bottle query always holds two displacements, one per
-deck element, and its points measured batch-independent on every route.
+gets the same bits in any batch; alone, as one column, it is summed pairwise
+and may differ from its batch value in the last bits.  The cosine sums of the
+spectral disk route (non-rectangular tori) and the projections contract with
+BLAS, so there a point's bits depend on its batch as well.  A Klein bottle
+heat query always holds two displacements, one per deck element, and its
+points measured batch-independent on both routes.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -79,7 +85,7 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import _all_finite, _geometry
+from .lattice import _geometry, _recentre
 from .surfaces import FlatSurface, Torus, _deck
 
 TERM_BUDGET = 10_000_000
@@ -156,47 +162,16 @@ def _radius_for(alpha: float, rho: float, covol: float, eps: float,
     raise ToleranceUnreachable("tail bound failed to converge")  # pragma: no cover
 
 
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitting constant for float64
-
-
-def _fma(a: np.ndarray, b: float, c: np.ndarray) -> np.ndarray:
-    """a * b + c rounded once, from float64 operations alone, for integers a
-    below 2^26 in magnitude.
-
-    The product and the first sum are made exact as pairs of floats (Dekker's
-    product: with b split in two halves of 26 bits, a * b_hi and a * b_lo are
-    exact; Knuth's two-sum), the two low parts are added rounding to odd, and
-    one final sum rounds to nearest: Boldo and Melquiond's emulated FMA,
-    exact barring overflow and underflow.  Elementwise, so each entry's bits
-    do not depend on the others.
-    """
-    hi = _SPLIT * b
-    b_hi = hi - (hi - b)
-    p = a * b
-    p_lo = (a * b_hi - p) + a * (b - b_hi)
-    s = c + p
-    z = s - c
-    s_lo = (c - (s - z)) + (p - z)
-    v = s_lo + p_lo
-    z = v - s_lo
-    v_err = (s_lo - (v - z)) + (p_lo - z)
-    # round to odd: an inexact sum with an even last bit moves one ulp toward the exact one
-    even = (v.view(np.int64) & 1) == 0
-    v = np.where((v_err != 0) & even, np.nextafter(v, np.copysign(np.inf, v_err)), v)
-    return s + v
-
-
 def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
     """Integer combinations m*u + n*v with r^2 <= radius^2 (1 + _DISK_SLACK).
 
     For each m, the candidate n lie between the roots of the quadratic
     |m u + n v|^2 = radius^2, widened a little; the r^2 test decides.  With
     half, only the origin and the half-plane m > 0 or (m = 0, n > 0): one of
-    each pair of points +-p.  A point is fl(fl(m u) + n v), rounded as a
-    fused multiply-add rounds it (and as an FMA-contracting matrix product
-    ``(m, n) @ rows`` does), each point on its own, so a point's bits and
-    its place in the order do not depend on the radius.  Returns (mn, pts,
-    r2), read-only and sorted by (r2, m, n) for reproducible summation.
+    each pair of points +-p.  Each point is computed elementwise as
+    m u + n v, on its own, so its bits and its place in the order do not
+    depend on the radius.  Returns (mn, pts, r2), read-only and sorted by
+    (r2, m, n) for reproducible summation.
     """
     (u0, u1), (v0, v1) = rows.tolist()
     a_quad = v0 * v0 + v1 * v1
@@ -224,10 +199,7 @@ def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
     n = np.repeat(np.array(n_los) - starts, counts) + np.arange(starts[-1] + counts[-1])
     mn = np.stack([np.repeat(ms, counts), n], axis=1)
     f = mn.astype(float)
-    pts = np.empty(f.shape)
-    for j, (uj, vj) in enumerate(((u0, v0), (u1, v1))):
-        # with one of the products exactly zero, no fused rounding is needed
-        pts[:, j] = f[:, 0] * uj + f[:, 1] * vj if uj == 0 or vj == 0 else _fma(f[:, 1], vj, f[:, 0] * uj)
+    pts = np.stack([f[:, 0] * u0 + f[:, 1] * v0, f[:, 0] * u1 + f[:, 1] * v1], axis=1)
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
     keep = np.flatnonzero(r2 <= radius * radius * (1.0 + _DISK_SLACK))
     order = keep[np.lexsort((mn[keep, 1], mn[keep, 0], r2[keep]))]
@@ -401,19 +373,37 @@ def _harmonic_point_sums(theta: np.ndarray, tops: tuple, cos_w: np.ndarray,
     return np.array(sums_c), None if ws is None else np.array(sums_s)
 
 
+def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool):
+    """sum_p w_p cos(2 pi p.d) over the dual vectors p, the rows of pts, or the
+    y-gradient sum_p 2 pi p w_p sin(2 pi p.d), at each recentred displacement
+    d of d0 (coordinate rows, shape (2, P)).  Phases and contraction are BLAS
+    matrix products (``@``), which may round a row differently depending on
+    the block it sits in, so a point's bits depend on its batch."""
+    coef = _TWO_PI * pts * w[:, None] if want_grad else w
+    n = d0.shape[1]
+    out = np.empty((n, 2) if want_grad else n)
+    step = _block_rows(2 * len(pts))  # the phases and their sines
+    for i in range(0, n, step):
+        ph = _TWO_PI * d0[:, i:i + step].T @ pts.T
+        out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
+    return out
+
+
 def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp, summed over the dual lattice.
+    """Cover kernel (or y-gradient) at displacements disp (shape (..., 2)),
+    summed over the dual lattice: one value (or gradient row) per recentred
+    displacement, with the bound and the terms summed.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
-    weight 2.  A rectangular lattice, with periods L0, L1, sums the box
-    |p_k| <= radius instead, which holds that disk, so its omitted terms are
-    part of the disk's tail.  Its term is a product of one factor per axis,
-    so the box sum is C0 * C1 / area and the gradient (G0 * C1, C0 * G1) / area,
-    with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
-    G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
-    w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
-    point (``_harmonic_sums``, or ``_harmonic_point_sums`` for a few points)
-    for the half box of ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
+    weight 2 (``_cosine_sum``).  A rectangular lattice, with periods L0, L1,
+    sums the box |p_k| <= radius instead, which holds that disk, so its
+    omitted terms are part of the disk's tail.  Its term is a product of one
+    factor per axis, so the box sum is C0 * C1 / area and the gradient
+    (G0 * C1, C0 * G1) / area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k)
+    and G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1
+    and w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines
+    per point (``_harmonic_sums``, or ``_harmonic_point_sums`` for a few
+    points) for the half box of ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
     area = geom["covol"]
@@ -421,44 +411,39 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius, err = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    flat = disp.reshape(-1, 2)
-    out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
-    if geom["axis_aligned"]:
-        tops = tuple(math.floor(radius * length) for length in geom["periods"])
-        p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
-        w = 2.0 * np.exp(-alpha * p2)
-        w[0] = 1.0  # m = 0 has no partner
-        sin_w = two_pi_p * w if want_grad else None
-        n0, n1 = (2 * m + 1 for m in tops)
-        terms = (n0 * n1 + 1) // 2
-        if flat.shape[0] <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
-            c, g = _harmonic_point_sums(np.multiply(freq, flat.T, order="C"), tops, w, sin_w)
-            _axis_product(out, c, g, 1.0 / area)
-        else:
-            cos_lists = [w[:top + 1, k].tolist() for k, top in enumerate(tops)]
-            sin_lists = [sin_w[:top + 1, k].tolist() if want_grad else None
-                         for k, top in enumerate(tops)]
-            step = _block_rows(16)  # about 16 (points,) arrays over both axes
-            for i in range(0, flat.shape[0], step):
-                c, g = zip(*(_harmonic_sums(flat[i:i + step, k] * freq[k], cos_lists[k],
-                                            sin_lists[k]) for k in (0, 1)))
-                _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
-    else:
+    d0 = _recentre(rows, disp)
+    if not geom["axis_aligned"]:
         # p and -p contribute alike: sum one of each pair, with weight 2
         _, pts, r2 = _disk(rows, radius, half=True, dual=True)
-        terms = len(pts)
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
-        coef = _TWO_PI * pts * w[:, None] if want_grad else w
-        step = _block_rows(2 * terms)  # the phases and their sines
-        for i in range(0, flat.shape[0], step):
-            ph = _TWO_PI * flat[i:i + step] @ pts.T
-            out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
-    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
+        return _cosine_sum(d0, pts, w, want_grad), err, len(pts)
+    tops = tuple(math.floor(radius * length) for length in geom["periods"])
+    p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
+    w = 2.0 * np.exp(-alpha * p2)
+    w[0] = 1.0  # m = 0 has no partner
+    sin_w = two_pi_p * w if want_grad else None
+    n0, n1 = (2 * m + 1 for m in tops)
+    n = d0.shape[1]
+    out = np.empty((n, 2) if want_grad else n)
+    if n <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
+        c, g = _harmonic_point_sums(freq * d0, tops, w, sin_w)
+        _axis_product(out, c, g, 1.0 / area)
+    else:
+        cos_lists = [w[:top + 1, k].tolist() for k, top in enumerate(tops)]
+        sin_lists = [sin_w[:top + 1, k].tolist() if want_grad else None
+                     for k, top in enumerate(tops)]
+        step = _block_rows(16)  # about 16 (points,) arrays over both axes
+        for i in range(0, n, step):
+            c, g = zip(*(_harmonic_sums(d0[k, i:i + step] * freq[k], cos_lists[k],
+                                        sin_lists[k]) for k in (0, 1)))
+            _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
+    return out, err, (n0 * n1 + 1) // 2
 
 
 def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp, summed over lattice images.
+    """Cover kernel (or y-gradient) at displacements disp (shape (..., 2)),
+    summed over lattice images: one value (or gradient row) per displacement.
 
     Displacements are recentred to d0 with |d0| <= spread, and every image p
     with |p| <= radius + spread is summed, so each d0 - p within the radius
@@ -483,20 +468,17 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
     scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
-    flat = disp.reshape(-1, 2)
-    lat = geom["rows"]
-    # x - round(x D^T) L with the points as columns: the same products and
-    # sums as with the points as rows, and contiguous coordinate rows
-    d0 = flat.T - lat.T @ np.round(geom["dual_rows"] @ flat.T)
-    spread = float(np.hypot(d0[0], d0[1]).max()) if len(flat) else 0.0
-    out = np.empty((flat.shape[0], 2) if want_grad else flat.shape[0])
+    d0 = _recentre(rows, disp)
+    n_pts = d0.shape[1]
+    spread = float(np.hypot(d0[0], d0[1]).max()) if n_pts else 0.0
+    out = np.empty((n_pts, 2) if want_grad else n_pts)
     if geom["axis_aligned"]:
         axes = [_far_first_axis(length, math.floor((radius + spread) / length))
                 for length in geom["periods"].tolist()]
         n0, n = len(axes[0]), len(axes[0]) + len(axes[1])
         terms = n0 * (n - n0)
         # the differences of both axes, stacked, and their Gaussians
-        for blk in _blocks(flat.shape[0], _block_rows(2 * n)):
+        for blk in _blocks(n_pts, _block_rows(2 * n)):
             z = np.empty((n, blk.stop - blk.start))
             np.subtract(d0[0][blk], axes[0], out=z[:n0])
             np.subtract(d0[1][blk], axes[1], out=z[n0:])
@@ -514,7 +496,7 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
         far = pts[::-1]  # farthest first
         p0, p1 = far[:, 0:1], far[:, 1:2]
         # both difference columns, their squares and the Gaussians
-        for blk in _blocks(flat.shape[0], _block_rows(4 * terms)):
+        for blk in _blocks(n_pts, _block_rows(4 * terms)):
             z0 = d0[0][blk] - p0
             z1 = d0[1][blk] - p1
             e = np.exp(-alpha * (z0 * z0 + z1 * z1))
@@ -523,7 +505,7 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
                 out[blk, 1] = scale * np.multiply(e, z1, out=z1).sum(axis=0)
             else:
                 out[blk] = scale * e.sum(axis=0)
-    return out.reshape(disp.shape[:-1] + out.shape[1:]), err, terms
+    return out, err, terms
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +528,20 @@ def _validate_time_eps(t: float, eps: float) -> None:
 
 
 def _broadcast_pair(x, y):
-    """x and y as float arrays of one shape (..., 2); InvalidParameter unless finite."""
+    """x and y as float arrays of one shape (..., 2).  Non-finite points give
+    non-finite displacements, which the evaluators reject (``lattice._recentre``)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1:] != (2,) or y.shape[-1:] != (2,):
         raise InvalidParameter("points must have a trailing dimension of 2")
-    if not (_all_finite(x) and _all_finite(y)):
-        raise InvalidParameter("points must be finite")
     return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
 
 
 def _pair_displacements(surface: FlatSurface, x, y):
     """Cover rows and the displacements x - h(y), shape (deck elements, 2), of
     one pair of finite points given as float pairs.  Float arithmetic rounds
-    each operation as numpy does, and an overflow gives inf without a warning;
-    raises InvalidParameter when a displacement overflows."""
+    each operation as numpy does, and an overflow gives inf without a warning,
+    which the evaluators reject (``lattice._recentre``)."""
     rows, lin, shift = _deck(surface)
     (x0, x1), (y0, y1) = x, y
     if len(lin) == 1:  # the identity alone (a torus)
@@ -568,19 +549,17 @@ def _pair_displacements(surface: FlatSurface, x, y):
     else:
         disp = np.array([[x0 - (y0 * l0 + s0), x1 - (y1 * l1 + s1)]
                          for (l0, l1), (s0, s1) in zip(lin.tolist(), shift.tolist())])
-    if not _all_finite(disp):
-        raise InvalidParameter("points must not be so far apart that x - h(y) overflows")
     return rows, disp
 
 
 def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     """Cover rows and the displacements x - h(y), stacked over deck elements h,
-    for float arrays x, y of one shape (..., 2) (``_broadcast_pair``).
-    Raises InvalidParameter when a displacement overflows."""
+    for float arrays x, y of one shape (..., 2) (``_broadcast_pair``); an
+    overflow, or an infinite point, gives inf or NaN without a warning."""
     if x.shape == (2,):
         return _pair_displacements(surface, x.tolist(), y.tolist())
     rows, lin, shift = _deck(surface)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if len(lin) == 1:  # the identity alone (a torus)
             disp = (x - y)[None]
         else:  # per coordinate, so that the loops run over points, not over pairs
@@ -589,28 +568,36 @@ def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
             for c in (0, 1):
                 np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
                             + shift[:, c].reshape(shape), out=disp[..., c])
-    if not _all_finite(disp):
-        raise InvalidParameter("points must not be so far apart that x - h(y) overflows")
     return rows, disp
 
 
-def _deck_sum(surface: FlatSurface, t: float, rows: tuple, disp: np.ndarray, eps: float,
-              representation: str, want_grad: bool):
-    """Sum the cover-lattice kernel (or its y-gradient) over the deck group,
-    at the displacements disp = x - h(y) on the cover lattice with basis rows,
-    for a checked time and tolerance.
+def _deck_sum(cover_sum, disp: np.ndarray, want_grad: bool):
+    """Sum a cover-lattice sum (or its y-gradient) over the deck group.
 
-    All displacements go through one evaluator call; each of the k deck
-    elements gets eps / k.  Since the glide reverses x1, the chain rule
-    negates the first gradient component of its term.
+    cover_sum maps the displacements disp = x - h(y), stacked over the k deck
+    elements h (shape (k, ..., 2)), to one sum (or gradient row) per
+    displacement with its error bound and its terms.  Since the glide
+    reverses x1, the chain rule negates the first gradient component of its
+    term.  Returns the sums over h with k times the bound and the terms.
     """
-    rep = _resolve_rep(surface, t, representation)
-    k = disp.shape[0]
-    fn = _spectral if rep == "spectral" else _image
-    out, err, terms = fn(rows, t, disp, eps / k, want_grad)
+    out, err, terms = cover_sum(disp)
+    out = out.reshape(disp.shape[:-1] + out.shape[1:])
     if want_grad:
         out[1:, ..., 0] *= -1.0
-    return out.sum(axis=0), k * err, k * terms, rep
+    k = disp.shape[0]
+    return out.sum(axis=0), k * err, k * terms
+
+
+def _heat_sum(surface: FlatSurface, t: float, rows: tuple, disp: np.ndarray, eps: float,
+              representation: str, want_grad: bool):
+    """The heat kernel (or its y-gradient) as a deck sum at the displacements
+    disp on the cover lattice with basis rows, for a checked time and
+    tolerance, with the representation used; each of the k deck elements
+    gets eps / k."""
+    rep = _resolve_rep(surface, t, representation)
+    fn = _spectral if rep == "spectral" else _image
+    eps_h = eps / disp.shape[0]
+    return (*_deck_sum(lambda d: fn(rows, t, d, eps_h, want_grad), disp, want_grad), rep)
 
 
 def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
@@ -627,7 +614,7 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
     """
     _validate_time_eps(t, eps)
-    return _deck_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
+    return _heat_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
                      representation, want_grad=False)
 
 
@@ -635,7 +622,7 @@ def heat_gradient_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-1
                          representation: str = "auto"):
     """Gradient of K_t(x, .) in the second argument, on arrays of points."""
     _validate_time_eps(t, eps)
-    return _deck_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
+    return _heat_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
                      representation, want_grad=True)
 
 
@@ -678,14 +665,14 @@ class KernelGradient:
 
 def heat_kernel(query: KernelQuery) -> KernelValue:
     # the query checked its points, time and tolerance when it was made
-    vals, err, terms, rep = _deck_sum(
+    vals, err, terms, rep = _heat_sum(
         query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
         query.epsilon, query.representation, want_grad=False)
     return KernelValue(float(vals), err, terms, rep)
 
 
 def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
-    grads, err, terms, rep = _deck_sum(
+    grads, err, terms, rep = _heat_sum(
         query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
         query.epsilon, query.representation, want_grad=True)
     return KernelGradient((float(grads[0]), float(grads[1])), err, terms, rep)
@@ -753,23 +740,6 @@ def _klein_rule(l1: int, l2: int):
     return 4, l2 % 2 == 1, 2
 
 
-def _klein_mode_entries(b: float, lam_max: float):
-    """Sorted (lam, (l1, l2, parity), count) for the Klein modes with lam <= lam_max."""
-    top = lam_max * (1.0 + 1e-12)
-    entries = []
-    l1 = 0
-    while (_TWO_PI * l1) ** 2 <= top:
-        lam1 = (_TWO_PI * l1) ** 2
-        for l2 in range(int(b * math.sqrt(max(top - lam1, 0.0)) / math.pi) + 2):
-            lam = lam1 + (math.pi * l2 / b) ** 2
-            rule = _klein_rule(l1, l2)
-            if lam <= top and rule is not None:
-                entries.append((lam, (l1, l2, "sin" if rule[1] else "cos"), rule[2]))
-        l1 += 1
-    entries.sort(key=lambda e: (e[0], e[1][0], e[1][1]))
-    return entries
-
-
 def enumerate_modes(surface: FlatSurface, lambda_max: float,
                     tol: float = 1e-9) -> list[SpectralMode]:
     """All eigenvalues <= lambda_max, grouped within relative tol, ascending.
@@ -785,16 +755,20 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
     if _disk_bound(radius, geom["dual_rho"], geom["dual_covol"]) > TERM_BUDGET:
         raise InvalidParameter(
             f"lambda_max {lambda_max:g} needs more than {TERM_BUDGET} dual lattice points")
-    if isinstance(surface, Torus):
-        mn, _, r2 = _disk(rows, radius + 1e-12, dual=True)
-        lam = _FOUR_PI_SQ * r2
-        entries = sorted(
-            ((float(l), (int(m), int(n)), 1) for l, (m, n) in zip(lam, mn)
-             if l <= lambda_max * (1.0 + tol) + 1e-12),
-            key=lambda e: (e[0], e[1]))
-    else:
-        entries = [e for e in _klein_mode_entries(surface.b, lambda_max)
-                   if e[0] <= lambda_max * (1.0 + tol) + 1e-12]
+    # a Klein generator (l1, l2) stands for the cover's dual vectors
+    # (+-l1, +-l2 / 2b): the half disk's point (m, n) = (l1, l2), n >= 0
+    is_torus = isinstance(surface, Torus)
+    mn, _, r2 = _disk(rows, radius + 1e-12, half=not is_torus, dual=True)
+    top = lambda_max * (1.0 + tol) + 1e-12
+    entries = []
+    for lam, (m, n) in zip((_FOUR_PI_SQ * r2).tolist(), mn.tolist()):
+        if lam > top:  # the points come sorted by modulus
+            break
+        if is_torus:
+            entries.append((lam, (m, n), 1))
+        elif n >= 0 and (rule := _klein_rule(m, n)) is not None:
+            entries.append((lam, (m, n, "sin" if rule[1] else "cos"), rule[2]))
+    entries.sort(key=lambda e: (e[0], e[1][:2]))
     return [
         SpectralMode(eigenvalue=lam, generators=gens, multiplicity=count, surface=surface)
         for lam, gens, count in _group_eigenvalues(entries, tol)
@@ -833,21 +807,22 @@ def _shell(surface: FlatSurface, mode: SpectralMode) -> np.ndarray:
 
 def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
     """P_lambda(x, y) = sum over deck elements h and shell vectors p of
-    cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound; as
-    for the heat kernel, the glide negates the first gradient component."""
+    cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound: the
+    spectral disk route's cosine sum over the shell (``_shell``), with weight
+    1 / area, through the heat kernel's deck sum."""
     _check_mode(surface, mode)
     rows, disp = _deck_displacements(surface, *_broadcast_pair(x, y))
     vecs = _shell(surface, mode)
     area = _geometry(rows)["covol"]
-    ph = _TWO_PI * disp @ vecs.T
+    w = np.full(len(vecs), 1.0 / area)
+    out, _, terms = _deck_sum(
+        lambda d: (_cosine_sum(_recentre(rows, d), vecs, w, want_grad), 0.0, len(vecs)),
+        disp, want_grad)
     if not want_grad:
-        return (np.cos(ph).sum(axis=-1) / area).sum(axis=0)
-    s = np.sin(ph) / area
-    out = np.stack([(s * (_TWO_PI * vecs[:, j])).sum(axis=-1) for j in (0, 1)], axis=-1)
-    out[1:, ..., 0] *= -1.0
-    scale = (disp.shape[0] * len(vecs) * _TWO_PI
-             * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / area)
-    return out.sum(axis=0), 1e-15 * max(scale, 1.0)
+        return out
+    # a heuristic rounding bound over the deck elements times shell vectors summed
+    scale = terms * _TWO_PI * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / area
+    return out, 1e-15 * max(scale, 1.0)
 
 
 def projection_kernel(surface: FlatSurface, mode: SpectralMode, x, y):
@@ -918,10 +893,23 @@ def eigenbasis_gradients(surface: FlatSurface, mode: SpectralMode, pts) -> np.nd
     return _eigenbasis(surface, mode, pts, want_grad=True)
 
 
+def _check_size(n, least: int, name: str, width: int | None = None) -> int:
+    """n as an int, checked before anything is allocated: InvalidParameter
+    unless n is an integer of at least least whose n x width nodes (n x n
+    when width is None) stay within TERM_BUDGET."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise InvalidParameter(f"{name} must be an integer of at least {least}, got {n!r}")
+    n = int(n)
+    count = n * (n if width is None else width)
+    if count > TERM_BUDGET:
+        raise InvalidParameter(
+            f"{name} {n} needs {count} nodes, more than the budget of {TERM_BUDGET}")
+    return n
+
+
 def fundamental_domain_grid(surface: FlatSurface, n: int, midpoint: bool = False):
     """An n x n sample grid of the fundamental domain, plus the cell area."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameter(f"grid size must be a positive integer, got {n!r}")
+    n = _check_size(n, 1, "grid size")
     off = 0.5 if midpoint else 0.0
     s = (np.arange(n) + off) / n
     p, q = np.meshgrid(s, s, indexing="ij")

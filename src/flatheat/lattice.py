@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +19,9 @@ from .errors import DegenerateBasis, InvalidParameter
 
 _DEGENERACY_RTOL = 1e-12
 _FAR_BASIS = "the basis change to the reduced basis overflows int64"
+# displacements beyond this many column sums of |basis rows| reduce exactly
+_FAR_REACHES = 64
+_NOT_FINITE = "points, and the displacements between them, must be finite"
 # collapse a Voronoi hexagon to a rectangle when adjacent vertices coincide
 _VERTEX_COLLAPSE = 1e-12
 
@@ -335,19 +339,16 @@ def cut_distance(lat: ReducedLattice, direction) -> float:
     return float(_cut_lengths(voronoi(lat).relevant_vectors, _unit(direction)[None, :])[0])
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    # a single point skips numpy's reduction overhead (about 2 us per array)
-    return all(map(math.isfinite, a.flat)) if a.size <= 8 else bool(np.isfinite(a).all())
-
-
 @lru_cache(maxsize=128)
 def _geometry(rows: tuple):
     """Primal and dual data of the lattice spanned by basis rows ((u0, u1), (v0, v1)).
 
     "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
     lattice sums factor into one sum per axis; "periods" are then |u0|, |v1|.
-    "window" holds the lattice vectors of the 3 x 3 window of
-    ``_nearest_window`` by component, shape (2, 9, 1).
+    "far" is _FAR_REACHES times the largest column sum of |rows|, twice the
+    largest coordinate of a reduced displacement (``_recentre``).  "window"
+    holds the lattice vectors of the 3 x 3 window of ``_nearest_window`` by
+    component, shape (2, 9, 1).
     """
     (u0, u1), (v0, v1) = rows
     det = u0 * v1 - u1 * v0
@@ -360,6 +361,7 @@ def _geometry(rows: tuple):
         "covol": abs(det),
         "axis_aligned": u1 == 0 and v0 == 0,
         "periods": np.abs(np.diag(primal)),
+        "far": _FAR_REACHES * float(np.abs(primal).sum(axis=0).max()),
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),
@@ -367,25 +369,58 @@ def _geometry(rows: tuple):
     }
 
 
+def _recentre(rows: tuple, d) -> np.ndarray:
+    """The displacements d (shape (..., 2)) modulo the lattice of the basis
+    rows L, as coordinate rows (2, P): d - n L, n the rounded lattice
+    coordinates of d.  The one reduction of every lattice sum and distance.
+    Within "far" of ``_geometry`` it is the float form d - rint(d D^T) L, D
+    the dual rows, off by a few ulps of "far"; beyond, where n L would round,
+    it is exact (``_reduce_exactly``).  Raises InvalidParameter unless d is
+    finite."""
+    geom = _geometry(rows)
+    flat = np.asarray(d, dtype=float).reshape(-1, 2).T
+    lim, far = geom["far"], None
+    if flat.size and not (-lim <= flat.min() and flat.max() <= lim):  # NaN fails too
+        far = ~(np.abs(flat) <= lim).all(axis=0)
+        exact = [_reduce_exactly(rows, dk) for dk in flat[:, far].T.tolist()]
+        flat = np.where(far, 0.0, flat)
+    # in place where numpy allows: each large temporary costs fresh pages
+    turns = geom["dual_rows"] @ flat
+    d0 = geom["rows"].T @ np.rint(turns, out=turns)
+    np.subtract(flat, d0, out=d0)
+    if far is not None:
+        d0[:, far] = np.array(exact).T
+    return d0
+
+
+def _reduce_exactly(rows: tuple, d: list) -> tuple[float, float]:
+    """d - n L in fractions, n the rounded exact lattice coordinates of d over
+    the basis rows L, rounded once to floats; InvalidParameter unless finite."""
+    try:
+        x, y = map(Fraction, d)
+    except (OverflowError, ValueError):  # an infinite or NaN coordinate
+        raise InvalidParameter(_NOT_FINITE) from None
+    (u0, u1), (v0, v1) = ([Fraction(w) for w in row] for row in rows)
+    det = u0 * v1 - u1 * v0
+    n0, n1 = round((x * v1 - y * v0) / det), round((y * u0 - x * u1) / det)
+    return float(x - n0 * u0 - n1 * v0), float(y - n0 * u1 - n1 * v1)
+
+
 def _nearest_window(rows: tuple, d) -> tuple[np.ndarray, np.ndarray]:
     """Representatives d - l, by component (2, 9, P), and their norms (9, P):
     l runs over the 3 x 3 window of lattice points of the basis rows around
-    the rounding of each of the P displacements in d (shape (..., 2)).
-    Raises InvalidParameter unless d is finite.
+    the rounding of each of the P displacements in d (shape (..., 2)), that
+    is, around each ``_recentre``d displacement.  Raises InvalidParameter
+    unless d is finite.
 
-    Rounding in lattice coordinates c = d @ inv(rows) leaves |c_i| <= 1/2, so
-    the window holds the nearest lattice point if the Voronoi cell lies in
+    Recentring leaves |c_i| <= 1/2 in lattice coordinates c = d @ inv(rows),
+    so the window holds the nearest lattice point if the Voronoi cell lies in
     |c_i| < 3/2.  The canonical reduced basis (1, 0), (-a, b) has its cell in
     |c_2| <= 1/2 + a (1 - a) / (2 b^2) <= 2/3, |c_1| <= 1/2 + a |c_2| <= 5/6
     (``test_torus_distance_brute_force`` checks it against a 9 x 9 window);
     on an orthogonal basis, such as the Klein cover, per-axis rounding is exact.
     """
-    d = np.asarray(d, dtype=float).reshape(-1, 2)
-    if not _all_finite(d):
-        raise InvalidParameter("points must be finite")
-    geom = _geometry(rows)
-    d0 = d - np.rint(d @ geom["dual_rows"].T) @ geom["rows"]
-    cand = d0.T[:, None, :] - geom["window"]
+    cand = _recentre(rows, d)[:, None, :] - _geometry(rows)["window"]
     return cand, np.hypot(cand[0], cand[1])
 
 

@@ -11,7 +11,6 @@ configurations in closed form and return revalidatable witnesses.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .kernels import (
     SpectralMode,
+    _check_size,
     enumerate_modes,
     eigenbasis_values,
     fundamental_domain_grid,
@@ -38,7 +38,7 @@ from .kernels import (
     projection_gradient,
     projection_kernel,
 )
-from .lattice import LatticeTag, classify
+from .lattice import LatticeTag, _unit, classify
 from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
@@ -79,15 +79,11 @@ class ScanConfig:
     kernel_epsilon: float = 1e-13
 
     def __post_init__(self):
-        for name in ("n_directions", "n_arc_samples"):
-            n = getattr(self, name)
-            if not isinstance(n, numbers.Integral):
-                raise InvalidParameter(f"{name} must be an integer, got {n!r}")
-            object.__setattr__(self, name, int(n))
-        if self.n_directions < 4:
-            raise InvalidParameter("n_directions must be at least 4")
-        if self.n_arc_samples < 8:
-            raise InvalidParameter("n_arc_samples must be at least 8")
+        # a scan task holds n_directions x n_arc_samples samples
+        n_arc = _check_size(self.n_arc_samples, 8, "n_arc_samples", width=1)
+        object.__setattr__(self, "n_arc_samples", n_arc)
+        object.__setattr__(self, "n_directions",
+                           _check_size(self.n_directions, 4, "n_directions", width=n_arc))
         object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
         if not self.t_values or any(not (t > 0 and math.isfinite(t)) for t in self.t_values):
             raise InvalidParameter("t_values must be positive and finite")
@@ -147,14 +143,6 @@ class MonotonicityReport:
 
 # ---------------------------------------------------------------------------
 # geometry helpers
-
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = math.hypot(v[0], v[1])
-    if n == 0:
-        raise InvalidParameter("direction must be nonzero")
-    return v / n
 
 
 def _scan_directions(surface: FlatSurface, n: int) -> np.ndarray:
@@ -328,7 +316,9 @@ def revalidate(surface: FlatSurface, witness: ViolationWitness,
                kernel_epsilon: float) -> tuple[float, float]:
     """Re-evaluate a witness's radial derivative at the given epsilon, as the
     scan does: at the scan's epsilon, a witness whose point gets the same bits
-    alone as in its batch (on a Klein bottle, every point) comes back exactly."""
+    alone as in its batch comes back exactly.  On a Klein bottle every heat
+    witness does: both routes recentre and sum each point on its own there.
+    Projections contract with BLAS, whose bits depend on the batch."""
     if witness.kernel == "heat":
         kernel = Heat(witness.t)
     else:
@@ -630,11 +620,7 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
     """
     if not isinstance(surface, Torus):
         raise InvalidParameter("census requires a torus")
-    if not isinstance(grid, numbers.Integral):
-        raise InvalidParameter(f"grid must be an integer, got {grid!r}")
-    grid = int(grid)
-    if grid < 64:
-        raise InvalidParameter("grid must be at least 64")
+    grid = _check_size(grid, 64, "grid")
     lat = surface.lattice
     B = lat.basis
     Binv = np.linalg.inv(B)

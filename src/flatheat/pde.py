@@ -33,20 +33,9 @@ def laplacian_coefficients(lat: ReducedLattice) -> dict:
     return {"g11": (a * a + b * b) / det, "g12": a / det, "g22": 1.0 / det}
 
 
-def _check_resolution(n: int):
-    """Reject n < 2, and grids of more than kernels.TERM_BUDGET nodes before
-    anything is allocated."""
-    if n < 2:
-        raise InvalidParameter("grid resolution must be at least 2")
-    if n * n > kernels.TERM_BUDGET:
-        raise InvalidParameter(
-            f"grid resolution {n} needs {n * n} nodes, more than the budget of "
-            f"{kernels.TERM_BUDGET}")
-
-
 def stable_step(lat: ReducedLattice, n: int) -> float:
     """Largest explicit-Euler step allowed by the stability precondition."""
-    _check_resolution(n)
+    n = kernels._check_size(n, 2, "grid resolution")
     g = laplacian_coefficients(lat)
     h = 1.0 / n
     return h * h / (2.0 * (g["g11"] + g["g22"] + 2.0 * abs(g["g12"])))
@@ -61,7 +50,7 @@ class GridSolution:
     time: float = 0.0
 
     def __post_init__(self):
-        _check_resolution(self.n)
+        kernels._check_size(self.n, 2, "grid resolution")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
         if self.time < 0:
@@ -89,7 +78,7 @@ def gaussian_state(lat: ReducedLattice, n: int, sigma: float | None = None,
     The field samples the analytic kernel at time sigma^2/2, so an evolved
     solution at time t is comparable to the kernel at t + sigma^2/2.
     """
-    _check_resolution(n)
+    n = kernels._check_size(n, 2, "grid resolution")
     h = 1.0 / n
     sigma = 4.0 * h if sigma is None else float(sigma)
     if sigma <= 0:

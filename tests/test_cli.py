@@ -241,6 +241,14 @@ def test_pde_check_over_the_work_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error: InvalidParameter: grid resolution 32")
 
 
+def test_projection_diag_over_the_work_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 32 * 32 - 1)
+    code, out, err = run(capsys, ["projection-diag", "--b", "1", "--lambda-index", "1",
+                                  "--grid", "32"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParameter: grid size 32")
+
+
 def test_reduce_huge_basis(capsys):
     doc = run_valid(capsys, ["reduce", "--u", "1e300,0", "--v", "0,1e300"])
     assert doc["results"]["lattice_class"] == "Square"

@@ -7,6 +7,7 @@ quadrature for mass/semigroup identities, and closed-form eigenvalue data.
 import math
 import tracemalloc
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,30 +383,6 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
             assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
 
 
-def test_emulated_fma_rounds_once(rng):
-    """kernels._fma(a, b, c) is a * b + c rounded once: the exact rational
-    value, which float(Fraction) rounds correctly."""
-    from fractions import Fraction
-    a = rng.integers(-3000, 3001, 4000).astype(float)
-    b = rng.uniform(-3, 3, 4000) * 2.0 ** rng.integers(-20, 20, 4000)
-    c = rng.integers(-3000, 3001, 4000) * rng.uniform(-3, 3, 4000)
-    c[:1000] = -a[:1000] * b[0]  # near-total cancellation
-    got = kernels._fma(a, b[0], c)
-    want = [float(Fraction(x) * Fraction(float(b[0])) + Fraction(z)) for x, z in zip(a, c)]
-    assert np.array_equal(got, want)
-    # exact value just off a tie of the final rounding: 3 b = 2^-53 + e, e tiny,
-    # so only the low parts, rounded to odd, decide between 1 and 1 + 2^-52
-    for k, c0 in ((3, 1.0), (5, 1.0), (7, -1.0), (11, 2.0 ** 40), (13, -(2.0 ** -30))):
-        for sign in (1.0, -1.0):
-            bk = sign * math.ulp(c0) / 2 / k
-            got = kernels._fma(np.array([float(k)]), bk, np.array([c0]))
-            assert got[0] == float(Fraction(k) * Fraction(bk) + Fraction(c0)), (k, c0, sign)
-    for bk in b[:200]:
-        got = kernels._fma(a[:50], float(bk), c[:50])
-        want = [float(Fraction(x) * Fraction(float(bk)) + Fraction(z)) for x, z in zip(a[:50], c[:50])]
-        assert np.array_equal(got, want)
-
-
 LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),
                    (0.3, 1.2)]
 
@@ -502,6 +479,7 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
     periods = geom["periods"]
     flat = disp.reshape(-1, 2)
     out = np.empty((len(flat), 2) if want_grad else len(flat))
+    d0 = flat.T - geom["rows"].T @ np.round(geom["dual_rows"] @ flat.T)
     if rep == "spectral":
         area, alpha = geom["covol"], FOUR_PI_SQ * t
         pref = (2 * math.pi if want_grad else 1.0) / area
@@ -513,7 +491,7 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
             w = 2.0 * np.exp(-alpha * (p * p))
             w[0] = 1.0
             cos_w, sin_w = w.tolist(), (2 * math.pi * p * w).tolist()
-            theta = (2 * math.pi / length) * flat[:, k]
+            theta = (2 * math.pi / length) * d0[k]
             c1, s1 = np.cos(theta), np.sin(theta)
             cm, sm = c1, s1
             acc_c, acc_s = np.full(theta.shape, cos_w[0]), np.zeros(theta.shape)
@@ -529,7 +507,6 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
         pref = pref0 * (2.0 * alpha if want_grad else 1.0)
         radius, _ = kernels._radius_for(alpha, geom["rho"], geom["covol"], eps, pref,
                                         int(want_grad))
-        d0 = flat.T - geom["rows"].T @ np.round(geom["dual_rows"] @ flat.T)
         spread = float(np.max(np.hypot(d0[0], d0[1])))
         sums = []
         for k, length in enumerate(periods):
@@ -620,6 +597,85 @@ def test_overflowing_displacements_are_rejected():
                     fn(KernelQuery(surface=surface, x=x, y=y, t=0.1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_points_agree_with_their_recentred_points():
+    """A point far out on the cover gives what the same point in the cell
+    gives, within the two bounds plus 1e-13, on both routes, for values and
+    gradients, single queries and projections.  Without the recentring the
+    spectral phases of x = (1e9 + 0.25, 0.3) lost 7e-9, and those of
+    x = (1.7e308, 0) overflowed.  Recentred in float arithmetic, the torus
+    point x = 1e9 v + (0.25, 0.3) along v = (-0.3, 1.2) moved by 4e-8, as
+    1e9 v rounds; its cell point is x - 1e9 v in fractions.  (On a Klein
+    bottle of height 0.8 that far along v, x - g(y) itself rounds.)"""
+    cases = [((1e9 + 0.25, 0.3), (0.0, 0.0), (0.25, 0.3), (0.0, 0.0)),
+             ((0.25, 0.3), (-1e9, 0.0), (0.25, 0.3), (0.0, 0.0)),
+             ((1.7e308, 0.0), (0.0, 0.2), (0.0, 0.0), (0.0, 0.2))]
+    xv = (1e9 * -0.3 + 0.25, 1e9 * 1.2 + 0.3)
+    xv0 = tuple(float(Fraction(c) - 10 ** 9 * Fraction(v)) for c, v in zip(xv, (-0.3, 1.2)))
+    along_v = [(xv, (0.0, 0.0), xv0, (0.0, 0.0))]
+    for surface, extra in ((torus(0.3, 1.2), along_v), (klein_bottle(0.8), [])):
+        modes = enumerate_modes(surface, 120.0)[1:]
+        for x, y, x0, y0 in cases + extra:
+            far, near = (np.array(x), np.array(y)), (np.array(x0), np.array(y0))
+            for t in (0.02, 0.1, 1.0):
+                for rep in ("image", "spectral"):
+                    for fn in (heat_values, heat_gradient_values):
+                        v, e, _, _ = fn(surface, t, *far, eps=1e-12, representation=rep)
+                        v0, e0, _, _ = fn(surface, t, *near, eps=1e-12, representation=rep)
+                        assert np.isfinite(v).all()
+                        assert np.abs(v - v0).max() <= e + e0 + 1e-13, (surface, x, t, rep, fn)
+                    q = KernelQuery(surface=surface, x=x, y=y, t=t, representation=rep)
+                    q0 = KernelQuery(surface=surface, x=x0, y=y0, t=t, representation=rep)
+                    k, k0 = heat_kernel(q), heat_kernel(q0)
+                    assert abs(k.value - k0.value) <= k.error_bound + k0.error_bound + 1e-13
+            for mode in modes:
+                assert abs(projection_kernel(surface, mode, *far)
+                           - projection_kernel(surface, mode, *near)) <= 1e-13, (surface, x, mode)
+                (g, e), (g0, e0) = (projection_gradient(surface, mode, *p) for p in (far, near))
+                assert np.abs(g - g0).max() <= e + e0 + 1e-13, (surface, x, mode)
+
+
+def _klein_mode_table_by_loops(b, lam_max, tol=1e-9):
+    """The Klein mode table from loops over l1 and over l2 up to the ellipse
+    (2 pi l1)^2 + (pi l2 / b)^2 <= lam_max: a reference that enumerates no
+    dual lattice.  Like the torus table, it keeps eigenvalues up to
+    lam_max (1 + tol) + 1e-12."""
+    top = lam_max * (1.0 + tol) + 1e-12
+    entries = []
+    l1 = 0
+    while (2 * math.pi * l1) ** 2 <= top:
+        lam1 = (2 * math.pi * l1) ** 2
+        for l2 in range(int(b * math.sqrt(max(top - lam1, 0.0)) / math.pi) + 2):
+            lam = lam1 + (math.pi * l2 / b) ** 2
+            rule = kernels._klein_rule(l1, l2)
+            if lam <= top and rule is not None:
+                entries.append((lam, (l1, l2, "sin" if rule[1] else "cos"), rule[2]))
+        l1 += 1
+    entries.sort(key=lambda e: (e[0], e[1][0], e[1][1]))
+    return kernels._group_eigenvalues(entries, tol)
+
+
+def test_klein_modes_from_the_cover_dual_disk_match_index_loops():
+    """Klein modes read from the cover's half dual disk: the same modes,
+    multiplicities and generator sets as loops over (l1, l2), and the
+    eigenvalues within 1e-15 relative.  Exactly degenerate shells (b = 1,
+    1.5, 2, ...) may list their generators in another order.  A lambda_max
+    5e-10 relative below an eigenvalue lists it, within the 1e-9 tolerance."""
+    just_below = 4.0 * math.pi ** 2 * (1.0 - 5e-10)
+    assert enumerate_modes(klein_bottle(1.0), just_below)[-1].eigenvalue > just_below
+    assert enumerate_modes(torus(0.0, 1.0), just_below)[-1].eigenvalue > just_below
+    for b in np.linspace(0.05, 5.0, 100).tolist() + [0.5, 1.0, 1.5, 2.0]:
+        for lam_max in (40.0, 400.0, 2000.0, just_below):
+            got = enumerate_modes(klein_bottle(b), lam_max)
+            want = _klein_mode_table_by_loops(b, lam_max)
+            assert len(got) == len(want), (b, lam_max)
+            for mode, (lam, gens, count) in zip(got, want):
+                assert abs(mode.eigenvalue - lam) <= 1e-15 * lam, (b, lam_max, lam)
+                assert mode.multiplicity == count, (b, lam_max, lam)
+                assert len(mode.generators) == len(gens)
+                assert set(mode.generators) == set(gens), (b, lam_max, lam)
+
+
 def test_gradient_at_huge_time_is_zero():
     # the moment-1 tail once raised OverflowError from alpha ** 1.5 at t >= ~1e205
     for surface in (klein_bottle(0.8), torus(0.3, 1.2)):
@@ -686,6 +742,17 @@ def test_projection_diagonal_klein_spread():
     # cos(2 pi x1)^2 eigenfunction: diagonal swings by its full square range
     assert abs((diag.maximum - diag.minimum) - 2.0 / 1.3) < 1e-10
     del modes
+
+
+def test_grids_over_the_work_budget_are_refused(monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 100)
+    for surface in (torus(0.3, 1.2), klein_bottle(0.8)):
+        assert fundamental_domain_grid(surface, 10)[0].shape == (10, 10, 2)
+        mode = enumerate_modes(surface, 50.0)[1]
+        for fn in (fundamental_domain_grid, lambda s, n: projection_diagonal_scan(s, mode, n),
+                   lambda s, n: gradient_sum_check(s, mode, n)):
+            with pytest.raises(InvalidParameter):
+                fn(surface, 11)
 
 
 def test_eigenbasis_orthonormal_on_grid():

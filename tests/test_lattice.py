@@ -5,6 +5,7 @@ search, so the canonical (a, b) values here are independently derived rather
 than copied from the implementation.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from flatheat import (DegenerateBasis, InvalidParameter, LatticeTag, RawBasis,
                       ReducedLattice, classify, covering_radius, cut_distance,
-                      dual, reduce, torus_distance, voronoi)
+                      dual, reduce, surface_distance, torus, torus_distance, voronoi)
+from flatheat.kernels import heat_values
+from flatheat.lattice import _recentre
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 
@@ -358,6 +361,44 @@ def test_torus_distance_rejects_non_finite_points():
                  ((1e308, 0.0), (-1e308, 0.0))]:
         with pytest.raises(InvalidParameter):
             torus_distance(lat, x, y)
+
+
+def _reduced_by_cramer(rows, x):
+    """x - n0 u - n1 v for basis rows u, v, with n the nearest integers to the
+    lattice coordinates of x by Cramer's rule, all in fractions, rounded once."""
+    (u0, u1), (v0, v1) = [[Fraction(w) for w in row] for row in rows]
+    x0, x1 = map(Fraction, x)
+    det = u0 * v1 - u1 * v0
+    n0, n1 = round((x0 * v1 - x1 * v0) / det), round((x1 * u0 - x0 * u1) / det)
+    return float(x0 - n0 * u0 - n1 * v0), float(x1 - n0 * u1 - n1 * v1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_points_reduce_exactly():
+    """Points far out, along both basis vectors and out to 1e308, reduce to
+    the exact reduction rounded once, and keep its distance and heat values,
+    with no RuntimeWarning.  In float arithmetic k v rounds: the reduced
+    point moved by about 4e-8 at x = 1e9 (-0.3, 1.2) + (0.25, 0.3), and by
+    whole lattice vectors from x = (0, 3e17) on."""
+    surface = torus(0.3, 1.2)
+    rows = ((1.0, 0.0), (-0.3, 1.2))
+    y = (0.0, 0.0)
+    far = [(1e9 * -0.3 + 0.25, 1e9 * 1.2 + 0.3), (1e9 + 0.25, 0.3), (0.0, 3e17),
+           (0.0, 1.7e308), (1.7e308, 1.7e308), (-1.7e308, 2.5e-300)]
+    got = _recentre(rows, far)
+    for x, d0 in zip(far, got.T.tolist()):
+        x0 = _reduced_by_cramer(rows, x)
+        assert tuple(d0) == x0, x
+        assert abs(torus_distance(surface.lattice, x, y)
+                   - torus_distance(surface.lattice, x0, y)) <= 1e-15
+        assert abs(surface_distance(surface, x, y) - surface_distance(surface, x0, y)) <= 1e-15
+        for rep in ("image", "spectral"):
+            v, e, _, _ = heat_values(surface, 0.1, np.array(x), np.array(y), representation=rep)
+            w, f, _, _ = heat_values(surface, 0.1, np.array(x0), np.array(y), representation=rep)
+            assert abs(v - w) <= e + f + 1e-13, (x, rep)
+    # a near point in a batch with far ones keeps its float reduction
+    near = (0.7, -0.4)
+    assert (_recentre(rows, [far[0], near])[:, 1] == _recentre(rows, near)[:, 0]).all()
 
 
 def test_torus_distance_brute_force(rng):

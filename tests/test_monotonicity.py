@@ -15,7 +15,7 @@ from flatheat import (Heat, InvalidParameter, NotSimple, Projection,
                       critical_point_census, klein_bottle, minimal_geodesic,
                       principal_eigenvalue, radial_curve, revalidate, scan,
                       torus)
-from flatheat import monotonicity, surfaces
+from flatheat import kernels, monotonicity, surfaces
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 
@@ -40,6 +40,14 @@ def test_scan_config_rejects_non_integer_sizes():
     cfg = ScanConfig(n_directions=np.int64(8), n_arc_samples=np.int32(8), t_values=(0.5,))
     assert (cfg.n_directions, cfg.n_arc_samples) == (8, 8)
     assert scan(torus(0.0, 1.0), Heat(), cfg).points_checked == (8 + 5) * 8
+
+
+def test_scan_config_refuses_more_samples_than_the_work_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 100)
+    assert ScanConfig(n_directions=12, n_arc_samples=8).n_directions == 12
+    for n_dirs, n_arc in ((13, 8), (4, 26)):
+        with pytest.raises(InvalidParameter):
+            ScanConfig(n_directions=n_dirs, n_arc_samples=n_arc)
 
 
 def test_scan_config_rejects_non_finite_base_points():
@@ -436,6 +444,12 @@ def test_census_rejects_bad_inputs(square_torus, klein13):
         critical_point_census(square_torus, 0.5, grid=32)
     with pytest.raises(InvalidParameter):
         critical_point_census(klein13, 0.5)
+
+
+def test_census_refuses_grids_over_the_work_budget(square_torus, monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 64 * 64 - 1)
+    with pytest.raises(InvalidParameter):
+        critical_point_census(square_torus, 0.5, grid=64)
 
 
 def test_census_rejects_non_integer_grid(square_torus):
