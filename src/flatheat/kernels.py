@@ -16,10 +16,16 @@ and each K_L is evaluated by one of two dual routes over the cover lattice:
 Poisson summation says the two must agree; the test suite checks that they do
 within the certified truncation bounds carried by every value.  Truncation is
 certified by a Gaussian ring bound: once all points inside a radius are
-summed, the discarded tail is dominated by an explicit erfc integral.  Both
-routes sum at displacements reduced modulo the cover lattice, as distances
-are (``lattice._recentre``, exactly for far-out ones), so a far-out point
-loses no digits beyond those x - h(y) itself rounds away.
+summed, the discarded tail is dominated by an explicit erfc integral.
+
+Every value, gradient and projection goes from points to sums through one
+pipeline, ``_deck_sum``: x - h(y) is formed once, as for distances
+(``surfaces._deck_displacements``), reduced once modulo the cover lattice
+(``lattice._recentre``, exactly for far-out points, which so lose no digits
+beyond those x - h(y) itself rounds away) and handed as coordinate rows to a
+route that takes reduced displacements only: ``_image`` or ``_spectral`` for
+the heat kernel, ``_cosine_sum`` over one shell for a projection.  Gradients
+then get the chain rule of each deck map, and the sum runs over h.
 
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
 product of two circles, and its heat kernel the product of theirs.  Both
@@ -85,8 +91,8 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import _geometry, _recentre
-from .surfaces import FlatSurface, Torus, _deck
+from .lattice import _geometry, _recentre, _vec
+from .surfaces import FlatSurface, Torus, _deck, _deck_displacements
 
 TERM_BUDGET = 10_000_000
 _TWO_PI = 2.0 * math.pi
@@ -375,7 +381,7 @@ def _harmonic_point_sums(theta: np.ndarray, tops: tuple, cos_w: np.ndarray,
 
 def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool):
     """sum_p w_p cos(2 pi p.d) over the dual vectors p, the rows of pts, or the
-    y-gradient sum_p 2 pi p w_p sin(2 pi p.d), at each recentred displacement
+    y-gradient sum_p 2 pi p w_p sin(2 pi p.d), at each reduced displacement
     d of d0 (coordinate rows, shape (2, P)).  Phases and contraction are BLAS
     matrix products (``@``), which may round a row differently depending on
     the block it sits in, so a point's bits depend on its batch."""
@@ -389,10 +395,11 @@ def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool)
     return out
 
 
-def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp (shape (..., 2)),
-    summed over the dual lattice: one value (or gradient row) per recentred
-    displacement, with the bound and the terms summed.
+def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
+    """Cover kernel (or y-gradient) at the reduced displacements d0
+    (coordinate rows, shape (2, P), ``lattice._recentre``), summed over the
+    dual lattice: one value (or gradient row) per displacement, with the
+    bound and the terms summed.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
     weight 2 (``_cosine_sum``).  A rectangular lattice, with periods L0, L1,
@@ -411,10 +418,10 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius, err = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    d0 = _recentre(rows, disp)
     if not geom["axis_aligned"]:
         # p and -p contribute alike: sum one of each pair, with weight 2
         _, pts, r2 = _disk(rows, radius, half=True, dual=True)
+        _check_work(len(pts), d0.shape[1])
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
         return _cosine_sum(d0, pts, w, want_grad), err, len(pts)
@@ -441,14 +448,15 @@ def _spectral(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bo
     return out, err, (n0 * n1 + 1) // 2
 
 
-def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at displacements disp (shape (..., 2)),
-    summed over lattice images: one value (or gradient row) per displacement.
+def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
+    """Cover kernel (or y-gradient) at the reduced displacements d0
+    (coordinate rows, shape (2, P), ``lattice._recentre``), summed over
+    lattice images: one value (or gradient row) per displacement.
 
-    Displacements are recentred to d0 with |d0| <= spread, and every image p
-    with |p| <= radius + spread is summed, so each d0 - p within the radius
-    is.  A rectangular lattice sums the box |p_k| <= radius + spread instead,
-    which holds that disk, so its omitted terms are part of the disk's tail.
+    With |d0| <= spread over the batch, every image p with
+    |p| <= radius + spread is summed, so each d0 - p within the radius is.  A
+    rectangular lattice sums the box |p_k| <= radius + spread instead, which
+    holds that disk, so its omitted terms are part of the disk's tail.
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
@@ -468,7 +476,6 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
     scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
-    d0 = _recentre(rows, disp)
     n_pts = d0.shape[1]
     spread = float(np.hypot(d0[0], d0[1]).max()) if n_pts else 0.0
     out = np.empty((n_pts, 2) if want_grad else n_pts)
@@ -493,6 +500,7 @@ def _image(rows: tuple, t: float, disp: np.ndarray, eps: float, want_grad: bool)
     else:
         _, pts, _ = _disk(rows, radius + spread)
         terms = len(pts)
+        _check_work(terms, n_pts)
         far = pts[::-1]  # farthest first
         p0, p1 = far[:, 0:1], far[:, 1:2]
         # both difference columns, their squares and the Gaussians
@@ -529,7 +537,7 @@ def _validate_time_eps(t: float, eps: float) -> None:
 
 def _broadcast_pair(x, y):
     """x and y as float arrays of one shape (..., 2).  Non-finite points give
-    non-finite displacements, which the evaluators reject (``lattice._recentre``)."""
+    non-finite displacements, which the deck sum rejects (``lattice._recentre``)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1:] != (2,) or y.shape[-1:] != (2,):
@@ -537,67 +545,38 @@ def _broadcast_pair(x, y):
     return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
 
 
-def _pair_displacements(surface: FlatSurface, x, y):
-    """Cover rows and the displacements x - h(y), shape (deck elements, 2), of
-    one pair of finite points given as float pairs.  Float arithmetic rounds
-    each operation as numpy does, and an overflow gives inf without a warning,
-    which the evaluators reject (``lattice._recentre``)."""
-    rows, lin, shift = _deck(surface)
-    (x0, x1), (y0, y1) = x, y
-    if len(lin) == 1:  # the identity alone (a torus)
-        disp = np.array([[x0 - y0, x1 - y1]])
-    else:
-        disp = np.array([[x0 - (y0 * l0 + s0), x1 - (y1 * l1 + s1)]
-                         for (l0, l1), (s0, s1) in zip(lin.tolist(), shift.tolist())])
-    return rows, disp
-
-
-def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
-    """Cover rows and the displacements x - h(y), stacked over deck elements h,
-    for float arrays x, y of one shape (..., 2) (``_broadcast_pair``); an
-    overflow, or an infinite point, gives inf or NaN without a warning."""
-    if x.shape == (2,):
-        return _pair_displacements(surface, x.tolist(), y.tolist())
-    rows, lin, shift = _deck(surface)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(lin) == 1:  # the identity alone (a torus)
-            disp = (x - y)[None]
-        else:  # per coordinate, so that the loops run over points, not over pairs
-            shape = (len(lin),) + (1,) * (y.ndim - 1)
-            disp = np.empty((len(lin),) + y.shape)
-            for c in (0, 1):
-                np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
-                            + shift[:, c].reshape(shape), out=disp[..., c])
-    return rows, disp
-
-
-def _deck_sum(cover_sum, disp: np.ndarray, want_grad: bool):
-    """Sum a cover-lattice sum (or its y-gradient) over the deck group.
-
-    cover_sum maps the displacements disp = x - h(y), stacked over the k deck
-    elements h (shape (k, ..., 2)), to one sum (or gradient row) per
-    displacement with its error bound and its terms.  Since the glide
-    reverses x1, the chain rule negates the first gradient component of its
-    term.  Returns the sums over h with k times the bound and the terms.
+def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
+    """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
+    pipeline from points x, y (float arrays of one shape (..., 2), or float
+    pairs) to every kernel value, gradient and projection.  It forms the
+    displacements x - h(y) over the k deck elements h
+    (``surfaces._deck_displacements``), reduces them once modulo the cover
+    (``lattice._recentre``, which rejects non-finite ones) and hands the
+    cover rows and the reduced coordinate rows d0, shape (2, k P), to
+    cover_sum(rows, d0), which returns one sum (or gradient row) per
+    displacement with its bound and its terms.  Gradients are multiplied by
+    each deck map's linear part lin[h] (the chain rule; the glide reverses
+    x1).  Returns the sums over h with k times the bound and the terms.
     """
-    out, err, terms = cover_sum(disp)
+    rows, lin, disp = _deck_displacements(surface, x, y)
+    out, err, terms = cover_sum(rows, _recentre(rows, disp))
     out = out.reshape(disp.shape[:-1] + out.shape[1:])
+    k = len(lin)
     if want_grad:
-        out[1:, ..., 0] *= -1.0
-    k = disp.shape[0]
+        out *= lin.reshape((k,) + (1,) * (out.ndim - 2) + (2,))
     return out.sum(axis=0), k * err, k * terms
 
 
-def _heat_sum(surface: FlatSurface, t: float, rows: tuple, disp: np.ndarray, eps: float,
-              representation: str, want_grad: bool):
-    """The heat kernel (or its y-gradient) as a deck sum at the displacements
-    disp on the cover lattice with basis rows, for a checked time and
-    tolerance, with the representation used; each of the k deck elements
-    gets eps / k."""
+def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: str,
+              want_grad: bool):
+    """The heat kernel (or its y-gradient) at points x, y as a deck sum, for a
+    checked time and tolerance, with the representation used; each of the k
+    deck elements gets eps / k."""
     rep = _resolve_rep(surface, t, representation)
     fn = _spectral if rep == "spectral" else _image
-    eps_h = eps / disp.shape[0]
-    return (*_deck_sum(lambda d: fn(rows, t, d, eps_h, want_grad), disp, want_grad), rep)
+    eps_h = eps / len(_deck(surface)[1])
+    return (*_deck_sum(surface, x, y, lambda rows, d0: fn(rows, t, d0, eps_h, want_grad),
+                       want_grad), rep)
 
 
 def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
@@ -612,18 +591,20 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     count the terms of their box, though they evaluate them as a product of
     two per-axis sums: the n0 * n1 images of the image box, and the half
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
+    On the image route the images cover the batch's largest reduced
+    displacement, so terms_used depends on the batch while the values do not:
+    on torus(0.3, 1.2) at t = 0.01, 100 points near the origin count 19 terms
+    alone and 27 in a batch with one more point at (0.5, 0.6).
     """
     _validate_time_eps(t, eps)
-    return _heat_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
-                     representation, want_grad=False)
+    return _heat_sum(surface, t, *_broadcast_pair(x, y), eps, representation, want_grad=False)
 
 
 def heat_gradient_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
                          representation: str = "auto"):
     """Gradient of K_t(x, .) in the second argument, on arrays of points."""
     _validate_time_eps(t, eps)
-    return _heat_sum(surface, t, *_deck_displacements(surface, *_broadcast_pair(x, y)), eps,
-                     representation, want_grad=True)
+    return _heat_sum(surface, t, *_broadcast_pair(x, y), eps, representation, want_grad=True)
 
 
 @dataclass(frozen=True)
@@ -636,8 +617,7 @@ class KernelQuery:
     representation: str = "auto"
 
     def __post_init__(self):
-        x = (float(self.x[0]), float(self.x[1]))
-        y = (float(self.y[0]), float(self.y[1]))
+        x, y = tuple(_vec(self.x).tolist()), tuple(_vec(self.y).tolist())
         if not all(map(math.isfinite, x + y)):
             raise InvalidParameter(f"points must be finite, got x={x}, y={y}")
         object.__setattr__(self, "x", x)
@@ -665,16 +645,14 @@ class KernelGradient:
 
 def heat_kernel(query: KernelQuery) -> KernelValue:
     # the query checked its points, time and tolerance when it was made
-    vals, err, terms, rep = _heat_sum(
-        query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
-        query.epsilon, query.representation, want_grad=False)
+    vals, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y,
+                                      query.epsilon, query.representation, want_grad=False)
     return KernelValue(float(vals), err, terms, rep)
 
 
 def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
-    grads, err, terms, rep = _heat_sum(
-        query.surface, query.t, *_pair_displacements(query.surface, query.x, query.y),
-        query.epsilon, query.representation, want_grad=True)
+    grads, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y,
+                                       query.epsilon, query.representation, want_grad=True)
     return KernelGradient((float(grads[0]), float(grads[1])), err, terms, rep)
 
 
@@ -744,11 +722,14 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
                     tol: float = 1e-9) -> list[SpectralMode]:
     """All eigenvalues <= lambda_max, grouped within relative tol, ascending.
 
-    Raises InvalidParameter when the cover's dual lattice may hold more than
+    Raises InvalidParameter unless lambda_max and tol are finite and
+    non-negative, and when the cover's dual lattice may hold more than
     TERM_BUDGET points with 4 pi^2 |p|^2 <= lambda_max, before enumerating.
     """
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"tol must be finite and non-negative, got {tol}")
     rows = _deck(surface)[0]
     geom = _geometry(rows)
     radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
@@ -811,13 +792,12 @@ def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool)
     spectral disk route's cosine sum over the shell (``_shell``), with weight
     1 / area, through the heat kernel's deck sum."""
     _check_mode(surface, mode)
-    rows, disp = _deck_displacements(surface, *_broadcast_pair(x, y))
     vecs = _shell(surface, mode)
-    area = _geometry(rows)["covol"]
+    area = _geometry(_deck(surface)[0])["covol"]
     w = np.full(len(vecs), 1.0 / area)
     out, _, terms = _deck_sum(
-        lambda d: (_cosine_sum(_recentre(rows, d), vecs, w, want_grad), 0.0, len(vecs)),
-        disp, want_grad)
+        surface, *_broadcast_pair(x, y),
+        lambda rows, d0: (_cosine_sum(d0, vecs, w, want_grad), 0.0, len(vecs)), want_grad)
     if not want_grad:
         return out
     # a heuristic rounding bound over the deck elements times shell vectors summed
@@ -905,6 +885,20 @@ def _check_size(n, least: int, name: str, width: int | None = None) -> int:
         raise InvalidParameter(
             f"{name} {n} needs {count} nodes, more than the budget of {TERM_BUDGET}")
     return n
+
+
+# terms x points that one disk-route call may sum; the box routes of
+# rectangular covers evaluate n0 + n1 exponentials per point for their terms
+WORK_BUDGET = 100 * TERM_BUDGET
+
+
+def _check_work(terms: int, points: int) -> None:
+    """ToleranceUnreachable when summing terms lattice terms at each of points
+    displacements passes WORK_BUDGET; checked before anything is summed."""
+    if terms * points > WORK_BUDGET:
+        raise ToleranceUnreachable(
+            f"{terms} terms at {points} points need {terms * points} term evaluations, "
+            f"more than the budget of {WORK_BUDGET}")
 
 
 def fundamental_domain_grid(surface: FlatSurface, n: int, midpoint: bool = False):

@@ -27,7 +27,12 @@ _VERTEX_COLLAPSE = 1e-12
 
 
 def _vec(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(2)
+    """A point or a vector as a float array of shape (2,); InvalidParameter
+    unless it has exactly two components."""
+    v = np.asarray(x, dtype=float)
+    if v.size != 2:
+        raise InvalidParameter(f"a point or vector must have two components, got {v.size}")
+    return v.reshape(2)
 
 
 def _cross(u, v) -> float:
@@ -173,7 +178,7 @@ def reduce(basis, v=None) -> ReducedLattice:
     an entry of the basis change leaves the float or int64 range.
     """
     if v is not None:
-        basis = RawBasis((float(basis[0]), float(basis[1])), (float(v[0]), float(v[1])))
+        basis = RawBasis(basis, v)
     elif not isinstance(basis, RawBasis):
         raise TypeError("reduce expects a RawBasis or two vectors")
 

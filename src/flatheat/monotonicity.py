@@ -38,7 +38,7 @@ from .kernels import (
     projection_gradient,
     projection_kernel,
 )
-from .lattice import LatticeTag, _unit, classify
+from .lattice import LatticeTag, _unit, _vec, classify
 from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
@@ -93,7 +93,7 @@ class ScanConfig:
         if self.base_points is not None:
             object.__setattr__(
                 self, "base_points",
-                tuple((float(p[0]), float(p[1])) for p in self.base_points))
+                tuple(tuple(_vec(p).tolist()) for p in self.base_points))
             if not all(math.isfinite(c) for p in self.base_points for c in p):
                 raise InvalidParameter("base_points must be finite")
 
@@ -330,7 +330,14 @@ def revalidate(surface: FlatSurface, witness: ViolationWitness,
 
 def radial_curve(surface: FlatSurface, kernel, base, direction, n: int = 101,
                  eps: float = 1e-12):
-    """Sampled (s, value, derivative, error_bound) arrays along one geodesic."""
+    """Sampled (s, value, derivative, error_bound) arrays along one geodesic.
+
+    Raises InvalidParameter unless n is an integer of at least 1 within
+    TERM_BUDGET, and for a heat kernel without a time.
+    """
+    n = _check_size(n, 1, "n", width=1)
+    if isinstance(kernel, Heat) and kernel.t is None:
+        raise InvalidParameter("a heat-kernel curve needs a time: Heat(t)")
     geo = minimal_geodesic(surface, base, direction)
     s = geo.s_max * (np.arange(1, n + 1) / n)
     X, Y, U = _segment(np.array(geo.base), np.array(geo.direction), s)

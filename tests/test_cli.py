@@ -249,6 +249,15 @@ def test_projection_diag_over_the_work_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error: InvalidParameter: grid size 32")
 
 
+def test_kernel_over_the_work_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(kernels, "WORK_BUDGET", 10)
+    code, out, err = run(capsys, ["kernel", "--a", "0.3", "--b", "1.2", "--x", "0,0",
+                                  "--y", "0.25,0.1", "--t", "0.2", "--rep", "spectral"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ToleranceUnreachable: ")
+    assert "more than the budget of 10" in err
+
+
 def test_reduce_huge_basis(capsys):
     doc = run_valid(capsys, ["reduce", "--u", "1e300,0", "--v", "0,1e300"])
     assert doc["results"]["lattice_class"] == "Square"

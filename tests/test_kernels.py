@@ -23,6 +23,7 @@ from flatheat import (InvalidParameter, KernelQuery, ModeSurfaceMismatch,
                       projection_kernel, torus)
 from flatheat import kernels
 from flatheat.kernels import heat_gradient_values, heat_values
+from flatheat.lattice import _recentre
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -166,6 +167,36 @@ def test_enumerate_modes_refuses_more_than_the_term_budget(monkeypatch):
             enumerate_modes(surface, 4000.0)
     with pytest.raises(InvalidParameter):
         enumerate_modes(torus(0.0, 1.0), 1e300)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -0.6, -1e-12])
+def test_enumerate_modes_needs_a_finite_non_negative_tolerance(tol):
+    for surface in (torus(0.3, 1.2), klein_bottle(0.7)):
+        with pytest.raises(InvalidParameter, match="tol"):
+            enumerate_modes(surface, 50.0, tol=tol)
+    assert enumerate_modes(torus(0.3, 1.2), 50.0, tol=0.0)
+
+
+def test_disk_routes_refuse_work_over_the_budget(rng, monkeypatch):
+    """terms x points past WORK_BUDGET raise ToleranceUnreachable on both disk
+    routes, at the budget they sum; the box routes of rectangular covers
+    (a = 0 tori, Klein bottles) evaluate per axis and are not checked."""
+    X, Y = rng.uniform(0, 1, (50, 2)), rng.uniform(0, 1, (50, 2))
+    generic = torus(0.3, 1.2)
+    cases = [(rep, fn, fn(generic, 0.05, X, Y, representation=rep)[2])
+             for rep in ("image", "spectral") for fn in (heat_values, heat_gradient_values)]
+    for rep, fn, terms in cases:
+        monkeypatch.setattr(kernels, "WORK_BUDGET", 50 * terms - 1)
+        with pytest.raises(ToleranceUnreachable, match="budget"):
+            fn(generic, 0.05, X, Y, representation=rep)
+        monkeypatch.setattr(kernels, "WORK_BUDGET", 50 * terms)
+        assert fn(generic, 0.05, X, Y, representation=rep)[2] == terms
+    monkeypatch.setattr(kernels, "WORK_BUDGET", 0)
+    with pytest.raises(ToleranceUnreachable):
+        heat_kernel(KernelQuery(surface=generic, x=(0, 0), y=(0.1, 0.2), t=0.05))
+    for surface in (torus(0.0, 1.5), klein_bottle(0.8)):
+        for rep in ("image", "spectral"):
+            assert heat_values(surface, 0.05, X, Y, representation=rep)[2] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +350,20 @@ def test_rectangular_box_route_matches_disk_route(rng):
         for t in (0.012, 0.05, 0.3, 8.0):
             for eps in (1e-10, 1e-13):
                 for want_grad in (False, True):
-                    box, e_box, _ = kernels._image(box_rows, t, disp, eps, want_grad)
-                    disk, e_disk, _ = kernels._image(disk_rows, t, disp, eps, want_grad)
+                    box, e_box, _ = kernels._image(box_rows, t, _recentre(box_rows, disp), eps,
+                                                   want_grad)
+                    disk, e_disk, _ = kernels._image(disk_rows, t, _recentre(disk_rows, disp), eps,
+                                                     want_grad)
                     assert e_box <= eps and e_disk <= eps
                     assert np.abs(box - disk).max() <= e_disk + 1e-13
                     if not want_grad:
                         assert (box - disk).min() >= -1e-15 * disk.max()
                     # cosine sums cancel: seen up to 2.0e-15 of the largest output
-                    box, e_box, n_box = kernels._spectral(box_rows, t, disp, eps, want_grad)
-                    disk, e_disk, n_disk = kernels._spectral(disk_rows, t, disp, eps, want_grad)
+                    box, e_box, n_box = kernels._spectral(box_rows, t, _recentre(box_rows, disp),
+                                                          eps, want_grad)
+                    disk, e_disk, n_disk = kernels._spectral(disk_rows, t,
+                                                             _recentre(disk_rows, disp), eps,
+                                                             want_grad)
                     assert e_box == e_disk <= eps
                     assert n_box >= n_disk
                     assert np.abs(box - disk).max() <= e_disk + 4e-15 * np.abs(disk).max()
@@ -350,7 +386,8 @@ def test_image_route_matches_longdouble_sum(rng):
         for t in (0.05, 0.3, 2.0, 8.0):
             refs = longdouble_image_sums(rows, t, disp)
             for want_grad, (ref, size) in enumerate(refs):
-                out, err, _ = kernels._image(rows, t, disp, 1e-20, bool(want_grad))
+                out, err, _ = kernels._image(rows, t, _recentre(rows, disp), 1e-20,
+                                             bool(want_grad))
                 assert (np.abs(out - ref) <= err + 48 * u * size).all(), (rows, t, want_grad)
 
 
@@ -540,7 +577,7 @@ def test_box_routes_match_per_axis_reference(rng):
                     for disp in disps:
                         for rep, fn in (("spectral", kernels._spectral), ("image", kernels._image)):
                             ref = _per_axis_box_reference(rows, t, disp, eps, want_grad, rep)
-                            got = fn(rows, t, disp, eps, want_grad)[0]
+                            got = fn(rows, t, _recentre(rows, disp), eps, want_grad)[0]
                             assert np.array_equal(got, ref), (h, t, eps, want_grad, len(disp), rep)
 
 

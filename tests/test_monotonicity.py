@@ -264,6 +264,46 @@ def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
     assert np.abs(fd[2:-2] - derivs[2:-2]).max() < 1e-3
 
 
+@pytest.mark.parametrize("n", [2.5, -3, 0, "8"])
+def test_radial_curve_refuses_bad_sample_counts(n):
+    with pytest.raises(InvalidParameter, match="n must be an integer"):
+        radial_curve(torus(0.3, 1.2), Heat(0.5), (0, 0), (1, 0), n=n)
+
+
+def test_radial_curve_refuses_more_samples_than_the_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 100)
+    assert len(radial_curve(torus(0.3, 1.2), Heat(0.5), (0, 0), (1, 0), n=100)[0]) == 100
+    with pytest.raises(InvalidParameter, match="budget of 100"):
+        radial_curve(torus(0.3, 1.2), Heat(0.5), (0, 0), (1, 0), n=101)
+
+
+def test_radial_curve_of_the_heat_kernel_needs_a_time():
+    with pytest.raises(InvalidParameter, match="time"):
+        radial_curve(klein_bottle(0.8), Heat(), (0.1, 0.2), (0, 1))
+
+
+def test_scans_do_not_depend_on_the_worker_count(monkeypatch):
+    """One worker runs the tasks in the calling thread, three run them in a
+    pool: a three-base, three-time Klein heat scan and a three-base torus
+    projection scan give the same witnesses, counts and verdicts either way."""
+    gen = torus(0.3, 1.2)
+    size = dict(n_directions=24, n_arc_samples=16)
+    jobs = [(klein_bottle(0.8), Heat(),
+             ScanConfig(t_values=(0.05, 0.5, 4.0),
+                        base_points=((0.1, 0.2), (0.3, 0.55), (0.45, 0.9)), **size)),
+            (gen, Projection(principal_eigenvalue(gen)),
+             ScanConfig(base_points=((0.0, 0.0), (0.2, 0.1), (0.4, 0.7)), **size))]
+    reports = {}
+    for threads in (1, 3):
+        monkeypatch.setenv("FLAT_HEAT_THREADS", str(threads))
+        assert flatheat.worker_count() == threads
+        reports[threads] = [scan(*job) for job in jobs]
+    for one, three in zip(reports[1], reports[3]):
+        assert one.witnesses and one.witnesses == three.witnesses
+        assert (one.verdict, one.inconclusive_count, one.points_checked) == \
+            (three.verdict, three.inconclusive_count, three.points_checked)
+
+
 def test_radial_curve_ends_at_minimal_geodesic():
     kb = klein_bottle(1.3)
     for base, direction in (((3.2, 0.4), (0.6, 0.35)), ((-0.7, 1.1), (-0.2, 1.0))):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatheat import (InvalidParameter, glide, klein_bottle, minimal_geodesic,
-                      orbit_representatives, surface_distance, torus)
+from flatheat import (InvalidParameter, KernelQuery, ScanConfig, cut_distance, glide,
+                      klein_bottle, minimal_geodesic, orbit_representatives, reduce,
+                      surface_distance, torus, torus_distance)
 
 
 def klein_distance_closed_form(b, x, y):
@@ -187,3 +188,29 @@ def test_klein_bottle_rejects_bad_height():
         klein_bottle(-1.0)
     with pytest.raises(InvalidParameter):
         klein_bottle(float("nan"))
+
+
+_POINT_ENTRIES = {
+    "surface_distance-x": lambda p: surface_distance(torus(0.3, 1.2), p, (0, 0)),
+    "surface_distance-y": lambda p: surface_distance(klein_bottle(0.8), (0, 0), p),
+    "torus_distance": lambda p: torus_distance(torus(0.3, 1.2).lattice, p, (0, 0)),
+    "minimal_geodesic-base": lambda p: minimal_geodesic(klein_bottle(0.8), p, (1, 0)),
+    "minimal_geodesic-direction": lambda p: minimal_geodesic(torus(0.3, 1.2), (0, 0), p),
+    "orbit_representatives": lambda p: orbit_representatives(klein_bottle(0.8), p),
+    "cut_distance": lambda p: cut_distance(torus(0.3, 1.2).lattice, p),
+    "glide": lambda p: glide(klein_bottle(0.8), p),
+    "KernelQuery-x": lambda p: KernelQuery(surface=torus(0.3, 1.2), x=p, y=(0, 0), t=0.5),
+    "KernelQuery-y": lambda p: KernelQuery(surface=klein_bottle(0.8), x=(0, 0), y=p, t=0.5),
+    "ScanConfig-base_points": lambda p: ScanConfig(base_points=((0, 0), p)),
+    "reduce-u": lambda p: reduce(p, (0, 1)),
+    "reduce-v": lambda p: reduce((1, 0), p),
+}
+
+
+@pytest.mark.parametrize("point", [(), (1.0,), (1.0, 2.0, 3.0)], ids=["0", "1", "3"])
+@pytest.mark.parametrize("entry", list(_POINT_ENTRIES))
+def test_points_need_exactly_two_components(entry, point):
+    """A point or vector of other than two components is refused with a typed
+    error, not a ValueError or IndexError, and not silently truncated."""
+    with pytest.raises(InvalidParameter, match="two components"):
+        _POINT_ENTRIES[entry](point)
