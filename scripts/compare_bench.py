@@ -9,7 +9,9 @@ the metric's bound:
 
 - "worse" is the relative move in the metric's bad direction: the ratio - 1
   for a metric where lower is better, 1 - the ratio where higher is better;
-- "unresolved" when either side's interquartile range, relative to its
+- "better" when every change run reads better than every parent run, however
+  wide the spread;
+- else "unresolved" when either side's interquartile range, relative to its
   median, is wider than the bound, so the runs cannot place the move;
 - else "worse beyond bound" when worse > bound, and "within bound" otherwise.
 
@@ -44,7 +46,10 @@ def compare(metric: dict, parent: dict, change: dict) -> dict:
     spread = max((q[2] - q[0]) / q[1] for q in (p, c))
     seeds = sorted(set(parent) & set(change))
     won = sum((change[s] < parent[s]) if lower else (change[s] > parent[s]) for s in seeds)
-    if spread > metric["bound"]:
+    if (max(change.values()) < min(parent.values()) if lower
+            else min(change.values()) > max(parent.values())):
+        verdict = "better"
+    elif spread > metric["bound"]:
         verdict = "unresolved"
     elif worse > metric["bound"]:
         verdict = "worse beyond bound"

@@ -91,7 +91,7 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import _geometry, _recentre, _vec
+from .lattice import _geometry, _pair, _recentre
 from .surfaces import FlatSurface, Torus, _deck, _deck_displacements
 
 TERM_BUDGET = 10_000_000
@@ -547,21 +547,21 @@ def _broadcast_pair(x, y):
 
 def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
     """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
-    pipeline from points x, y (float arrays of one shape (..., 2), or float
-    pairs) to every kernel value, gradient and projection.  It forms the
-    displacements x - h(y) over the k deck elements h
-    (``surfaces._deck_displacements``), reduces them once modulo the cover
-    (``lattice._recentre``, which rejects non-finite ones) and hands the
-    cover rows and the reduced coordinate rows d0, shape (2, k P), to
-    cover_sum(rows, d0), which returns one sum (or gradient row) per
-    displacement with its bound and its terms.  Gradients are multiplied by
-    each deck map's linear part lin[h] (the chain rule; the glide reverses
-    x1).  Returns the sums over h with k times the bound and the terms.
+    pipeline from points x, y (float arrays of one shape (..., 2)) to every
+    kernel value, gradient and projection.  It forms the displacements
+    x - h(y) over the k deck elements h (``surfaces._deck_displacements``),
+    reduces them once modulo the cover (``lattice._recentre``, which rejects
+    non-finite ones) and hands the cover rows, the reduced coordinate rows
+    d0, shape (2, k P), and k to cover_sum(rows, d0, k), which returns one sum
+    (or gradient row) per displacement with its bound and its terms.
+    Gradients are multiplied by each deck map's linear part lin[h] (the chain
+    rule; the glide reverses x1).  Returns the sums over h with k times the
+    bound and the terms.
     """
     rows, lin, disp = _deck_displacements(surface, x, y)
-    out, err, terms = cover_sum(rows, _recentre(rows, disp))
-    out = out.reshape(disp.shape[:-1] + out.shape[1:])
     k = len(lin)
+    out, err, terms = cover_sum(rows, _recentre(rows, disp), k)
+    out = out.reshape(disp.shape[:-1] + out.shape[1:])
     if want_grad:
         out *= lin.reshape((k,) + (1,) * (out.ndim - 2) + (2,))
     return out.sum(axis=0), k * err, k * terms
@@ -574,8 +574,7 @@ def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: 
     deck elements gets eps / k."""
     rep = _resolve_rep(surface, t, representation)
     fn = _spectral if rep == "spectral" else _image
-    eps_h = eps / len(_deck(surface)[1])
-    return (*_deck_sum(surface, x, y, lambda rows, d0: fn(rows, t, d0, eps_h, want_grad),
+    return (*_deck_sum(surface, x, y, lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad),
                        want_grad), rep)
 
 
@@ -617,7 +616,7 @@ class KernelQuery:
     representation: str = "auto"
 
     def __post_init__(self):
-        x, y = tuple(_vec(self.x).tolist()), tuple(_vec(self.y).tolist())
+        x, y = _pair(self.x), _pair(self.y)
         if not all(map(math.isfinite, x + y)):
             raise InvalidParameter(f"points must be finite, got x={x}, y={y}")
         object.__setattr__(self, "x", x)
@@ -645,14 +644,16 @@ class KernelGradient:
 
 def heat_kernel(query: KernelQuery) -> KernelValue:
     # the query checked its points, time and tolerance when it was made
-    vals, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y,
-                                      query.epsilon, query.representation, want_grad=False)
+    vals, err, terms, rep = _heat_sum(query.surface, query.t, np.array(query.x),
+                                      np.array(query.y), query.epsilon, query.representation,
+                                      want_grad=False)
     return KernelValue(float(vals), err, terms, rep)
 
 
 def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
-    grads, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y,
-                                       query.epsilon, query.representation, want_grad=True)
+    grads, err, terms, rep = _heat_sum(query.surface, query.t, np.array(query.x),
+                                       np.array(query.y), query.epsilon, query.representation,
+                                       want_grad=True)
     return KernelGradient((float(grads[0]), float(grads[1])), err, terms, rep)
 
 
@@ -776,14 +777,16 @@ def _check_mode(surface: FlatSurface, mode: SpectralMode) -> None:
             f"mode belongs to {mode.surface!r}, not {surface!r}")
 
 
-def _shell(surface: FlatSurface, mode: SpectralMode) -> np.ndarray:
-    """The mode's cover dual vectors p (4 pi^2 |p|^2 = lambda) as rows; a Klein
-    generator (l1, l2) stands for (+-l1, +-l2 / 2b), see ``SpectralMode``."""
+def _shell(surface: FlatSurface, mode: SpectralMode):
+    """The mode's cover dual vectors p (4 pi^2 |p|^2 = lambda) as rows, and
+    the cover's area; a Klein generator (l1, l2) stands for
+    (+-l1, +-l2 / 2b), see ``SpectralMode``."""
     gens = mode.generators
     if not isinstance(surface, Torus):
         gens = list(dict.fromkeys((s1 * l1, s2 * l2) for l1, l2, _ in gens
                                   for s1 in (1, -1) for s2 in (1, -1)))
-    return np.array(gens, dtype=float) @ _geometry(_deck(surface)[0])["dual_rows"]
+    geom = _geometry(_deck(surface)[0])
+    return np.array(gens, dtype=float) @ geom["dual_rows"], geom["covol"]
 
 
 def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
@@ -792,12 +795,11 @@ def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool)
     spectral disk route's cosine sum over the shell (``_shell``), with weight
     1 / area, through the heat kernel's deck sum."""
     _check_mode(surface, mode)
-    vecs = _shell(surface, mode)
-    area = _geometry(_deck(surface)[0])["covol"]
+    vecs, area = _shell(surface, mode)
     w = np.full(len(vecs), 1.0 / area)
     out, _, terms = _deck_sum(
         surface, *_broadcast_pair(x, y),
-        lambda rows, d0: (_cosine_sum(d0, vecs, w, want_grad), 0.0, len(vecs)), want_grad)
+        lambda rows, d0, k: (_cosine_sum(d0, vecs, w, want_grad), 0.0, len(vecs)), want_grad)
     if not want_grad:
         return out
     # a heuristic rounding bound over the deck elements times shell vectors summed
@@ -826,7 +828,7 @@ def _eigenbasis(surface: FlatSurface, mode: SpectralMode, pts, want_grad: bool):
     if isinstance(surface, Torus):
         amp = math.sqrt(2.0 / surface.area)
         seen = set()
-        for (m, n), v in zip(mode.generators, _shell(surface, mode)):
+        for (m, n), v in zip(mode.generators, _shell(surface, mode)[0]):
             if (-m, -n) in seen:
                 continue
             seen.add((m, n))

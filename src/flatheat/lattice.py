@@ -22,6 +22,7 @@ _FAR_BASIS = "the basis change to the reduced basis overflows int64"
 # displacements beyond this many column sums of |basis rows| reduce exactly
 _FAR_REACHES = 64
 _NOT_FINITE = "points, and the displacements between them, must be finite"
+_TWO_COMPONENTS = "a point or vector must have two components, got {}"
 # collapse a Voronoi hexagon to a rectangle when adjacent vertices coincide
 _VERTEX_COLLAPSE = 1e-12
 
@@ -31,8 +32,16 @@ def _vec(x) -> np.ndarray:
     unless it has exactly two components."""
     v = np.asarray(x, dtype=float)
     if v.size != 2:
-        raise InvalidParameter(f"a point or vector must have two components, got {v.size}")
+        raise InvalidParameter(_TWO_COMPONENTS.format(v.size))
     return v.reshape(2)
+
+
+def _pair(p) -> tuple[float, float]:
+    """A point given as a sequence, as a pair of floats: the check of ``_vec``
+    without building an array, for points that are kept as tuples."""
+    if len(p) != 2:
+        raise InvalidParameter(_TWO_COMPONENTS.format(len(p)))
+    return float(p[0]), float(p[1])
 
 
 def _cross(u, v) -> float:

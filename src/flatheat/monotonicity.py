@@ -38,7 +38,7 @@ from .kernels import (
     projection_gradient,
     projection_kernel,
 )
-from .lattice import LatticeTag, _unit, _vec, classify
+from .lattice import LatticeTag, _pair, _unit, classify
 from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
@@ -91,9 +91,7 @@ class ScanConfig:
         if not all(tol > 0 and math.isfinite(tol) for tol in tols):
             raise InvalidParameter("tolerances must be positive and finite")
         if self.base_points is not None:
-            object.__setattr__(
-                self, "base_points",
-                tuple(tuple(_vec(p).tolist()) for p in self.base_points))
+            object.__setattr__(self, "base_points", tuple(map(_pair, self.base_points)))
             if not all(math.isfinite(c) for p in self.base_points for c in p):
                 raise InvalidParameter("base_points must be finite")
 

@@ -111,30 +111,23 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
     return (images[:, None, :] + (mn @ np.array(rows))[None]).reshape(-1, 2)
 
 
-def _deck_displacements(surface: FlatSurface, x, y):
+def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     """(rows, lin, disp): the cover rows, the deck maps' linear parts and the
     displacements x - h(y) = x - (y * lin[h] + shift[h]) over the deck
     elements h, shape (deck elements, ..., 2), for float arrays x, y of one
-    shape (..., 2) or float pairs: the one place x - h(y) is formed.  One
-    pair runs in float arithmetic, which rounds as numpy does at less cost
-    than numpy calls on two entries; arrays run per coordinate, so that the
-    loops run over points.  An overflow or an infinite point gives inf or NaN
-    without a warning, which ``lattice._recentre`` rejects.
+    shape (..., 2): the one place x - h(y) is formed.  It runs per
+    coordinate, so that the loops run over points, not over pairs.  An
+    overflow or an infinite point gives inf or NaN without a warning, which
+    ``lattice._recentre`` rejects.
     """
     rows, lin, shift = _deck(surface)
-    if isinstance(x, np.ndarray):
-        if x.shape != (2,):
-            shape = (len(lin),) + (1,) * (y.ndim - 1)
-            disp = np.empty((len(lin),) + y.shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for c in (0, 1):
-                    np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
-                                + shift[:, c].reshape(shape), out=disp[..., c])
-            return rows, lin, disp
-        x, y = x.tolist(), y.tolist()
-    (x0, x1), (y0, y1) = x, y
-    return rows, lin, np.array([[x0 - (y0 * l0 + s0), x1 - (y1 * l1 + s1)]
-                                for (l0, l1), (s0, s1) in zip(lin.tolist(), shift.tolist())])
+    shape = (len(lin),) + (1,) * (y.ndim - 1)
+    disp = np.empty((len(lin),) + y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (0, 1):
+            np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
+                        + shift[:, c].reshape(shape), out=disp[..., c])
+    return rows, lin, disp
 
 
 def surface_distance(surface: FlatSurface, x, y) -> float:

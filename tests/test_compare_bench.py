@@ -18,6 +18,8 @@ HIGHER = {"name": "requests_per_s", "better": "higher", "bound": 0.25}
     (LOWER, [100, 101, 102, 103, 104], [110, 111, 112, 113, 114], "within bound", 0),
     (LOWER, [100, 101, 102, 103, 104], [130, 131, 132, 133, 134], "worse beyond bound", 0),
     (LOWER, [60, 70, 102, 140, 160], [90, 91, 92, 93, 94], "unresolved", 3),
+    (LOWER, [100, 130, 150, 170, 190], [50, 60, 75, 90, 95], "better", 5),
+    (HIGHER, [60, 70, 80, 90, 100], [101, 130, 150, 170, 190], "better", 5),
     (HIGHER, [100, 101, 102, 103, 104], [70, 71, 72, 73, 74], "worse beyond bound", 0),
     (HIGHER, [100, 101, 102, 103, 104], [90, 91, 120, 93, 94], "within bound", 1),
 ])
