@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the parent and change runs of committed benchmark files (BENCH_*.json).
+"""Check and compare the parent and change runs of committed benchmark files (BENCH_*.json).
+
+Each file holds runs of bench/run.py on a parent commit and on a change.  For
+every (workload, seed) there must be exactly one parent run and one change
+run, and every run must be correct with no failed operation.  Each problem
+is printed as an error line.
 
 For each workload and each end-to-end metric that BENCHMARK.json declares, it
 prints the median and the quartiles of the parent runs and of the change
@@ -15,8 +20,9 @@ the metric's bound:
   median, is wider than the bound, so the runs cannot place the move;
 - else "worse beyond bound" when worse > bound, and "within bound" otherwise.
 
-It only prints; the exit code is 0 unless a file cannot be read.  The rows
-are the scaled metrics that bench/run.py stores.
+The comparison rows only print.  The exit code is 1 when a file cannot be
+read or has a problem above, else 0.  The rows are the scaled metrics that
+bench/run.py stores.
 
 Usage:
   python3 scripts/compare_bench.py BENCH_*.json
@@ -59,10 +65,25 @@ def compare(metric: dict, parent: dict, change: dict) -> dict:
             "spread": spread, "verdict": verdict}
 
 
-def rows(path: str, metrics: list) -> list:
-    """(workload, metric, row) for every workload of the file and declared metric."""
-    with open(path, encoding="utf-8") as fh:
-        runs = json.load(fh)["runs"]
+def problems(path: str, runs: list) -> list:
+    """Unpaired (workload, seed) entries, and runs that are not correct or failed."""
+    found = []
+    sides = collections.defaultdict(list)
+    for run in runs:
+        sides[run["workload"], run["seed"]].append(run["side"])
+        result = run["result"]
+        if result.get("correct") is not True or result.get("failed") != 0:
+            found.append(f"{path}: {run['workload']} seed {run['seed']} {run['side']}: "
+                         f"correct={result.get('correct')}, failed={result.get('failed')}")
+    for (workload, seed), got in sorted(sides.items()):
+        if sorted(got) != ["change", "parent"]:
+            found.append(f"{path}: {workload} seed {seed} has runs {sorted(got)}, "
+                         "not one parent and one change")
+    return found
+
+
+def rows(runs: list, metrics: list) -> list:
+    """(workload, metric, row) for every workload of the runs and declared metric."""
     values = collections.defaultdict(dict)  # (workload, side, metric) -> {seed: value}
     for run in runs:
         for name, entry in run["result"]["metrics"].items():
@@ -90,18 +111,25 @@ def main(argv=None) -> int:
     try:
         with open(args.benchmark, encoding="utf-8") as fh:
             metrics = json.load(fh)["end_to_end"]
-        tables = [(path, rows(path, metrics)) for path in args.files]
+        files = []
+        for path in args.files:
+            with open(path, encoding="utf-8") as fh:
+                runs = json.load(fh)["runs"]
+            files.append((path, len(runs), problems(path, runs), rows(runs, metrics)))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path, table in tables:
-        print(f"{path}: median [q1, q3] per side, ratio change/parent, pairs won by the change")
+    for path, count, found, table in files:
+        for line in found:
+            print(f"error: {line}")
+        print(f"{path}: {count} runs, {'problems found' if found else 'ok'}; "
+              "median [q1, q3] per side, ratio change/parent, pairs won by the change")
         for workload, metric, row in table:
             print(f"  {workload:<11} {metric['name']:<20} parent {_fmt(row['parent'])}  "
                   f"change {_fmt(row['change'])}  ratio {row['ratio']:.3f} "
                   f"({100.0 * (row['ratio'] - 1.0):+.1f}%)  won {row['won']}/{row['pairs']}  "
                   f"{row['verdict']} (bound {metric['bound']:g}, spread {row['spread']:.3f})")
-    return 0
+    return 1 if any(found for _, _, found, _ in files) else 0
 
 
 if __name__ == "__main__":

@@ -36,10 +36,10 @@ a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
 one cosine and one sine per axis and point, for the half box of
 ((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  The image route stacks the
 differences of both axes into one array, so both axes share each numpy
-call; the spectral route sums up to _FEW_POINTS displacements (a single
-query) in float arithmetic, which rounds as numpy does, and more one axis
-at a time in numpy.  terms_used counts the box terms, not the per-axis
-ones.
+call; the spectral route runs one recurrence (``_harmonic_sums``) on numpy
+arrays, or, for up to _FEW_POINTS displacements (a single query), on Python
+floats, which round each operation as numpy does.  terms_used counts the box
+terms, not the per-axis ones.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -60,19 +60,23 @@ serves every radius up to its own (``_disk``): a call takes the prefix
 r^2 <= R^2 (1 + 1e-12), and a call beyond the cached radius enumerates again
 out to at least twice that radius.  The cache holds the _DISK_LATTICES most recently
 used lattices and no enumeration of more than _DISK_POINTS points (a share of
-TERM_BUDGET), so it never holds more than 16 MB.  A call works through its
-points in blocks whose size follows from the term count and one byte budget
-(``_block_rows``), so repeated evaluations are bitwise reproducible.  Image
-sums are laid out term-major, one (terms x points) array per block reduced
-over the terms, which numpy does row by row: so the images go farthest first
-(disk images by descending modulus, box images by descending |index|), and a
-block is never left one point wide in a batch (``_blocks``).  A point then
-gets the same bits in any batch; alone, as one column, it is summed pairwise
-and may differ from its batch value in the last bits.  The cosine sums of the
-spectral disk route (non-rectangular tori) and the projections contract with
-BLAS, so there a point's bits depend on its batch as well.  A Klein bottle
-heat query always holds two displacements, one per deck element, and its
-points measured batch-independent on both routes.
+TERM_BUDGET), so it never holds more than 16 MB.
+
+Every route sums by one rule.  Its term set depends only on the lattice, the
+time and the tolerance: the image route sums out to the enumeration radius
+plus the lattice's "reach" (``lattice._geometry``), which bounds every
+reduced displacement.  Its sums are elementwise and term-major: each block
+of points is a (terms x points) array, reduced over the terms, which numpy
+does row by row in a fixed order (farthest first; a projection's shell
+vectors share one modulus), or a recurrence over the terms on the spectral
+box route.  Blocks come from the term count and one byte budget
+(``_block_rows``), and a batch never leaves a block one point wide
+(``_blocks``).  So in any batch of two or more points a point's bits and
+the call's terms_used do not depend on the other points; a single point,
+one column alone, is summed pairwise and may differ from its batch value in
+the last bits.  The radial sampler (``monotonicity._eval_radial``)
+evaluates a single sample as one row of a two-row batch, so it too gets its
+batch bits.
 """
 from __future__ import annotations
 
@@ -271,8 +275,8 @@ def _blocks(n: int, step: int) -> list:
 
     numpy reduces a (terms x 1) block pairwise but a wider one row by row,
     so every block of a batch is at least two points wide, and each point
-    gets the same bits whatever the step.  Only a single point is summed
-    pairwise.
+    gets the same bits in every block of every batch.  Only a single point
+    is summed pairwise.
     """
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -308,90 +312,64 @@ def _box_frequencies(rows: tuple, top: int):
 # lattice-sum evaluators on displacements d = x - h(y), h a deck element
 
 
-def _axis_product(out: np.ndarray, a, b, scale: float) -> None:
-    """Write a box sum whose terms are a product of one factor per axis.
+def _axis_product(a, b, scale: float):
+    """A box sum whose terms are a product of one factor per axis.
 
     a holds the per-axis sums (A0, A1), so the value is scale * A0 * A1; with
-    per-axis derivative sums b = (B0, B1) the gradient is
-    scale * (B0 * A1, A0 * B1).  b is None for values.
+    per-axis derivative sums b = (B0, B1) the gradient components are
+    (scale * B0 * A1, scale * A0 * B1).  b is None for values.  Arrays, or
+    Python floats for one point, with the same operations and bits.
     """
     if b is None:
-        out[:] = scale * a[0] * a[1]
-    else:
-        out[:, 0] = scale * b[0] * a[1]
-        out[:, 1] = scale * a[0] * b[1]
+        return scale * a[0] * a[1]
+    return scale * b[0] * a[1], scale * a[0] * b[1]
 
 
-def _harmonic_sums(theta: np.ndarray, cos_w: list, sin_w: list | None):
-    """sum_m cos_w[m] cos(m theta), and sum_m sin_w[m] sin(m theta) unless sin_w is None.
+def _harmonic_sums(c1, s1, cos_w: list, sin_w: list | None):
+    """sum_m cos_w[m] cos(m theta), and sum_m sin_w[m] sin(m theta) (0.0 when
+    sin_w is None), from c1 = cos theta and s1 = sin theta: float arrays, or
+    Python floats for a few points.
 
     cos(m theta) and sin(m theta) follow from those of theta by angle
     addition, so each entry costs two trigonometric calls for any number of
     terms.  Their rounding grows about linearly in m, as the rounding of the
-    phase m theta does when each term is evaluated directly.  The sums run
-    in m order with elementwise operations only, so each entry's bits do not
-    depend on the block it is in.
+    phase m theta does when each term is evaluated directly.  The same
+    operations run in m order on either type, elementwise, and Python floats
+    round each one as numpy does, so an entry gets the same bits as a float
+    and in any array.
     """
-    c1, s1 = np.cos(theta), np.sin(theta)
     cm, sm = c1, s1
-    acc_c = np.full(theta.shape, cos_w[0])
-    acc_s = None if sin_w is None else np.zeros(theta.shape)
+    acc_c, acc_s = cos_w[0], 0.0
     for m in range(1, len(cos_w)):
         if m > 1:
             cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
         acc_c += cos_w[m] * cm
-        if acc_s is not None:
+        if sin_w is not None:
             acc_s += sin_w[m] * sm
     return acc_c, acc_s
-
-
-def _harmonic_point_sums(theta: np.ndarray, tops: tuple, cos_w: np.ndarray,
-                         sin_w: np.ndarray | None):
-    """``_harmonic_sums`` of both axes at once for a few angles: theta is
-    axis-major, shape (2, P), tops = (M0, M1), and the weights of shape
-    (M + 1, 2), M = max(tops), hold axis k's in column k.
-
-    The same recurrence and sums run in float arithmetic, which rounds each
-    operation as numpy's elementwise operations do, so each entry gets the
-    bits ``_harmonic_sums`` gives it, at a fraction of the cost of numpy calls
-    on arrays of one or two entries.  Each entry stops at its own axis's M.
-    Returns the cosine sums and the sine sums (None without sin_w), each of
-    shape (2, P).
-    """
-    cos1, sin1 = np.cos(theta).tolist(), np.sin(theta).tolist()
-    wc = cos_w.T.tolist()
-    ws = None if sin_w is None else sin_w.T.tolist()
-    sums_c, sums_s = [], []
-    for k, top in enumerate(tops):
-        row_c, row_s = [], []
-        for c, s in zip(cos1[k], sin1[k]):
-            cm, sm, acc_c, acc_s = c, s, wc[k][0], 0.0
-            for m in range(1, top + 1):
-                if m > 1:
-                    cm, sm = cm * c - sm * s, sm * c + cm * s
-                acc_c += wc[k][m] * cm
-                if ws is not None:
-                    acc_s += ws[k][m] * sm
-            row_c.append(acc_c)
-            row_s.append(acc_s)
-        sums_c.append(row_c)
-        sums_s.append(row_s)
-    return np.array(sums_c), None if ws is None else np.array(sums_s)
 
 
 def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool):
     """sum_p w_p cos(2 pi p.d) over the dual vectors p, the rows of pts, or the
     y-gradient sum_p 2 pi p w_p sin(2 pi p.d), at each reduced displacement
-    d of d0 (coordinate rows, shape (2, P)).  Phases and contraction are BLAS
-    matrix products (``@``), which may round a row differently depending on
-    the block it sits in, so a point's bits depend on its batch."""
-    coef = _TWO_PI * pts * w[:, None] if want_grad else w
+    d of d0 (coordinate rows, shape (2, P)).  Term-major, as in ``_image``:
+    each block is a (terms x points) array of phases built elementwise from
+    the coordinate rows of d0, reduced over axis 0, so the terms are added
+    in the row order of pts."""
+    tp = _TWO_PI * pts
+    p0, p1 = tp[:, 0:1], tp[:, 1:2]
+    coef = tp * w[:, None] if want_grad else w[:, None]
     n = d0.shape[1]
     out = np.empty((n, 2) if want_grad else n)
-    step = _block_rows(2 * len(pts))  # the phases and their sines
-    for i in range(0, n, step):
-        ph = _TWO_PI * d0[:, i:i + step].T @ pts.T
-        out[i:i + step] = (np.sin(ph) if want_grad else np.cos(ph)) @ coef
+    for blk in _blocks(n, _block_rows(2 * len(pts))):  # the phases and a product
+        ph = p0 * d0[0, blk]
+        ph += p1 * d0[1, blk]
+        if want_grad:
+            np.sin(ph, out=ph)
+            out[blk, 0] = (ph * coef[:, 0:1]).sum(axis=0)
+            out[blk, 1] = np.multiply(ph, coef[:, 1:2], out=ph).sum(axis=0)
+        else:
+            out[blk] = np.multiply(np.cos(ph, out=ph), coef, out=ph).sum(axis=0)
     return out
 
 
@@ -402,15 +380,16 @@ def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool
     bound and the terms summed.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
-    weight 2 (``_cosine_sum``).  A rectangular lattice, with periods L0, L1,
-    sums the box |p_k| <= radius instead, which holds that disk, so its
-    omitted terms are part of the disk's tail.  Its term is a product of one
-    factor per axis, so the box sum is C0 * C1 / area and the gradient
-    (G0 * C1, C0 * G1) / area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k)
-    and G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1
-    and w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines
-    per point (``_harmonic_sums``, or ``_harmonic_point_sums`` for a few
-    points) for the half box of ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
+    weight 2 (``_cosine_sum``), farthest first, as the image route adds its
+    terms.  A rectangular lattice, with periods L0, L1, sums the box
+    |p_k| <= radius instead, which holds that disk, so its omitted terms are
+    part of the disk's tail.  Its term is a product of one factor per axis,
+    so the box sum is C0 * C1 / area and the gradient (G0 * C1, C0 * G1) /
+    area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
+    G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
+    w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
+    point (``_harmonic_sums``) for the half box of
+    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
     area = geom["covol"]
@@ -424,27 +403,30 @@ def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool
         _check_work(len(pts), d0.shape[1])
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
-        return _cosine_sum(d0, pts, w, want_grad), err, len(pts)
+        return _cosine_sum(d0, pts[::-1], w[::-1], want_grad), err, len(pts)
     tops = tuple(math.floor(radius * length) for length in geom["periods"])
     p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
     w = 2.0 * np.exp(-alpha * p2)
     w[0] = 1.0  # m = 0 has no partner
-    sin_w = two_pi_p * w if want_grad else None
+    cos_w = [col[:top + 1] for col, top in zip(w.T.tolist(), tops)]
+    sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
+             if want_grad else (None, None))
     n0, n1 = (2 * m + 1 for m in tops)
     n = d0.shape[1]
-    out = np.empty((n, 2) if want_grad else n)
     if n <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
-        c, g = _harmonic_point_sums(freq * d0, tops, w, sin_w)
-        _axis_product(out, c, g, 1.0 / area)
+        theta = freq * d0
+        sums = [[_harmonic_sums(c, s, cos_w[k], sin_w[k]) for c, s in zip(cs, ss)]
+                for k, (cs, ss) in enumerate(zip(np.cos(theta).tolist(), np.sin(theta).tolist()))]
+        out = np.array([_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area)
+                        for (a0, g0), (a1, g1) in zip(*sums)]).reshape((n, 2) if want_grad else n)
     else:
-        cos_lists = [w[:top + 1, k].tolist() for k, top in enumerate(tops)]
-        sin_lists = [sin_w[:top + 1, k].tolist() if want_grad else None
-                     for k, top in enumerate(tops)]
+        out = np.empty((n, 2) if want_grad else n)
         step = _block_rows(16)  # about 16 (points,) arrays over both axes
         for i in range(0, n, step):
-            c, g = zip(*(_harmonic_sums(d0[k, i:i + step] * freq[k], cos_lists[k],
-                                        sin_lists[k]) for k in (0, 1)))
-            _axis_product(out[i:i + step], c, g if want_grad else None, 1.0 / area)
+            theta = freq * d0[:, i:i + step]
+            c1, s1 = np.cos(theta), np.sin(theta)
+            c, g = zip(*(_harmonic_sums(c1[k], s1[k], cos_w[k], sin_w[k]) for k in (0, 1)))
+            out[i:i + step].T[:] = _axis_product(c, g if want_grad else None, 1.0 / area)
     return out, err, (n0 * n1 + 1) // 2
 
 
@@ -453,10 +435,11 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over
     lattice images: one value (or gradient row) per displacement.
 
-    With |d0| <= spread over the batch, every image p with
-    |p| <= radius + spread is summed, so each d0 - p within the radius is.  A
-    rectangular lattice sums the box |p_k| <= radius + spread instead, which
-    holds that disk, so its omitted terms are part of the disk's tail.
+    Every reduced displacement lies within the lattice's "reach"
+    (``lattice._geometry``), so every image p with |p| <= radius + reach is
+    summed, and with it each d0 - p within the radius.  A rectangular
+    lattice sums the box |p_k| <= radius + reach instead, which holds that
+    disk, so its omitted terms are part of the disk's tail.
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
@@ -476,11 +459,11 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     pref = pref0 * (2.0 * alpha if want_grad else 1.0)
     scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
+    span = radius + geom["reach"]
     n_pts = d0.shape[1]
-    spread = float(np.hypot(d0[0], d0[1]).max()) if n_pts else 0.0
     out = np.empty((n_pts, 2) if want_grad else n_pts)
     if geom["axis_aligned"]:
-        axes = [_far_first_axis(length, math.floor((radius + spread) / length))
+        axes = [_far_first_axis(length, math.floor(span / length))
                 for length in geom["periods"].tolist()]
         n0, n = len(axes[0]), len(axes[0]) + len(axes[1])
         terms = n0 * (n - n0)
@@ -496,9 +479,9 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
             if want_grad:
                 np.multiply(e, z, out=z)
                 grads = z[:n0].sum(axis=0), z[n0:].sum(axis=0)
-            _axis_product(out[blk], sums, grads if want_grad else None, scale)
+            out[blk].T[:] = _axis_product(sums, grads if want_grad else None, scale)
     else:
-        _, pts, _ = _disk(rows, radius + spread)
+        _, pts, _ = _disk(rows, span)
         terms = len(pts)
         _check_work(terms, n_pts)
         far = pts[::-1]  # farthest first
@@ -590,10 +573,8 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     count the terms of their box, though they evaluate them as a product of
     two per-axis sums: the n0 * n1 images of the image box, and the half
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
-    On the image route the images cover the batch's largest reduced
-    displacement, so terms_used depends on the batch while the values do not:
-    on torus(0.3, 1.2) at t = 0.01, 100 points near the origin count 19 terms
-    alone and 27 in a batch with one more point at (0.5, 0.6).
+    terms_used does not depend on the points; in a batch of two or more
+    points, neither does a point's value (the module's summation rule).
     """
     _validate_time_eps(t, eps)
     return _heat_sum(surface, t, *_broadcast_pair(x, y), eps, representation, want_grad=False)

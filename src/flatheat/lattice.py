@@ -360,7 +360,11 @@ def _geometry(rows: tuple):
     "axis_aligned" marks rows (u0, 0), (0, v1): a rectangular lattice, whose
     lattice sums factor into one sum per axis; "periods" are then |u0|, |v1|.
     "far" is _FAR_REACHES times the largest column sum of |rows|, twice the
-    largest coordinate of a reduced displacement (``_recentre``).  "window"
+    largest coordinate of a reduced displacement (``_recentre``).  "reach"
+    bounds the modulus of a reduced displacement: half the longer diagonal
+    of the cell |c_i| <= 1/2 in lattice coordinates, which ``_recentre``
+    reduces into, plus 1e-12 far: the float reduction may leave the cell by
+    a few ulps of far.  "window"
     holds the lattice vectors of the 3 x 3 window of ``_nearest_window`` by
     component, shape (2, 9, 1).
     """
@@ -369,13 +373,16 @@ def _geometry(rows: tuple):
     primal = np.array(rows, dtype=float)
     dual_rows = np.array([[v1, -v0], [-u1, u0]]) / det
     window = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float) @ primal
+    far = _FAR_REACHES * float(np.abs(primal).sum(axis=0).max())
     return {
         "rows": primal,
         "rho": covering_radius_of_rows(primal),
         "covol": abs(det),
         "axis_aligned": u1 == 0 and v0 == 0,
         "periods": np.abs(np.diag(primal)),
-        "far": _FAR_REACHES * float(np.abs(primal).sum(axis=0).max()),
+        "far": far,
+        "reach": 0.5 * max(math.hypot(u0 + v0, u1 + v1), math.hypot(u0 - v0, u1 - v1))
+        + 1e-12 * far,
         "dual_rows": dual_rows,
         "dual_rho": covering_radius_of_rows(dual_rows),
         "dual_covol": 1.0 / abs(det),

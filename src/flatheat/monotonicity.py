@@ -176,13 +176,20 @@ def _segment(base, u, s):
 
 def _eval_radial(surface, kernel, t, X, Y, dirs_b, eps):
     """Radial derivatives g0 u0 + g1 u1 and their error bound for sample blocks
-    X, Y (..., 2); t and eps serve the heat kernel only.  A BLAS dot of the
-    same numbers may round differently, and revalidate would then not give
-    back a scan's bits."""
+    X, Y (..., 2); t and eps serve the heat kernel only.  A single sample,
+    of any shape, is evaluated as one row of a two-row batch, as a scan
+    evaluates it, so it gets the bits it gets in every batch (the summation
+    rule of ``kernels``).  A BLAS dot of the same numbers may round
+    differently, and revalidate would then not give back a scan's bits."""
+    one = math.prod(np.shape(dirs_b)[:-1]) == 1
+    if one:
+        X, Y = (np.broadcast_to(np.reshape(a, (1, 2)), (2, 2)) for a in (X, Y))
     if isinstance(kernel, Heat):
         grads, err, _, _ = heat_gradient_values(surface, t, X, Y, eps=eps)
     else:
         grads, err = projection_gradient(surface, kernel.mode, X, Y)
+    if one:
+        grads = grads[0].reshape(np.shape(dirs_b))
     return grads[..., 0] * dirs_b[..., 0] + grads[..., 1] * dirs_b[..., 1], err
 
 
@@ -197,6 +204,11 @@ def _eval_values(surface, kernel, t, X, Y, eps):
 
 # ---------------------------------------------------------------------------
 # the scan
+
+
+def _check_kernel(kernel) -> None:
+    if not isinstance(kernel, (Heat, Projection)):
+        raise InvalidParameter("kernel must be Heat(...) or Projection(...)")
 
 
 def _scan_task(surface, kernel, cfg, t, base, dirs, smax):
@@ -226,8 +238,7 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     tolerance; Inconclusive when some sample's error bound straddles the
     tolerance even after one retry at epsilon/16; Monotone otherwise.
     """
-    if not isinstance(kernel, (Heat, Projection)):
-        raise InvalidParameter("kernel must be Heat(...) or Projection(...)")
+    _check_kernel(kernel)
     dirs = _scan_directions(surface, cfg.n_directions)
     bases = _default_bases(surface, cfg)
     if isinstance(kernel, Heat):
@@ -313,10 +324,8 @@ def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode
 def revalidate(surface: FlatSurface, witness: ViolationWitness,
                kernel_epsilon: float) -> tuple[float, float]:
     """Re-evaluate a witness's radial derivative at the given epsilon, as the
-    scan does: at the scan's epsilon, a witness whose point gets the same bits
-    alone as in its batch comes back exactly.  On a Klein bottle every heat
-    witness does: both routes recentre and sum each point on its own there.
-    Projections contract with BLAS, whose bits depend on the batch."""
+    scan does: at the scan's epsilon, every witness of a scan's first pass,
+    and of a counterexample, comes back bit for bit (``_eval_radial``)."""
     if witness.kernel == "heat":
         kernel = Heat(witness.t)
     else:
@@ -330,9 +339,10 @@ def radial_curve(surface: FlatSurface, kernel, base, direction, n: int = 101,
                  eps: float = 1e-12):
     """Sampled (s, value, derivative, error_bound) arrays along one geodesic.
 
-    Raises InvalidParameter unless n is an integer of at least 1 within
-    TERM_BUDGET, and for a heat kernel without a time.
+    Raises InvalidParameter, before sampling, unless the kernel is Heat(t)
+    or Projection(...) and n is an integer of at least 1 within TERM_BUDGET.
     """
+    _check_kernel(kernel)
     n = _check_size(n, 1, "n", width=1)
     if isinstance(kernel, Heat) and kernel.t is None:
         raise InvalidParameter("a heat-kernel curve needs a time: Heat(t)")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from flatheat import cli, kernels
+from flatheat import cli, counterexample_klein, kernels
 from flatheat.cli import main, render_report
 from flatheat.errors import InvalidParameter
 
@@ -167,6 +167,18 @@ def test_csv_output(capsys, tmp_path):
     first = lines[1].split(",")
     assert len(first) == 4
     float(first[1])  # parseable numbers
+
+
+def test_counterexample_csv_writes_the_record_samples(capsys, tmp_path):
+    path = tmp_path / "klein.csv"
+    doc = run_valid(capsys, ["counterexample", "klein", "--b", "1.5", "--csv", str(path)])
+    rec = counterexample_klein(1.5)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "s,value,derivative,error_bound"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert len(rows) == len(rec.s_values) == doc["results"]["sample_count"]
+    assert [r[:3] for r in rows] == list(zip(rec.s_values, rec.p_values, rec.dp_values))
+    assert all(r[3] == rec.witness.error_bound for r in rows)
 
 
 def test_csv_rejected_for_non_curve_commands(capsys, tmp_path):

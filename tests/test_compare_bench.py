@@ -1,4 +1,4 @@
-"""scripts/compare_bench.py: medians, pairs won and verdicts against a bound."""
+"""scripts/compare_bench.py: run checks, medians, pairs won and verdicts against a bound."""
 import importlib.util
 import json
 from pathlib import Path
@@ -30,16 +30,49 @@ def test_verdicts_against_the_bound(metric, parent, change, verdict, won):
     assert row["ratio"] == pytest.approx(sorted(change)[2] / sorted(parent)[2])
 
 
-def test_prints_one_row_per_workload_and_metric(tmp_path, capsys):
-    runs = [{"workload": w, "seed": seed, "side": side,
-             "result": {"metrics": {"requests_per_s": {"value": value, "unit": "1/s"}}}}
-            for w in ("requests", "klein-scan") for seed in (1, 2, 3)
-            for side, value in (("parent", 10.0 + seed), ("change", 11.0 + seed))]
+def _write(tmp_path, runs):
     bench = tmp_path / "BENCH_1.json"
     bench.write_text(json.dumps({"runs": runs}))
     spec = tmp_path / "BENCHMARK.json"
     spec.write_text(json.dumps({"end_to_end": [HIGHER, LOWER]}))
-    assert compare_bench.main(["--benchmark", str(spec), str(bench)]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == 2  # no kernel_query_us_p50 runs, so no row for it
-    assert all("ratio 1.083 (+8.3%)  won 3/3  within bound" in line for line in lines)
+    return ["--benchmark", str(spec), str(bench)]
+
+
+def _runs(workloads=("requests", "klein-scan"), seeds=(1, 2, 3)):
+    return [{"workload": w, "seed": seed, "side": side,
+             "result": {"correct": True, "attempted": 10, "failed": 0,
+                        "metrics": {"requests_per_s": {"value": value, "unit": "1/s"}}}}
+            for w in workloads for seed in seeds
+            for side, value in (("parent", 10.0 + seed), ("change", 11.0 + seed))]
+
+
+def test_prints_one_row_per_workload_and_metric(tmp_path, capsys):
+    assert compare_bench.main(_write(tmp_path, _runs())) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("BENCH_1.json: 12 runs, ok; median [q1, q3] per side, "
+                             "ratio change/parent, pairs won by the change")
+    assert len(lines[1:]) == 2  # no kernel_query_us_p50 runs, so no row for it
+    assert all("ratio 1.083 (+8.3%)  won 3/3  within bound" in line for line in lines[1:])
+
+
+def test_unpaired_run_exits_1_and_still_prints_rows(tmp_path, capsys):
+    runs = _runs(workloads=("requests",))
+    runs += [dict(runs[0], seed=4)]  # a parent run with no change run
+    assert compare_bench.main(_write(tmp_path, runs)) == 1
+    out = capsys.readouterr().out
+    assert ("error: " in out
+            and "requests seed 4 has runs ['parent'], not one parent and one change" in out)
+    assert "problems found" in out and "won 3/3" in out
+
+
+@pytest.mark.parametrize("result", [{"correct": False, "failed": 0}, {"correct": True, "failed": 2},
+                                    {"failed": 0}])
+def test_failed_or_incorrect_run_exits_1(tmp_path, capsys, result):
+    runs = _runs(workloads=("requests",))
+    runs[3]["result"].update(result)
+    if "correct" not in result:
+        del runs[3]["result"]["correct"]
+    assert compare_bench.main(_write(tmp_path, runs)) == 1
+    out = capsys.readouterr().out
+    assert f"error: {tmp_path / 'BENCH_1.json'}: requests seed 2 change: " in out
+    assert "problems found" in out

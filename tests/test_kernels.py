@@ -405,19 +405,14 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)  # one block per call
     wide = evaluate()
     # blocks of 7 points on the per-axis spectral route, and of 2 (the floor)
-    # or 3 on the image routes, where the tori's 301 points leave a one-point
+    # or 3 on the others, where the tori's 301 points leave a one-point
     # tail to join to the block before
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
     assert kernels._block_rows(40) == 3
-    # BLAS orders the disk route's spectral contraction by the block's row
-    # count: seen up to 1.35e-15 of the largest output.  Image sums and the
-    # per-axis spectral sums run elementwise, and their term-major sums add
-    # row by row in every block at least two points wide: bitwise equal.
+    # every route runs elementwise, and its term-major sums add row by row in
+    # every block at least two points wide: bitwise equal
     for (s, rep, a), (_, _, b) in zip(wide, evaluate()):
-        if rep == "image" or s != torus(0.3, 1.2):
-            assert np.array_equal(a, b)
-        else:
-            assert np.abs(a - b).max() <= 4e-15 * np.abs(a).max()
+        assert np.array_equal(a, b), (s, rep)
 
 
 LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),
@@ -445,6 +440,41 @@ def test_cached_disk_prefix_matches_fresh_enumeration(monkeypatch):
                         assert f.dtype == c.dtype and np.array_equal(f, c), (rows, dual, half, radius)
                     if radius in moduli:  # a point on the circle is in the disk
                         assert (fresh[2] >= radius * radius * (1 - 1e-15)).any()
+
+
+def test_point_bits_and_terms_do_not_depend_on_the_batch(rng, monkeypatch):
+    """In a batch of two or more points each point keeps its bits, and the
+    call its terms_used and bound, when the batch is reordered, cut to a
+    subset or summed in other blocks: every route sums term-major and
+    elementwise over a term set that the lattice, time and tolerance fix.
+    Every lattice class and a Klein bottle; both representations, values,
+    gradients and projections."""
+    X = rng.uniform(-1.0, 2.0, (41, 2))
+    Y = rng.uniform(-1.0, 2.0, (41, 2))
+    perm = rng.permutation(41)
+    calls = []
+    for s in [torus(a, b) for a, b in LATTICE_CLASSES] + [klein_bottle(0.8)]:
+        for t in (0.02, 0.3, 2.0):
+            for rep in ("spectral", "image"):
+                for fn in (heat_values, heat_gradient_values):
+                    calls.append(lambda x, y, s=s, t=t, rep=rep, fn=fn:
+                                 fn(s, t, x, y, eps=1e-13, representation=rep)[:3])
+        for mode in enumerate_modes(s, 200)[1:4:2]:
+            calls.append(lambda x, y, s=s, mode=mode: (projection_kernel(s, mode, x, y),))
+            calls.append(lambda x, y, s=s, mode=mode: projection_gradient(s, mode, x, y))
+
+    def evaluate(rows):
+        return [f(X[rows], Y[rows]) for f in calls]
+
+    whole = evaluate(np.arange(41))
+    others = [(perm, evaluate(perm)), (perm[:2], evaluate(perm[:2])),
+              (perm[5:12], evaluate(perm[5:12]))]
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 700)  # blocks of 2 or 3 points
+    others.append((np.arange(41), evaluate(np.arange(41))))
+    for rows, outs in others:
+        for k, (a, b) in enumerate(zip(whole, outs)):
+            assert np.array_equal(a[0][rows], b[0]), (k, rows)
+            assert a[1:] == b[1:], (k, rows)
 
 
 def _cache_snapshots(surface, query_args):
@@ -544,10 +574,9 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
         pref = pref0 * (2.0 * alpha if want_grad else 1.0)
         radius, _ = kernels._radius_for(alpha, geom["rho"], geom["covol"], eps, pref,
                                         int(want_grad))
-        spread = float(np.max(np.hypot(d0[0], d0[1])))
         sums = []
         for k, length in enumerate(periods):
-            half = int(np.floor((radius + spread) / length))
+            half = int(np.floor((radius + geom["reach"]) / length))
             z = d0[k] - kernels._far_first_axis(float(length), half)
             e = np.exp(-alpha * (z * z))
             sums.append((e.sum(axis=0), (e * z).sum(axis=0)))

@@ -16,7 +16,7 @@ from flatheat import (DegenerateBasis, InvalidParameter, LatticeTag, RawBasis,
                       ReducedLattice, classify, covering_radius, cut_distance,
                       dual, reduce, surface_distance, torus, torus_distance, voronoi)
 from flatheat.kernels import heat_values
-from flatheat.lattice import _recentre
+from flatheat.lattice import _geometry, _recentre
 
 HONEYCOMB_B = math.sqrt(3.0) / 2.0
 
@@ -399,6 +399,27 @@ def test_far_points_reduce_exactly():
     # a near point in a batch with far ones keeps its float reduction
     near = (0.7, -0.4)
     assert (_recentre(rows, [far[0], near])[:, 1] == _recentre(rows, near)[:, 0]).all()
+
+
+def test_recentred_displacements_stay_within_reach(rng):
+    """Every displacement ``_recentre`` returns lies within the lattice's
+    "reach", the bound the image route's truncation rests on: random
+    points, points at lattice coordinates +-1/2 and a float step either
+    side, and far points reduced exactly, on every lattice class and two
+    Klein covers."""
+    cells = [((1.0, 0.0), (-a, b)) for a, b in
+             ((0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.09)), (0.5, HONEYCOMB_B),
+              (0.3, 1.2), (0.5, 40.0))]
+    cells += [((1.0, 0.0), (0.0, 2.0 * b)) for b in (0.8, 1.5)]
+    half = np.array([(i + 0.5 * si, j + 0.5 * sj) for i in range(-3, 4) for j in range(-3, 4)
+                     for si in (-1, 1) for sj in (-1, 1)])
+    for rows in cells:
+        basis = np.array(rows)
+        coords = np.concatenate([half, np.nextafter(half, 0.0), np.nextafter(half, 2.0 * half),
+                                 rng.uniform(-50.0, 50.0, (2000, 2))])
+        far = [(1e9 + 0.25, 0.3), (0.0, 3e17), (-1.7e308, 2.5e-300), (1e20, -1e19)]
+        d0 = _recentre(rows, np.concatenate([coords @ basis, far]))
+        assert np.hypot(d0[0], d0[1]).max() <= _geometry(rows)["reach"], rows
 
 
 def test_torus_distance_brute_force(rng):

@@ -121,23 +121,29 @@ def test_witnesses_revalidate_at_tighter_epsilon(generic_torus):
         assert abs(deriv - w.radial_derivative) <= w.error_bound + err + 1e-15
 
 
-def test_revalidate_reproduces_klein_scan_witnesses_bitwise():
+def test_revalidate_reproduces_scan_witnesses_bitwise():
     """At the scan's own epsilon, revalidate rebuilds a witness the first pass
-    certified from the same sample point and the same derivative form.  On a
-    Klein bottle a point's gradient bits do not depend on its batch, so the
-    derivative comes back bit for bit.  A witness taken from the epsilon/16
-    retry carries a smaller bound and is skipped."""
-    kb = klein_bottle(0.8)
-    cfg = ScanConfig(n_directions=24, n_arc_samples=12, t_values=(0.05, 2.0),
+    certified from the same sample point and the same derivative form, and
+    evaluates it as one row of a two-row batch.  A point's bits do not depend
+    on its batch, so the derivative comes back bit for bit: heat and
+    projection scans on the generic, isosceles and honeycomb tori and on a
+    Klein bottle.  A witness taken from the epsilon/16 retry carries a
+    smaller bound and is skipped."""
+    cfg = ScanConfig(n_directions=24, n_arc_samples=12, t_values=(0.02, 0.3, 1.0, 2.0),
                      base_points=((0.1, 0.2), (0.3, 0.5)))
-    checked = 0
-    for w in scan(kb, Heat(), cfg).witnesses:
-        deriv, err = revalidate(kb, w, cfg.kernel_epsilon)
-        if err != w.error_bound:
-            continue
-        assert deriv == w.radial_derivative, w
-        checked += 1
-    assert checked >= 10
+    surfaces = [(torus(0.3, 1.2), 10), (torus(0.3, math.sqrt(1 - 0.09)), 10),
+                (torus(0.5, HONEYCOMB_B), 0), (klein_bottle(0.8), 10)]
+    for surface, least in surfaces:
+        modes = flatheat.enumerate_modes(surface, 400)
+        for kernel in (Heat(), Projection(modes[1]), Projection(modes[3])):
+            checked = 0
+            for w in scan(surface, kernel, cfg).witnesses:
+                deriv, err = revalidate(surface, w, cfg.kernel_epsilon)
+                if err != w.error_bound:
+                    continue
+                assert deriv == w.radial_derivative, w
+                checked += 1
+            assert checked >= least, (surface, kernel)
 
 
 def test_counterexample_witnesses_revalidate_bitwise():
@@ -302,6 +308,12 @@ def test_scans_do_not_depend_on_the_worker_count(monkeypatch):
         assert one.witnesses and one.witnesses == three.witnesses
         assert (one.verdict, one.inconclusive_count, one.points_checked) == \
             (three.verdict, three.inconclusive_count, three.points_checked)
+
+
+@pytest.mark.parametrize("kernel", ["heat", None])
+def test_radial_curve_refuses_other_kernels_as_scan_does(kernel):
+    with pytest.raises(InvalidParameter, match=r"Heat\(\.\.\.\) or Projection"):
+        radial_curve(torus(0.3, 1.2), kernel, (0, 0), (1, 0), n=8)
 
 
 def test_radial_curve_ends_at_minimal_geodesic():
