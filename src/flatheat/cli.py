@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -200,19 +201,6 @@ def _write_csv(path: str, s, values, derivs, errs):
             writer.writerow([_fmt_float(float(v)) for v in row])
 
 
-def _witness_dict(w) -> dict:
-    return {
-        "base": [float(w.base[0]), float(w.base[1])],
-        "direction": [float(w.direction[0]), float(w.direction[1])],
-        "s": float(w.s),
-        "t": float(w.t),
-        "radial_derivative": float(w.radial_derivative),
-        "error_bound": float(w.error_bound),
-        "kernel": w.kernel,
-        "eigenvalue": None if w.eigenvalue is None else float(w.eigenvalue),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -270,7 +258,7 @@ def _cmd_scan(args) -> tuple[dict, dict, dict, int]:
                      t_values=args.t_list, derivative_tolerance=args.tol,
                      kernel_epsilon=args.tol / 10.0)
     report = scan(surface, Heat(), cfg)
-    witnesses = [_witness_dict(w) for w in report.witnesses[:_WITNESS_CAP]]
+    witnesses = [dataclasses.asdict(w) for w in report.witnesses[:_WITNESS_CAP]]
     results = {
         "verdict": report.verdict.value,
         "points_checked": report.points_checked,
@@ -310,7 +298,7 @@ def _cmd_counterexample(args) -> tuple[dict, dict, dict]:
         "formula_deviation": record.formula_deviation,
         "increase": record.increase,
         "sample_count": len(record.s_values),
-        "witness": _witness_dict(record.witness),
+        "witness": dataclasses.asdict(record.witness),
         "extras": dict(sorted(record.extras.items())),
     }
     if args.csv:

@@ -7,6 +7,13 @@ directions and arc lengths, evaluates the radial derivative u . grad F with a
 certified error bound, and reports witnesses where the derivative certifiably
 exceeds the tolerance.  Counterexample constructors rebuild the known failing
 configurations in closed form and return revalidatable witnesses.
+
+Every geodesic sample takes one path: the kernel target, which carries its
+time (+inf for a projection) -> ``_segment`` (the points base + s * u) ->
+``_eval_radial`` (radial derivatives), or ``_profile`` (values as well, for
+curves and records) -> ``_witness`` (one sample on its own, as ``revalidate``
+evaluates it).  Scan and counterexample witnesses alike come from the
+``ViolationWitness`` constructor.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -109,6 +117,11 @@ class Projection:
 
     mode: SpectralMode
 
+    @property
+    def t(self) -> float:
+        """The time of its witnesses: +inf, the large-time limit."""
+        return math.inf
+
 
 @dataclass(frozen=True)
 class ViolationWitness:
@@ -174,32 +187,43 @@ def _segment(base, u, s):
     return np.broadcast_to(base, Y.shape), Y, np.broadcast_to(u, Y.shape)
 
 
-def _eval_radial(surface, kernel, t, X, Y, dirs_b, eps):
+def _eval_radial(surface, kernel, X, Y, U, eps):
     """Radial derivatives g0 u0 + g1 u1 and their error bound for sample blocks
-    X, Y (..., 2); t and eps serve the heat kernel only.  A single sample,
-    of any shape, is evaluated as one row of a two-row batch, as a scan
-    evaluates it, so it gets the bits it gets in every batch (the summation
-    rule of ``kernels``).  A BLAS dot of the same numbers may round
-    differently, and revalidate would then not give back a scan's bits."""
-    one = math.prod(np.shape(dirs_b)[:-1]) == 1
+    X, Y and directions U (..., 2); a heat kernel is evaluated at its own
+    time, and eps serves it only.  A single sample, of any shape, is
+    evaluated as one row of a two-row batch, as a scan evaluates it, so it
+    gets the bits it gets in every batch (the summation rule of
+    ``kernels``).  A BLAS dot of the same numbers may round differently, and
+    revalidate would then not give back a scan's bits."""
+    one = math.prod(np.shape(U)[:-1]) == 1
     if one:
         X, Y = (np.broadcast_to(np.reshape(a, (1, 2)), (2, 2)) for a in (X, Y))
     if isinstance(kernel, Heat):
-        grads, err, _, _ = heat_gradient_values(surface, t, X, Y, eps=eps)
+        grads, err, _, _ = heat_gradient_values(surface, kernel.t, X, Y, eps=eps)
     else:
         grads, err = projection_gradient(surface, kernel.mode, X, Y)
     if one:
-        grads = grads[0].reshape(np.shape(dirs_b))
-    return grads[..., 0] * dirs_b[..., 0] + grads[..., 1] * dirs_b[..., 1], err
+        grads = grads[0].reshape(np.shape(U))
+    return grads[..., 0] * U[..., 0] + grads[..., 1] * U[..., 1], err
 
 
-def _eval_values(surface, kernel, t, X, Y, eps):
-    """Kernel values and error bound for sample blocks X, Y (..., 2); a
-    projection is a finite shell sum, with no truncation to bound."""
+def _profile(surface, kernel, base, u, s, eps):
+    """Kernel values, radial derivatives and one error bound for both along
+    base + s * u; a projection is a finite shell sum, whose values have no
+    truncation to bound."""
+    X, Y, U = _segment(base, u, s)
+    deriv, err = _eval_radial(surface, kernel, X, Y, U, eps)
     if isinstance(kernel, Heat):
-        vals, err, _, _ = heat_values(surface, t, X, Y, eps=eps)
-        return vals, err
-    return np.asarray(projection_kernel(surface, kernel.mode, X, Y)), 0.0
+        vals, err_vals, _, _ = heat_values(surface, kernel.t, X, Y, eps=eps)
+        return np.asarray(vals), deriv, max(float(err_vals), float(err))
+    return np.asarray(projection_kernel(surface, kernel.mode, X, Y)), deriv, float(err)
+
+
+def _radial_at(surface, kernel, base, u, s, eps) -> tuple[float, float]:
+    """Radial derivative and error bound of the one sample base + s * u."""
+    X, Y, U = _segment(np.asarray(base, dtype=float), np.asarray(u, dtype=float), s)
+    deriv, err = _eval_radial(surface, kernel, X, Y, U, eps)
+    return float(deriv), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +235,17 @@ def _check_kernel(kernel) -> None:
         raise InvalidParameter("kernel must be Heat(...) or Projection(...)")
 
 
-def _scan_task(surface, kernel, cfg, t, base, dirs, smax):
+def _scan_task(surface, kernel, cfg, base, dirs, smax):
     ns = cfg.n_arc_samples
     tol = cfg.derivative_tolerance
     S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
     X, Y, dirs_b = _segment(base, dirs[:, None, :], S)
-    deriv, err0 = _eval_radial(surface, kernel, t, X, Y, dirs_b, cfg.kernel_epsilon)
+    deriv, err0 = _eval_radial(surface, kernel, X, Y, dirs_b, cfg.kernel_epsilon)
     err = np.full(deriv.shape, err0)
     witness = deriv - err > tol
     ambiguous = ~witness & (deriv + err > tol)
     if ambiguous.any():
-        d2, e2 = _eval_radial(surface, kernel, t, X[ambiguous], Y[ambiguous],
+        d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
                               dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
         deriv[ambiguous] = np.atleast_1d(d2)
         err[ambiguous] = e2
@@ -245,21 +269,21 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
         t_list = [float(kernel.t)] if kernel.t is not None else list(cfg.t_values)
         if any(t <= 0 for t in t_list):
             raise InvalidParameter("heat kernel times must be positive")
+        targets = [Heat(t) for t in t_list]
     else:
-        t_list = [math.inf]
+        targets = [kernel]
     tasks = []
     for base in bases:
         smax = _s_max(surface, base, dirs)
-        for t in t_list:
-            tasks.append((t, base, smax))
+        tasks += [(target, base, smax) for target in targets]
     nw = worker_count()
-    run = lambda task: _scan_task(surface, kernel, cfg, task[0], task[1], dirs, task[2])
+    run = lambda task: _scan_task(surface, task[0], cfg, task[1], dirs, task[2])
     if nw > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=nw) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(task) for task in tasks]
-    witnesses = _witness_objects(kernel, tasks, dirs, [cols for cols, _, _ in results])
+    witnesses = _witness_objects(tasks, dirs, [cols for cols, _, _ in results])
     inconclusive = sum(amb for _, amb, _ in results)
     points = sum(cnt for _, _, cnt in results)
     if witnesses:
@@ -273,8 +297,9 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
         points_checked=points, inconclusive_count=inconclusive, verdict=verdict)
 
 
-def _witness_objects(kernel, tasks, dirs, columns) -> tuple:
-    """Witnesses from per-task (direction index, s, derivative, error) columns.
+def _witness_objects(tasks, dirs, columns) -> tuple:
+    """Witnesses from per-task (direction index, s, derivative, error) columns;
+    each task's kernel target gives its witnesses' time.
 
     They are ordered by (t, base, direction angle, s) with one stable sort, so
     ties keep task, direction and sample order.  The angle of a direction is
@@ -285,33 +310,20 @@ def _witness_objects(kernel, tasks, dirs, columns) -> tuple:
     owner = np.repeat(np.arange(len(tasks)), [len(cols[0]) for cols in columns])
     i, s, deriv, err = (np.concatenate(col) for col in zip(*columns))
     bases = np.array([task[1] for task in tasks])
-    t = np.array([task[0] for task in tasks])[owner]
+    t = np.array([task[0].t for task in tasks])[owner]
     angle = np.array([math.atan2(u1, u0) for u0, u1 in dirs.tolist()])
     order = np.lexsort((s, angle[i], bases[owner, 1], bases[owner, 0], t))
     base_of = [tuple(b) for b in bases.tolist()]
     dir_of = [tuple(u) for u in dirs.tolist()]
-    kind = "heat" if isinstance(kernel, Heat) else "projection"
-    eigenvalue = None if isinstance(kernel, Heat) else kernel.mode.eigenvalue
-    # The frozen dataclass __init__ costs about twice as much as setting the
-    # fields directly.  Setting them in field order, as __init__ does, keeps
-    # the instance dicts key-sharing, so the objects compare, hash, print and
-    # take memory as constructed ones do.
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for k, d, sv, tv, dv, ev in zip(
-            owner[order].tolist(), i[order].tolist(), s[order].tolist(), t[order].tolist(),
-            deriv[order].tolist(), err[order].tolist()):
-        w = new(ViolationWitness)
-        put(w, "base", base_of[k])
-        put(w, "direction", dir_of[d])
-        put(w, "s", sv)
-        put(w, "t", tv)
-        put(w, "radial_derivative", dv)
-        put(w, "error_bound", ev)
-        put(w, "kernel", kind)
-        put(w, "eigenvalue", eigenvalue)
-        out.append(w)
-    return tuple(out)
+    kernel = tasks[0][0]
+    heat = isinstance(kernel, Heat)
+    return tuple(map(
+        ViolationWitness,
+        map(base_of.__getitem__, owner[order].tolist()),
+        map(dir_of.__getitem__, i[order].tolist()),
+        s[order].tolist(), t[order].tolist(), deriv[order].tolist(), err[order].tolist(),
+        repeat("heat" if heat else "projection"),
+        repeat(None if heat else kernel.mode.eigenvalue)))
 
 
 def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode:
@@ -323,16 +335,16 @@ def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode
 
 def revalidate(surface: FlatSurface, witness: ViolationWitness,
                kernel_epsilon: float) -> tuple[float, float]:
-    """Re-evaluate a witness's radial derivative at the given epsilon, as the
-    scan does: at the scan's epsilon, every witness of a scan's first pass,
-    and of a counterexample, comes back bit for bit (``_eval_radial``)."""
+    """Re-evaluate a witness's radial derivative at the given epsilon, on the
+    single-sample path that counterexample witnesses take (``_radial_at``):
+    at the scan's epsilon, every witness of a scan's first pass, and of a
+    counterexample, comes back bit for bit (``_eval_radial``)."""
     if witness.kernel == "heat":
         kernel = Heat(witness.t)
     else:
         kernel = Projection(mode_for_eigenvalue(surface, witness.eigenvalue))
-    X, Y, U = _segment(np.array(witness.base), np.array(witness.direction), witness.s)
-    deriv, err = _eval_radial(surface, kernel, witness.t, X, Y, U, kernel_epsilon)
-    return float(deriv), float(err)
+    return _radial_at(surface, kernel, witness.base, witness.direction, witness.s,
+                      kernel_epsilon)
 
 
 def radial_curve(surface: FlatSurface, kernel, base, direction, n: int = 101,
@@ -348,11 +360,9 @@ def radial_curve(surface: FlatSurface, kernel, base, direction, n: int = 101,
         raise InvalidParameter("a heat-kernel curve needs a time: Heat(t)")
     geo = minimal_geodesic(surface, base, direction)
     s = geo.s_max * (np.arange(1, n + 1) / n)
-    X, Y, U = _segment(np.array(geo.base), np.array(geo.direction), s)
-    t = kernel.t if isinstance(kernel, Heat) else math.inf
-    vals, ev = _eval_values(surface, kernel, t, X, Y, eps)
-    deriv, eg = _eval_radial(surface, kernel, t, X, Y, U, eps)
-    return s, np.asarray(vals), deriv, np.full(n, max(float(ev), float(eg)))
+    vals, deriv, err = _profile(surface, kernel, np.array(geo.base), np.array(geo.direction),
+                                s, eps)
+    return s, vals, deriv, np.full(n, err)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +389,15 @@ def _certify(ok, message: str) -> None:
         raise CertificationFailed(message)
 
 
-def _witness(kernel, base, u, s, t, deriv, err, what: str) -> ViolationWitness:
-    """The witness of one sample, once deriv - err > 0 is certified."""
+def _witness(surface, kernel, base, u, s, eps, what: str) -> ViolationWitness:
+    """The witness of the sample base + s * u, evaluated on its own as
+    revalidate evaluates it, once deriv - err > 0 is certified there."""
+    deriv, err = _radial_at(surface, kernel, base, u, s, eps)
     _certify(deriv - err > 0, f"{what} not certifiably positive")
     heat = isinstance(kernel, Heat)
     return ViolationWitness(
         base=(float(base[0]), float(base[1])), direction=(float(u[0]), float(u[1])),
-        s=float(s), t=t, radial_derivative=float(deriv), error_bound=float(err),
+        s=float(s), t=kernel.t, radial_derivative=deriv, error_bound=err,
         kernel="heat" if heat else "projection",
         eigenvalue=None if heat else kernel.mode.eigenvalue)
 
@@ -402,14 +414,11 @@ def _projection_record(kind, surface, base, b, s_cut, formula, extras) -> Counte
     s_lo = 0.5 * b
     s = np.concatenate([np.linspace(0.9 * s_lo, s_lo, 30, endpoint=False),
                         np.linspace(s_lo, s_cut, 70)])
-    X, Y, U = _segment(base, u, s)
-    p, _ = _eval_values(surface, kernel, math.inf, X, Y, None)
-    dp, _ = _eval_radial(surface, kernel, math.inf, X, Y, U, None)
+    p, dp, _ = _profile(surface, kernel, base, u, s, None)
     rising = s >= s_lo - 1e-12
     _certify(np.all(np.diff(p[rising]) > 0), "expected strict increase")
-    s_mid = 0.5 * (s_lo + s_cut)
-    deriv, err = _eval_radial(surface, kernel, math.inf, *_segment(base, u, s_mid), None)
-    witness = _witness(kernel, base, u, s_mid, math.inf, deriv, err, "witness derivative")
+    witness = _witness(surface, kernel, base, u, 0.5 * (s_lo + s_cut), None,
+                       "witness derivative")
     deviation = float(np.max(np.abs(p - formula(s))))
     _certify(deviation <= 1e-12, f"projection deviates from its closed form by {deviation:.3g}")
     return CounterexampleRecord(
@@ -466,23 +475,21 @@ def counterexample_isosceles(a: float) -> CounterexampleRecord:
     corners = np.array([[-a, b], [1.0 - a, b]])
     z_star = np.linalg.solve(corners, 0.5 * (corners ** 2).sum(axis=1))
     s = np.linspace(0.0, 0.99, 100)
-    X, Y, U = _segment(np.zeros(2), xi, s)
-    p, _ = _eval_values(surface, kernel, math.inf, X, Y, None)
+    p, dp, _ = _profile(surface, kernel, np.zeros(2), xi, s, None)
     deviation = float(np.max(np.abs(p - (4.0 / b) * np.cos(2.0 * math.pi * s))))
     _certify(deviation <= 1e-12, f"projection deviates from (4/b) cos(2 pi s) by {deviation:.3g}")
     # sampled as revalidate rebuilds it: at s = |z*| along the unit direction
     r = float(np.hypot(*z_star))
-    u = z_star / r
-    deriv, err = _eval_radial(surface, kernel, math.inf, *_segment(np.zeros(2), u, r), None)
-    witness = _witness(kernel, (0.0, 0.0), u, r, math.inf, deriv, err, "circumcenter derivative")
-    dp, _ = _eval_radial(surface, kernel, math.inf, X, Y, U, None)
+    witness = _witness(surface, kernel, np.zeros(2), z_star / r, r, None,
+                       "circumcenter derivative")
+    directional = r * witness.radial_derivative
     return CounterexampleRecord(
         kind="isosceles", surface=surface, s_star=None,
         s_values=tuple(s), p_values=tuple(p), dp_values=tuple(dp),
-        formula_deviation=deviation, increase=float(r * deriv),
+        formula_deviation=deviation, increase=directional,
         witness=witness,
         extras={"z_star": (float(z_star[0]), float(z_star[1])),
-                "directional_derivative": float(r * deriv),
+                "directional_derivative": directional,
                 "xi_dot_eta": xi_dot_eta})
 
 
@@ -512,15 +519,12 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
         kernel = Heat(asy.t_threshold)
         lam = principal_eigenvalue(surface).eigenvalue
         eps = max(math.exp(-lam * asy.t_threshold) * 1e-8, 1e-280)
-        X, Y, U = _segment(x, u, s)
-        vals, _ = _eval_values(surface, kernel, kernel.t, X, Y, eps)
-        dp, err = _eval_radial(surface, kernel, kernel.t, X, Y, U, eps)
-        k = int(np.argmax(dp))
-        witness = _witness(kernel, x, u, s[k], kernel.t, dp[k], err,
+        vals, dp, _ = _profile(surface, kernel, x, u, s, eps)
+        witness = _witness(surface, kernel, x, u, s[int(np.argmax(dp))], eps,
                            "largest radial derivative on the segment")
         return CounterexampleRecord(
             kind="klein-asymptotic", surface=surface, s_star=None,
-            s_values=tuple(s), p_values=tuple(np.asarray(vals)), dp_values=tuple(dp),
+            s_values=tuple(s), p_values=tuple(vals), dp_values=tuple(dp),
             formula_deviation=0.0, increase=float(asy.difference), witness=witness,
             extras={"x": asy.x, "y": asy.y, "t_threshold": asy.t_threshold,
                     "phi_x": asy.phi_x, "phi_y": asy.phi_y})

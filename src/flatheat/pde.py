@@ -53,8 +53,8 @@ class GridSolution:
         kernels._check_size(self.n, 2, "grid resolution")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
-        if self.time < 0:
-            raise InvalidParameter("time must be non-negative")
+        if not (self.time >= 0 and math.isfinite(self.time)):
+            raise InvalidParameter(f"time must be finite and non-negative, got {self.time}")
         f = np.asarray(self.field, dtype=float)
         if f.shape != (self.n, self.n):
             raise InvalidParameter(f"field must be {self.n}x{self.n}, got {f.shape}")

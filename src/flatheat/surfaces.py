@@ -90,6 +90,8 @@ def _deck(surface: FlatSurface):
 
 
 def glide(surface: KleinBottle, y) -> np.ndarray:
+    if not isinstance(surface, KleinBottle):
+        raise InvalidParameter("glide needs a Klein bottle")
     _, lin, shift = _deck(surface)
     return _vec(y) * lin[1] + shift[1]
 
@@ -99,11 +101,15 @@ def orbit_representatives(surface: FlatSurface, y, shell: int = 1) -> np.ndarray
 
     Torus: y + m1 b1 + m2 b2 for |m1|, |m2| <= shell.  Klein bottle: both
     (y1 + m, y2 + 2kb) and the glide images (1 - y1 + m, b + y2 + 2kb).
-    Raises InvalidParameter unless shell is a non-negative integer.
+    Raises InvalidParameter, before anything is allocated, unless shell is a
+    non-negative integer whose points stay within TERM_BUDGET.
     """
+    from .kernels import _check_size  # kernels imports this module
     if not (isinstance(shell, numbers.Integral) and shell >= 0):
         raise InvalidParameter(f"shell must be a non-negative integer, got {shell!r}")
     rows, lin, shift = _deck(surface)
+    side = 2 * int(shell) + 1
+    _check_size(side, 1, "shell side", width=len(lin) * side)
     rng = np.arange(-shell, shell + 1)
     mm, kk = np.meshgrid(rng, rng, indexing="ij")
     mn = np.stack([mm.ravel(), kk.ravel()], axis=1).astype(float)

@@ -1,4 +1,5 @@
 """Geodesic monotonicity scans, counterexample records, and the census."""
+import dataclasses
 import math
 import os
 import subprocess
@@ -200,17 +201,18 @@ def reference_witnesses(surface, kernel, cfg):
     for base in np.array(cfg.base_points):
         smax = surfaces._s_max(surface, base, dirs)
         for t in t_list:
+            target = Heat(t) if isinstance(kernel, Heat) else kernel
             S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
             Y = base[None, None, :] + S[:, :, None] * dirs[:, None, :]
             X = np.broadcast_to(base, Y.shape)
             dirs_b = np.broadcast_to(dirs[:, None, :], Y.shape)
-            deriv, err0 = monotonicity._eval_radial(surface, kernel, t, X, Y, dirs_b,
+            deriv, err0 = monotonicity._eval_radial(surface, target, X, Y, dirs_b,
                                                     cfg.kernel_epsilon)
             err = np.full(deriv.shape, err0)
             ambiguous = (deriv - err <= tol) & (deriv + err > tol)
             if ambiguous.any():
                 d2, e2 = monotonicity._eval_radial(
-                    surface, kernel, t, X[ambiguous], Y[ambiguous], dirs_b[ambiguous],
+                    surface, target, X[ambiguous], Y[ambiguous], dirs_b[ambiguous],
                     cfg.kernel_epsilon / 16.0)
                 deriv[ambiguous] = np.atleast_1d(d2)
                 err[ambiguous] = e2
@@ -247,27 +249,34 @@ def test_scan_witnesses_match_per_sample_reference(generic_torus):
         assert report.witnesses == expected
 
 
-def test_scan_witnesses_share_the_constructed_layout():
-    """Scan witnesses skip the dataclass __init__; they must hold the same
-    fields in the same order, and take the same key-sharing dict, as ones it
-    builds, so they compare, hash and print alike."""
-    cfg = ScanConfig(n_directions=24, n_arc_samples=12, t_values=(0.05, 2.0),
-                     base_points=((0.1, 0.2), (0.3, 0.5)))
-    report = scan(klein_bottle(0.8), Heat(), cfg)
-    assert len(report.witnesses) > 10
-    for w in report.witnesses:
-        built = flatheat.ViolationWitness(**vars(w))
-        assert list(vars(w).items()) == list(vars(built).items())
-        assert sys.getsizeof(vars(w)) == sys.getsizeof(vars(built))
-        assert w == built and hash(w) == hash(built) and repr(w) == repr(built)
-
-
 def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
     s, vals, derivs, errs = radial_curve(honeycomb_torus, Heat(0.3),
                                          (0.0, 0.0), (1.0, 1.0), n=101)
     assert s.shape == vals.shape == derivs.shape == errs.shape == (101,)
     fd = np.gradient(vals, s)
     assert np.abs(fd[2:-2] - derivs[2:-2]).max() < 1e-3
+
+
+def test_radial_curve_of_a_projection_follows_its_closed_form():
+    """Vertically from the origin of torus(0.3, 1.2), the principal projection
+    is (2/b) cos(2 pi s/b); its curve carries projection_gradient's bound."""
+    surface = torus(0.3, 1.2)
+    mode = principal_eigenvalue(surface)
+    kernel = Projection(mode)
+    s, vals, derivs, errs = radial_curve(surface, kernel, (0.0, 0.0), (0.0, 1.0), n=41)
+    b, w = 1.2, 2.0 * math.pi / 1.2
+    assert np.abs(vals - (2.0 / b) * np.cos(w * s)).max() <= 1e-12
+    assert np.abs(derivs + (2.0 / b) * w * np.sin(w * s)).max() <= 1e-12
+    Y = np.stack([np.zeros_like(s), s], axis=1)
+    _, bound = kernels.projection_gradient(surface, mode, np.zeros_like(Y), Y)
+    assert np.array_equal(errs, np.full(41, bound))
+    # the target's time is a read-only property, not a field
+    assert kernel.t == math.inf
+    with pytest.raises(AttributeError):
+        kernel.t = 1.0
+    assert [f.name for f in dataclasses.fields(Projection)] == ["mode"]
+    assert kernel == Projection(mode) and hash(kernel) == hash(Projection(mode))
+    assert repr(kernel) == f"Projection(mode={mode!r})"
 
 
 @pytest.mark.parametrize("n", [2.5, -3, 0, "8"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatheat import kernels
 from flatheat import (InvalidParameter, KernelQuery, ScanConfig, cut_distance, glide,
                       klein_bottle, minimal_geodesic, orbit_representatives, reduce,
                       surface_distance, torus, torus_distance)
@@ -181,6 +182,24 @@ def test_orbit_representatives_takes_non_negative_integer_shells():
     assert len(orbit_representatives(kb, (0.2, 0.3), 0)) == 2
     assert len(orbit_representatives(kb, (0.2, 0.3), np.int64(2))) == 2 * 25
     assert len(orbit_representatives(torus(0.3, 1.2), (0.2, 0.3), 1)) == 9
+
+
+def test_orbit_representatives_refuses_shells_over_the_budget(monkeypatch):
+    # 2 (2 10^6 + 1)^2 points: refused before any array is made
+    with pytest.raises(InvalidParameter, match="budget of"):
+        orbit_representatives(klein_bottle(1.3), (0.2, 0.3), 10 ** 6)
+    monkeypatch.setattr(kernels, "TERM_BUDGET", 50)
+    assert len(orbit_representatives(klein_bottle(1.3), (0.2, 0.3), 2)) == 50
+    assert len(orbit_representatives(torus(0.3, 1.2), (0.2, 0.3), 3)) == 49
+    with pytest.raises(InvalidParameter, match="needs 98 nodes, more than the budget of 50"):
+        orbit_representatives(klein_bottle(1.3), (0.2, 0.3), 3)
+    with pytest.raises(InvalidParameter, match="shell must be a non-negative integer"):
+        orbit_representatives(klein_bottle(1.3), (0.2, 0.3), -1)
+
+
+def test_glide_needs_a_klein_bottle():
+    with pytest.raises(InvalidParameter, match="glide needs a Klein bottle"):
+        glide(torus(0.3, 1.2), (0.1, 0.2))
 
 
 def test_klein_bottle_rejects_bad_height():
