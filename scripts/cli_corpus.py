@@ -46,6 +46,7 @@ CORPUS = [
     (0, "selftest"),
     (1, "classify --a 0.5"),
     (2, "counterexample generic --a 0 --b 1.2"),
+    (2, "counterexample generic --a 0.3 --b 1e200"),
 ]
 
 

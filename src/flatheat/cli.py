@@ -252,13 +252,19 @@ def _cmd_kernel(args) -> tuple[dict, dict, dict]:
     return surface_descriptor(surface), params, results
 
 
+def _fields(record) -> dict:
+    """A dataclass record's fields by name: ``dataclasses.asdict`` without
+    its deep copy, which the JSON report does not need."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _cmd_scan(args) -> tuple[dict, dict, dict, int]:
     surface = _surface_from(args)
     cfg = ScanConfig(n_directions=args.dirs, n_arc_samples=args.samples,
                      t_values=args.t_list, derivative_tolerance=args.tol,
                      kernel_epsilon=args.tol / 10.0)
     report = scan(surface, Heat(), cfg)
-    witnesses = [dataclasses.asdict(w) for w in report.witnesses[:_WITNESS_CAP]]
+    witnesses = [_fields(w) for w in report.witnesses[:_WITNESS_CAP]]
     results = {
         "verdict": report.verdict.value,
         "points_checked": report.points_checked,
@@ -298,7 +304,7 @@ def _cmd_counterexample(args) -> tuple[dict, dict, dict]:
         "formula_deviation": record.formula_deviation,
         "increase": record.increase,
         "sample_count": len(record.s_values),
-        "witness": dataclasses.asdict(record.witness),
+        "witness": _fields(record.witness),
         "extras": dict(sorted(record.extras.items())),
     }
     if args.csv:

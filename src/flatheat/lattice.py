@@ -315,26 +315,17 @@ def voronoi(lat: ReducedLattice) -> VoronoiCell:
 
 
 def _cut_lengths(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Arc length at which x + s*u stops being minimal, per unit row u of dirs.
-
-    Each offset v stands for one deck map g, with |g(x + s u) - x| = |v - s u|
-    (v = -t for a translation by t, v = -R(g(x) - x) for a glide with linear
-    part R).  |v - s u| >= s is linear in s: it holds while s <= |v|^2/(2 v.u).
-
-    Offset window.  The translations alone stop the segment on the boundary of
-    the Voronoi cell V of their lattice L, where only Voronoi-relevant vectors
-    bind.  So z = s_max u lies in V: |z| is at most the covering radius of L,
-    which bounds the diameter of the surface.  An offset that binds at z from
-    a coset p + L (the glides) is a nearest point of the coset to z, so v lies
-    in z - V, inside 2V.  For a Klein bottle of height b, V = [-1/2, 1/2] x
-    [-b, b]; the glide offsets (1 + m - 2 x1, (2k + 1) b) in 2V have
-    |1 + m - 2 x1| <= 1 and k in {-1, 0}, so |v| <= hypot(1, 2b).
+    """Arc length at which x + s*u stops being minimal, per unit row u of dirs:
+    the least |v|^2 / (2 v.u) over the offset rows v with v.u > 0, the other
+    lifts h(x) + l - x of the base.  Each v is scaled by its own power of
+    two, which is exact, so |v|^2 cannot overflow; the zero lift never binds.
     """
-    dots = dirs[:, 0:1] * offsets[:, 0] + dirs[:, 1:2] * offsets[:, 1]
-    sq = offsets[:, 0] ** 2 + offsets[:, 1] ** 2
-    with np.errstate(divide="ignore"):
-        bound = np.where(dots > 1e-14, sq / (2.0 * dots), np.inf)
-    return bound.min(axis=1)
+    e = np.frexp(np.abs(offsets).max(axis=1))[1]
+    v = np.ldexp(offsets, -e[:, None])
+    dots = dirs[:, 0:1] * v[:, 0] + dirs[:, 1:2] * v[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.ldexp((v[:, 0] ** 2 + v[:, 1] ** 2) / (2.0 * dots), e)
+    return np.where(dots > np.ldexp(1e-14, -e), bound, np.inf).min(axis=1)
 
 
 def _unit(direction) -> np.ndarray:
@@ -346,11 +337,11 @@ def _unit(direction) -> np.ndarray:
 
 
 def cut_distance(lat: ReducedLattice, direction) -> float:
-    """Distance from the origin to the Voronoi boundary along a unit direction.
-
-    Equals min over relevant vectors l with u.l > 0 of |l|^2 / (2 u.l).
-    """
-    return float(_cut_lengths(voronoi(lat).relevant_vectors, _unit(direction)[None, :])[0])
+    """Distance from the origin to the Voronoi boundary along a unit direction:
+    the cut length (``_cut_lengths``) over the ``_nearest_window`` window of
+    lattice vectors around the origin."""
+    window = _geometry(((1.0, 0.0), (-lat.a, lat.b)))["window"]
+    return float(_cut_lengths(window[:, :, 0].T, _unit(direction)[None, :])[0])
 
 
 @lru_cache(maxsize=128)
@@ -440,6 +431,10 @@ def _nearest_window(rows: tuple, d) -> tuple[np.ndarray, np.ndarray]:
     |c_2| <= 1/2 + a (1 - a) / (2 b^2) <= 2/3, |c_1| <= 1/2 + a |c_2| <= 5/6
     (``test_torus_distance_brute_force`` checks it against a 9 x 9 window);
     on an orthogonal basis, such as the Klein cover, per-axis rounding is exact.
+    Its window around a reduced coset representative holds every lift that
+    can bind a cut length: the relevant vectors +-b1, +-b2, +-(b1 + b2) around
+    0, and on the Klein cover all of twice the Voronoi cell (|c_i| <= 1),
+    where the nearest lift of a coset to any point of the cell lies.
     """
     cand = _recentre(rows, d)[:, None, :] - _geometry(rows)["window"]
     return cand, np.hypot(cand[0], cand[1])

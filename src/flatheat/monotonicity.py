@@ -92,9 +92,7 @@ class ScanConfig:
         object.__setattr__(self, "n_arc_samples", n_arc)
         object.__setattr__(self, "n_directions",
                            _check_size(self.n_directions, 4, "n_directions", width=n_arc))
-        object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
-        if not self.t_values or any(not (t > 0 and math.isfinite(t)) for t in self.t_values):
-            raise InvalidParameter("t_values must be positive and finite")
+        object.__setattr__(self, "t_values", _times(self.t_values, "t_values"))
         tols = (self.derivative_tolerance, self.kernel_epsilon)
         if not all(tol > 0 and math.isfinite(tol) for tol in tols):
             raise InvalidParameter("tolerances must be positive and finite")
@@ -104,11 +102,29 @@ class ScanConfig:
                 raise InvalidParameter("base_points must be finite")
 
 
+def _times(values, what: str) -> tuple[float, ...]:
+    """The times as floats; InvalidParameter unless values is a non-empty
+    sequence of numbers, each positive and finite."""
+    try:
+        times = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
+    except (TypeError, ValueError):
+        times = ()
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise InvalidParameter(f"{what}: each must be a positive finite number, got {values!r}")
+    return times
+
+
 @dataclass(frozen=True)
 class Heat:
-    """Scan target: heat kernel; at a fixed time t, or the configured grid."""
+    """Scan target: heat kernel; at a fixed time t, or the configured grid.
+    The time is converted with float; InvalidParameter unless it is a
+    positive finite number."""
 
     t: float | None = None
+
+    def __post_init__(self):
+        if self.t is not None:
+            object.__setattr__(self, "t", _times((self.t,), "heat kernel times")[0])
 
 
 @dataclass(frozen=True)
@@ -265,11 +281,8 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     _check_kernel(kernel)
     dirs = _scan_directions(surface, cfg.n_directions)
     bases = _default_bases(surface, cfg)
-    if isinstance(kernel, Heat):
-        t_list = [float(kernel.t)] if kernel.t is not None else list(cfg.t_values)
-        if any(t <= 0 for t in t_list):
-            raise InvalidParameter("heat kernel times must be positive")
-        targets = [Heat(t) for t in t_list]
+    if isinstance(kernel, Heat) and kernel.t is None:
+        targets = [Heat(t) for t in cfg.t_values]
     else:
         targets = [kernel]
     tasks = []
@@ -442,7 +455,7 @@ def counterexample_generic(a: float, b: float) -> CounterexampleRecord:
         raise WrongLatticeClass(f"construction needs a generic lattice, got {tag.value}")
     s_cut = minimal_geodesic(surface, (0.0, 0.0), (0.0, 1.0)).s_max
     s_star = s_cut / lat.b
-    closed_form = (lat.a ** 2 + lat.b ** 2) / (2.0 * lat.b ** 2)
+    closed_form = 0.5 + 0.5 * (lat.a / lat.b) ** 2  # b is not squared: it may be huge
     _certify(abs(s_star - closed_form) <= 1e-12,
              f"cut distance {s_star!r} differs from the closed form {closed_form!r}")
     return _projection_record(

@@ -5,13 +5,13 @@ bottle of height b is R^2 modulo (x1, x2) ~ (x1 + 1, x2) ~ (1 - x1, x2 + b);
 its orientable double cover is the rectangular torus with lattice
 {(1, 0), (0, 2b)} and the deck transformation is the glide map
 g(y) = (1 - y1, y2 + b).  ``_deck`` is the one description of the deck group
-(a torus is its own cover); orbits, distances and kernels all read it.
+(a torus is its own cover); orbits, distances, cut lengths and kernels read it.
 
-A distance is the nearest cover image over the deck elements; minimal
-geodesics are closed forms.  The unit-speed segment x + s u is minimal
-exactly while s <= min |v|^2 / (2 v.u) over the deck offsets v of x with
-v.u > 0: the Voronoi-relevant vectors on a torus; the cover translations
-(m, 2kb) and the glide offsets (1 + m - 2 x1, (2k + 1) b) on a Klein bottle.
+One lift rule: the lifts of y near x are h(y) + l over the deck elements h
+and the cover translations l of the ``lattice._nearest_window`` window of
+x - h(y).  A distance is the least |x - h(y) - l|; the segment x + s u is
+minimal while s <= |v|^2 / (2 v.u) for each other lift v = h(x) + l - x of x
+with v.u > 0.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import ReducedLattice, _cut_lengths, _nearest_window, _unit, _vec, voronoi
+from .lattice import ReducedLattice, _cut_lengths, _nearest_window, _recentre, _unit, _vec
 
 
 @dataclass(frozen=True)
@@ -147,31 +147,23 @@ def surface_distance(surface: FlatSurface, x, y) -> float:
 
 
 def _s_max(surface: FlatSurface, base: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Minimal-segment arc length from base along each unit row of dirs.
-
-    Klein offsets: the relevant vectors (+-1, 0), (0, +-2b) of the cover and
-    the glide offsets (c + m, +-b), c = 1 - 2 (x1 mod 1), m in {-1, 0, 1};
-    they cover the window derived in ``lattice._cut_lengths``.
-    """
-    if isinstance(surface, Torus):
-        offsets = voronoi(surface.lattice).relevant_vectors
-    else:
-        b, c = surface.b, 1.0 - 2.0 * (float(base[0]) % 1.0)
-        offsets = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 2.0 * b), (0.0, -2.0 * b),
-                            *((c + m, h) for m in (-1.0, 0.0, 1.0) for h in (b, -b))])
-    return _cut_lengths(offsets, dirs)
+    """Minimal-segment arc length from base along each unit row of dirs, over
+    the lifts of the base once it is reduced modulo the cover (exactly, when
+    far); InvalidParameter unless the base is finite."""
+    rows = _deck(surface)[0]
+    x = _recentre(rows, base)[:, 0]
+    lifts = _nearest_window(rows, _deck_displacements(surface, x, x)[2])[0]
+    return _cut_lengths(-lifts.reshape(2, -1).T, dirs)
 
 
 def minimal_geodesic(surface: FlatSurface, base, direction) -> Geodesic:
     """Largest s_max such that base + s * direction is minimal on [0, s_max].
 
-    s_max = min |v|^2 / (2 v.u) over the deck offsets v of the base with
-    v.u > 0, u the unit direction (see the module docstring).  On a torus
+    s_max = min |v|^2 / (2 v.u) over the other lifts v = h(x) + l - x of the
+    base x with v.u > 0, u the unit direction (``_s_max``).  On a torus
     s_max is ``cut_distance`` of u and does not depend on the base.
     """
     base = _vec(base)
-    if not all(map(math.isfinite, base)):
-        raise InvalidParameter("base must be finite")
     u = _unit(direction)
     return Geodesic(tuple(map(float, base)), tuple(map(float, u)),
                     float(_s_max(surface, base, u[None, :])[0]))

@@ -235,6 +235,7 @@ def test_domain_errors_exit_2(capsys):
                  ["kernel", "--b", "nan"] + point,
                  ["kernel", "--a", "0", "--b", "inf"] + point,
                  ["counterexample", "generic", "--b", "0.5"],
+                 ["counterexample", "generic", "--a", "0.3", "--b", "1e200"],
                  ["projection-diag", "--b", "1", "--lambda-index", "1", "--grid", "0"],
                  ["projection-diag", "--b", "1", "--lambda-index", "1", "--grid", "-3"],
                  ["pde-check", "--a", "0", "--b", "1", "--t", "0.05", "--n", "0"],

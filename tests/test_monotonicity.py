@@ -32,6 +32,31 @@ def test_scan_config_validation():
         ScanConfig(derivative_tolerance=0.0)
 
 
+_TIME_ENTRIES = {
+    "scan": lambda t: scan(torus(0.3, 1.2), Heat(t), ScanConfig(n_directions=8, n_arc_samples=8)),
+    "radial_curve": lambda t: radial_curve(torus(0.3, 1.2), Heat(t), (0, 0), (0, 1), n=4),
+    "ScanConfig": lambda t: ScanConfig(t_values=(t,)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TIME_ENTRIES))
+def test_times_are_checked_once_for_every_entry(entry):
+    """Heat and ScanConfig convert a time with float and refuse a non-number,
+    non-finite or non-positive one with InvalidParameter."""
+    for bad in ("x", [0.5], math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidParameter):
+            _TIME_ENTRIES[entry](bad)
+    _TIME_ENTRIES[entry]("0.5")
+    _TIME_ENTRIES[entry](np.float32(0.5))
+    if entry == "ScanConfig":
+        for bad in (0.5, "0.5", ()):
+            with pytest.raises(InvalidParameter):
+                ScanConfig(t_values=bad)
+        assert ScanConfig(t_values=["0.5", 2]).t_values == (0.5, 2.0)
+    else:
+        assert Heat("0.5") == Heat(0.5) and type(Heat(np.float32(0.5)).t) is float
+
+
 def test_scan_config_rejects_non_integer_sizes():
     for bad in (8.5, 8.0, "8"):
         with pytest.raises(InvalidParameter):
@@ -362,6 +387,14 @@ def test_generic_counterexample_rejects_other_classes():
         counterexample_generic(0.0, 1.0)
     with pytest.raises(WrongLatticeClass):
         counterexample_generic(0.3, math.sqrt(1 - 0.09))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generic_counterexample_huge_b_ends_in_a_typed_error():
+    # b^2 overflows; the closed form must not square b, and what fails after
+    # it (the principal eigenvalue underflows to 0) fails with a typed error
+    with pytest.raises(InvalidParameter):
+        counterexample_generic(0.3, 1e200)
 
 
 def test_isosceles_counterexample_records():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatheat import kernels
+from flatheat import kernels, monotonicity, surfaces
 from flatheat import (InvalidParameter, KernelQuery, ScanConfig, cut_distance, glide,
                       klein_bottle, minimal_geodesic, orbit_representatives, reduce,
-                      surface_distance, torus, torus_distance)
+                      surface_distance, torus, torus_distance, voronoi)
+from flatheat.lattice import _cut_lengths, _unit
 
 
 def klein_distance_closed_form(b, x, y):
@@ -134,6 +135,66 @@ def test_minimal_geodesic_is_tight(rng):
             s_past = 1.01 * geo.s_max
             assert (surface_distance(surface, base, base + s_past * u)
                     < s_past - 1e-12) or geo.s_max > 1e3
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.09)),
+                                  (0.5, math.sqrt(3.0) / 2.0), (0.3, 1.2)],
+                         ids=["square", "rectangular", "isosceles", "honeycomb", "generic"])
+def test_torus_cut_lengths_equal_the_voronoi_relevant_vectors_bitwise(a, b, rng):
+    """The lifts of the deck window give the cut lengths of the relevant
+    vectors bit for bit, at any base, on the scan directions and random ones."""
+    surface = torus(a, b)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    dirs = np.concatenate([monotonicity._scan_directions(surface, 360),
+                           np.stack([np.cos(ang), np.sin(ang)], axis=1)])
+    relevant = voronoi(surface.lattice).relevant_vectors
+    want = _cut_lengths(relevant, dirs)
+    for base in ((0.0, 0.0), tuple(rng.uniform(-3.0, 3.0, 2)), (1e9, -3e17)):
+        assert np.array_equal(surfaces._s_max(surface, np.array(base), dirs), want)
+    for u in dirs[:365 + 200]:
+        want_u = _cut_lengths(relevant, _unit(u)[None, :])[0]
+        assert cut_distance(surface.lattice, u) == want_u
+        assert minimal_geodesic(surface, (0.1, 0.2), u).s_max == want_u
+
+
+def klein_cut_brute_force(b, base, dirs):
+    """Per unit row u of dirs, the least |v|^2 / (2 v.u), v.u > 0, over a
+    7 x 7 block of lifts of both deck elements in plain floats: the
+    translations (m, 2kb) and the glide offsets (1 - 2 (x1 mod 1) + m,
+    (2k + 1) b)."""
+    c = 1.0 - 2.0 * (base[0] % 1.0)
+    v = np.array([w for m in range(-3, 4) for k in range(-3, 4)
+                  for w in ((m, 2 * k * b), (c + m, (2 * k + 1) * b))])
+    dots = dirs[:, 0:1] * v[:, 0] + dirs[:, 1:2] * v[:, 1]
+    sq = np.broadcast_to(v[:, 0] ** 2 + v[:, 1] ** 2, dots.shape)
+    return np.where(dots > 1e-14, sq / np.where(dots > 1e-14, 2.0 * dots, 1.0), np.inf).min(axis=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [0.2, 0.3, 0.73, 1.0, 1.5, 2.5])
+def test_klein_cut_lengths_match_a_block_of_lifts(b, rng):
+    surface = klein_bottle(b)
+    dirs = monotonicity._scan_directions(surface, 360)
+    bases = [tuple(p) for p in rng.uniform(0.0, 1.0, (4, 2)) * (1.0, b)]
+    bases += [tuple(p) for p in rng.uniform(-5.0, 5.0, (4, 2))]
+    for r in (1e3, 1e8, 1e16, 1e300):
+        bases += [(r + 0.25, 0.1), (-r, 0.3 * b), (0.3, r), (0.7 * r, -0.3 * r)]
+    for base in bases:
+        got = surfaces._s_max(surface, np.array(base), dirs)
+        want = klein_cut_brute_force(b, base, dirs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=str(base))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [1e155, 1e200, 1e300])
+def test_cut_lengths_on_huge_lattices(b):
+    """|v|^2 of a lift beyond 1e154 overflows; the cut lengths stay finite."""
+    surface = torus(0.3, b)
+    for base in ((0.0, 0.0), (0.4, 0.3 * b)):
+        assert minimal_geodesic(surface, base, (0.0, 1.0)).s_max == pytest.approx(b / 2, rel=1e-15)
+        assert minimal_geodesic(surface, base, (1.0, 0.0)).s_max == 0.5
+    assert cut_distance(surface.lattice, (0.0, 1.0)) == pytest.approx(b / 2, rel=1e-15)
+    assert cut_distance(surface.lattice, (1.0, 1.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
 def test_minimal_geodesic_rejects_zero_direction():
