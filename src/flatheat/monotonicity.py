@@ -77,6 +77,18 @@ def worker_count() -> int:
 # configuration and result types
 
 
+def _times(values, what: str) -> tuple[float, ...]:
+    """The times as floats; InvalidParameter unless values is a non-empty
+    sequence of numbers, each positive and finite."""
+    try:
+        times = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
+    except (TypeError, ValueError):
+        times = ()
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise InvalidParameter(f"{what}: each must be a positive finite number, got {values!r}")
+    return times
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     n_directions: int = 360
@@ -100,18 +112,6 @@ class ScanConfig:
             object.__setattr__(self, "base_points", tuple(map(_pair, self.base_points)))
             if not all(math.isfinite(c) for p in self.base_points for c in p):
                 raise InvalidParameter("base_points must be finite")
-
-
-def _times(values, what: str) -> tuple[float, ...]:
-    """The times as floats; InvalidParameter unless values is a non-empty
-    sequence of numbers, each positive and finite."""
-    try:
-        times = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
-    except (TypeError, ValueError):
-        times = ()
-    if not times or not all(0.0 < t < math.inf for t in times):
-        raise InvalidParameter(f"{what}: each must be a positive finite number, got {values!r}")
-    return times
 
 
 @dataclass(frozen=True)
