@@ -41,12 +41,14 @@ CORPUS = [
     (0, "counterexample klein --b 1 --csv {csv}"),
     (0, "counterexample klein --b 0.8 --csv {csv}"),
     (0, "projection-diag --klein --b 1.3 --lambda-index 2"),
+    (0, "projection-diag --a 0.3 --b 1e6 --lambda-index 1 --grid 8"),
     (0, "census --a 0.5 --b 0.8660254037844386 --t 0.5"),
     (0, "pde-check --a 0 --b 1 --t 0.05 --n 32"),
     (0, "selftest"),
     (1, "classify --a 0.5"),
     (2, "counterexample generic --a 0 --b 1.2"),
     (2, "counterexample generic --a 0.3 --b 1e200"),
+    (2, "counterexample generic --a 0.3 --b 1e6"),
 ]
 
 

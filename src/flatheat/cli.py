@@ -37,7 +37,7 @@ from . import __version__
 from .errors import FlatHeatError, InvalidParameter
 from .lattice import ReducedLattice, classify, reduce
 from .surfaces import Torus, klein_bottle, surface_descriptor, torus
-from .kernels import (KernelQuery, eigenbasis_values, enumerate_modes,
+from .kernels import (KernelQuery, _mode_at, eigenbasis_values, enumerate_modes,
                       fundamental_domain_grid, gradient_sum_check, heat_kernel,
                       heat_values, heat_gradient_values, projection_diagonal_scan)
 from .monotonicity import (Heat, ScanConfig, Verdict, counterexample_generic,
@@ -315,22 +315,11 @@ def _cmd_counterexample(args) -> tuple[dict, dict, dict]:
     return surface_descriptor(record.surface), params, results
 
 
-def _modes_up_to_index(surface, index: int):
-    lam_max = 120.0
-    while lam_max <= 4.1e5:
-        modes = enumerate_modes(surface, lam_max)
-        if len(modes) > index:
-            return modes
-        lam_max *= 2.0
-    raise InvalidParameter(f"lambda index {index} out of enumerable range")
-
-
 def _cmd_projection_diag(args) -> tuple[dict, dict, dict]:
     surface = _surface_from(args)
     if args.lambda_index < 0:
         raise InvalidParameter("--lambda-index must be non-negative")
-    modes = _modes_up_to_index(surface, args.lambda_index)
-    mode = modes[args.lambda_index]
+    mode = _mode_at(surface, index=args.lambda_index)
     diag = projection_diagonal_scan(surface, mode, args.grid)
     results = {
         "eigenvalue": mode.eigenvalue,

@@ -114,6 +114,7 @@ _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
 # Spectral box sums over up to this many points run in float arithmetic.
 _FEW_POINTS = 8
+_MODE_TOL = 1e-9  # relative width of an eigenvalue group (``_group_eigenvalues``)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +645,8 @@ def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
 
 @dataclass(frozen=True)
 class SpectralMode:
-    """One Laplace eigenvalue with its generating spectral parameters.
+    """One Laplace eigenvalue with its generating spectral parameters, as
+    enumerated (``enumerate_modes``): its bits, relative group and order.
 
     Torus generators are integer dual-basis coordinates (m, n) covering every
     dual vector of the shared modulus; the multiplicity equals their count.
@@ -664,12 +666,12 @@ class SpectralMode:
 
 
 def _group_eigenvalues(entries, tol):
-    """entries: sorted list of (lam, payload, count). Groups by relative tol."""
+    """entries: sorted (lam, payload, count); groups within tol * lam of their first, lam."""
     modes = []
     cur, cur_lam = [], None
     cur_count = 0
     for lam, payload, count in entries:
-        if cur and lam - cur_lam > tol * max(1.0, cur_lam):
+        if cur and lam - cur_lam > tol * cur_lam:
             modes.append((cur_lam, tuple(cur), cur_count))
             cur, cur_count = [], 0
         if not cur:
@@ -701,13 +703,15 @@ def _klein_rule(l1: int, l2: int):
 
 
 def enumerate_modes(surface: FlatSurface, lambda_max: float,
-                    tol: float = 1e-9) -> list[SpectralMode]:
-    """All eigenvalues <= lambda_max, grouped within relative tol, ascending.
+                    tol: float = _MODE_TOL) -> list[SpectralMode]:
+    """All eigenvalues <= lambda_max (1 + tol), ascending, grouped within tol * lam
+    of a group's first, lam: purely relative (``_group_eigenvalues``).
 
     Raises InvalidParameter unless lambda_max and tol are finite and
-    non-negative, and when the cover's dual lattice may hold more than
-    TERM_BUDGET points with 4 pi^2 |p|^2 <= lambda_max, before enumerating.
-    """
+    non-negative, and, before enumerating, when the cover's dual disk may hold
+    more than TERM_BUDGET points: by the Voronoi bound (``_disk_bound``) or,
+    less when r << rho, by its lines m u + Z v, |m| <= r |v| / covol, of at
+    most 2 r / |v| + 1 points each, (u, v) the dual rows."""
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -715,14 +719,16 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
     rows = _deck(surface)[0]
     geom = _geometry(rows)
     radius = math.sqrt(lambda_max * (1.0 + 2.0 * tol)) / _TWO_PI
-    if _disk_bound(radius, geom["dual_rho"], geom["dual_covol"]) > TERM_BUDGET:
+    v = float(np.hypot(*geom["dual_rows"][1]))  # np.floor: the radius may be inf
+    lines = (2 * np.floor(radius * v / geom["dual_covol"]) + 1) * (np.floor(2 * radius / v) + 1)
+    if min(_disk_bound(radius, geom["dual_rho"], geom["dual_covol"]), lines) > TERM_BUDGET:
         raise InvalidParameter(
             f"lambda_max {lambda_max:g} needs more than {TERM_BUDGET} dual lattice points")
     # a Klein generator (l1, l2) stands for the cover's dual vectors
     # (+-l1, +-l2 / 2b): the half disk's point (m, n) = (l1, l2), n >= 0
     is_torus = isinstance(surface, Torus)
-    mn, _, r2 = _disk(rows, radius + 1e-12, half=not is_torus, dual=True)
-    top = lambda_max * (1.0 + tol) + 1e-12
+    mn, _, r2 = _disk(rows, radius, half=not is_torus, dual=True)
+    top = lambda_max * (1.0 + tol)
     entries = []
     for lam, (m, n) in zip((_FOUR_PI_SQ * r2).tolist(), mn.tolist()):
         if lam > top:  # the points come sorted by modulus
@@ -738,18 +744,30 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
     ]
 
 
+def _mode_at(surface: FlatSurface, lam=None, index=None) -> SpectralMode:
+    """The one spectral lookup, from one ``enumerate_modes`` call out to lam > 0:
+    the mode within _MODE_TOL * lam of lam, or that of an index (0: constants).
+    lam defaults to lambda_1 (``principal_eigenvalue``), for an index to
+    max(index, 1)^2 lambda_1, which n^2 lambda_1, n <= index, do not pass (an
+    index past TERM_BUDGET counts as TERM_BUDGET, whose disk passes the budget)."""
+    if lam is None:
+        b = surface.lattice.b if isinstance(surface, Torus) else max(surface.b, 1.0)
+        lam = (_TWO_PI / b) ** 2 * (1 if index is None else min(max(index, 1), TERM_BUDGET) ** 2)
+    if not lam > 0:
+        raise InvalidParameter(f"no mode at eigenvalue {lam!r}: it is not positive "
+                               "(lambda_1 = (2 pi / b)^2 underflows to 0 beyond b ~ 4e162)")
+    for i, mode in enumerate(enumerate_modes(surface, lam)):
+        if i == index or (index is None and abs(mode.eigenvalue - lam) <= _MODE_TOL * lam):
+            return mode
+    raise InvalidParameter(f"no mode at eigenvalue {lam!r} on {surface!r}")
+
+
 def principal_eigenvalue(surface: FlatSurface) -> SpectralMode:
-    """The smallest non-zero eigenvalue with its full multiplicity."""
-    if isinstance(surface, Torus):
-        guess = (_TWO_PI / surface.lattice.b) ** 2
-    else:
-        guess = min(_TWO_PI ** 2, (_TWO_PI / surface.b) ** 2)
-    for factor in (1.000001, 1.01, 1.5):
-        modes = enumerate_modes(surface, guess * factor)
-        nontrivial = [m for m in modes if m.eigenvalue > 1e-9 * guess]
-        if nontrivial:
-            return nontrivial[0]
-    raise RuntimeError("principal eigenvalue not found")  # pragma: no cover
+    """The smallest non-zero eigenvalue with its full multiplicity (``_mode_at``).
+    lambda_1 = (2 pi / b)^2 on a reduced torus: its dual rows (1, a / b), (0, 1 / b)
+    have no shorter vector than (0, 1 / b) as a^2 + b^2 >= 1, a <= 1/2.  A Klein bottle
+    has min(4 pi^2, (2 pi / b)^2) = (2 pi / max(b, 1))^2; both are 0 beyond b ~ 4e162."""
+    return _mode_at(surface)
 
 
 def _check_mode(surface: FlatSurface, mode: SpectralMode) -> None:

@@ -37,7 +37,7 @@ from .errors import (
 from .kernels import (
     SpectralMode,
     _check_size,
-    enumerate_modes,
+    _mode_at,
     eigenbasis_values,
     fundamental_domain_grid,
     heat_gradient_values,
@@ -339,13 +339,6 @@ def _witness_objects(tasks, dirs, columns) -> tuple:
         repeat(None if heat else kernel.mode.eigenvalue)))
 
 
-def mode_for_eigenvalue(surface: FlatSurface, eigenvalue: float) -> SpectralMode:
-    for m in enumerate_modes(surface, eigenvalue * (1.0 + 1e-9) + 1e-9):
-        if abs(m.eigenvalue - eigenvalue) <= 1e-9 * max(1.0, eigenvalue):
-            return m
-    raise InvalidParameter(f"no mode at eigenvalue {eigenvalue}")
-
-
 def revalidate(surface: FlatSurface, witness: ViolationWitness,
                kernel_epsilon: float) -> tuple[float, float]:
     """Re-evaluate a witness's radial derivative at the given epsilon, on the
@@ -355,7 +348,7 @@ def revalidate(surface: FlatSurface, witness: ViolationWitness,
     if witness.kernel == "heat":
         kernel = Heat(witness.t)
     else:
-        kernel = Projection(mode_for_eigenvalue(surface, witness.eigenvalue))
+        kernel = Projection(_mode_at(surface, witness.eigenvalue))
     return _radial_at(surface, kernel, witness.base, witness.direction, witness.s,
                       kernel_epsilon)
 

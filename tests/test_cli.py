@@ -254,6 +254,24 @@ def test_pde_check_over_the_work_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error: InvalidParameter: grid resolution 32")
 
 
+def test_long_torus_spectral_commands(capsys):
+    """At b = 1e6, lambda_1 = (2 pi / b)^2 is about 4e-11.  projection-diag
+    finds it by index, and the generic counterexample ends in a typed error
+    (its certificate, not yet rounding-aware, fails), never in a traceback.
+    An index whose enumeration passes the point budget exits 2."""
+    doc = run_valid(capsys, ["projection-diag", "--a", "0.3", "--b", "1e6",
+                             "--lambda-index", "1", "--grid", "8"])
+    r = doc["results"]
+    assert r["multiplicity"] == 2
+    assert abs(r["eigenvalue"] - (2 * math.pi / 1e6) ** 2) <= 1e-12 * r["eigenvalue"]
+    code, out, err = run(capsys, ["counterexample", "generic", "--a", "0.3", "--b", "1e6"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CertificationFailed: ")
+    code, out, err = run(capsys, ["projection-diag", "--b", "1", "--lambda-index", "1" + "0" * 400])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParameter: ")
+
+
 def test_projection_diag_over_the_work_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(kernels, "TERM_BUDGET", 32 * 32 - 1)
     code, out, err = run(capsys, ["projection-diag", "--b", "1", "--lambda-index", "1",

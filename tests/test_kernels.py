@@ -21,6 +21,7 @@ from flatheat import (InvalidParameter, KernelQuery, ModeSurfaceMismatch,
                       klein_bottle, principal_eigenvalue,
                       projection_diagonal_scan, projection_gradient,
                       projection_kernel, torus)
+import flatheat
 from flatheat import kernels
 from flatheat.kernels import heat_gradient_values, heat_values
 from flatheat.lattice import _recentre
@@ -149,6 +150,100 @@ def test_principal_eigenvalue_values():
         mode = principal_eigenvalue(surface)
         assert abs(mode.eigenvalue - lam) < 1e-9
         assert mode.multiplicity == mult
+
+
+def _closed_lambda_1(surface):
+    """(2 pi / b)^2 on a reduced torus, min(4 pi^2, (2 pi / b)^2) on a Klein bottle."""
+    if isinstance(surface, flatheat.Torus):
+        return (2 * math.pi / surface.lattice.b) ** 2
+    return min(FOUR_PI_SQ, (2 * math.pi / surface.b) ** 2)
+
+
+MODULI = ([torus(a, b) for a in (0.1, 0.3) for b in [2.0, 10.0] + [10.0 ** k for k in range(2, 13)]]
+          + [klein_bottle(10.0 ** k) for k in range(-8, 13)])
+
+
+def test_principal_eigenvalue_across_the_moduli_space(monkeypatch):
+    """lambda_1 within 1e-12 of its closed form, with its multiplicity, from a
+    single enumeration, on tori a in {0.1, 0.3}, b from 2 to 1e12 and Klein
+    bottles of heights 1e-8 to 1e12.  The mode is the enumeration's: its
+    eigenvalue bits and generator order are those of a wider enumeration.
+    Long surfaces need the per-line count of the dual disk (the Voronoi
+    bound says 7.8e7 points at b = 1e8 for a disk that holds 3), thin Klein
+    bottles too (4e7 at b = 1e-8)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_modes(*args, **kwargs)
+
+    for surface in MODULI:
+        lam = _closed_lambda_1(surface)
+        calls.clear()
+        monkeypatch.setattr(kernels, "enumerate_modes", counting)
+        mode = principal_eigenvalue(surface)
+        monkeypatch.undo()
+        assert len(calls) == 1, surface
+        b = surface.lattice.b if isinstance(surface, flatheat.Torus) else surface.b
+        mult = 2 if isinstance(surface, flatheat.Torus) or b > 1 else (3 if b == 1 else 1)
+        assert abs(mode.eigenvalue - lam) <= 1e-12 * lam, surface
+        assert mode.multiplicity == mult, surface
+        wider = next(m for m in enumerate_modes(surface, 2.0 * lam) if m.eigenvalue > 0)
+        assert (mode.eigenvalue, mode.generators) == (wider.eigenvalue, wider.generators)
+
+
+def test_the_mode_lookup_tells_lambda_1_from_0_on_long_surfaces():
+    """From b = 2e5, lambda_1 is below 1e-9: an absolute window grouped it
+    with the constants (eigenvalue 0, multiplicity 3).  The relative lookup
+    finds lambda_1 > 0 with multiplicity 2, by eigenvalue and by index.  The
+    dual disk out to 5 lambda_1 is counted by lines: its Voronoi bound says
+    7.8e7 points at b = 1e8."""
+    for surface in (torus(0.3, 2e5), klein_bottle(2e5), torus(0.3, 1e8), klein_bottle(1e12)):
+        lam = _closed_lambda_1(surface)
+        modes = enumerate_modes(surface, 5.0 * lam)
+        assert [m.multiplicity for m in modes] == [1, 2, 2]
+        assert modes[0].eigenvalue == 0.0
+        for mode in (principal_eigenvalue(surface), kernels._mode_at(surface, lam),
+                     kernels._mode_at(surface, index=1)):
+            assert mode == modes[1]
+            assert abs(mode.eigenvalue - lam) <= 1e-12 * lam
+            assert mode.multiplicity == 2
+
+
+def test_index_lookup_matches_the_enumeration():
+    """The index lookup, one enumeration out to max(i, 1)^2 lambda_1, gives
+    the i-th mode of a wide enumeration: eigenvalue, multiplicity and
+    generators."""
+    for surface in (torus(0.0, 1.0), torus(0.3, 1.2), torus(0.5, HONEYCOMB_B), torus(0.1, 7.0),
+                    klein_bottle(0.3), klein_bottle(1.0), klein_bottle(1.3), klein_bottle(4.0)):
+        modes = enumerate_modes(surface, 4000.0)
+        for i in range(25):
+            assert kernels._mode_at(surface, index=i) == modes[i], (surface, i)
+
+
+def test_mode_lookup_errors_are_typed(monkeypatch):
+    """lambda_1 = (2 pi / b)^2 underflows to 0 from b ~ 4e162: the lookup
+    names the underflow before it enumerates anything.  Below that, from
+    b ~ 1e80, the disk enumeration's discriminant is subnormal, loses the
+    points on the disk's edge, and the lookup finds no mode: a typed error
+    too.  An index past TERM_BUDGET, and an infinite disk radius, are
+    refused by the budget."""
+    for b in (1e100, 1e200):
+        for surface in (torus(0.3, b), klein_bottle(b)):
+            with pytest.raises(InvalidParameter, match="no mode at eigenvalue"):
+                principal_eigenvalue(surface)
+    monkeypatch.setattr(kernels, "enumerate_modes", None)  # not reached
+    for surface in (torus(0.3, 1e200), klein_bottle(1e200)):
+        with pytest.raises(InvalidParameter, match="underflows to 0"):
+            principal_eigenvalue(surface)
+    monkeypatch.undo()
+    with pytest.raises(InvalidParameter, match="dual lattice points"):
+        kernels._mode_at(torus(0.0, 1.0), index=10 ** 400)
+    with pytest.raises(InvalidParameter, match="no mode at eigenvalue"):
+        kernels._mode_at(torus(0.3, 1.2), 30.0)
+    # lambda_max (1 + 2 tol) overflows: an infinite radius passes the budget
+    with pytest.raises(InvalidParameter, match="dual lattice points"):
+        enumerate_modes(torus(0.0, 1.0), 1e308, tol=1.0)
 
 
 def test_mode_surface_mismatch_rejected():

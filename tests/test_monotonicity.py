@@ -397,6 +397,52 @@ def test_generic_counterexample_huge_b_ends_in_a_typed_error():
         counterexample_generic(0.3, 1e200)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_time_constructions_across_the_moduli_space():
+    """On tori a in {0.1, 0.3}, b from 2 to 1e12 and Klein bottles of heights
+    1e-8 to 1e12, counterexample_generic and asymptotic_violation each
+    return their record or raise a FlatHeatError, and nothing warns.  Up to
+    b = 1e2 the generic counterexample certifies; from 1e3 on its samples
+    differ by a few ulps and "expected strict increase" fails (rounding is
+    not yet part of the certificate)."""
+    certified = []
+    for a in (0.1, 0.3):
+        for b in [2.0, 10.0] + [10.0 ** k for k in range(2, 13)]:
+            try:
+                counterexample_generic(a, b)
+                certified.append(b)
+            except flatheat.FlatHeatError:
+                pass
+            with pytest.raises(NotSimple):
+                asymptotic_violation(torus(a, b))
+    assert {2.0, 10.0, 100.0} <= set(certified)
+    for k in range(-8, 13):
+        try:
+            rec = asymptotic_violation(klein_bottle(10.0 ** k))
+        except flatheat.FlatHeatError:
+            continue
+        assert rec.difference > rec.error_sum
+
+
+def test_revalidate_projects_onto_lambda_1_on_a_long_torus():
+    """On torus(0.3, 2e5), lambda_1 = (2 pi / b)^2 is below 1e-9.  A
+    projection witness carrying it revalidates with the lambda_1 mode,
+    whose projection P(0, (0, s)) = (2 / b) cos(2 pi s / b) has the
+    derivative -(4 pi / b^2) sin(2 pi s / b) along the vertical geodesic."""
+    b = 2e5
+    surface = torus(0.3, b)
+    mode = principal_eigenvalue(surface)
+    s = 0.6 * b
+    deriv, err = monotonicity._radial_at(surface, Projection(mode), np.zeros(2),
+                                         np.array([0.0, 1.0]), s, None)
+    witness = flatheat.ViolationWitness(
+        base=(0.0, 0.0), direction=(0.0, 1.0), s=s, t=math.inf, radial_derivative=deriv,
+        error_bound=err, kernel="projection", eigenvalue=mode.eigenvalue)
+    assert revalidate(surface, witness, 1e-12) == (deriv, err)
+    closed = -(4.0 * math.pi / b ** 2) * math.sin(2.0 * math.pi * s / b)
+    assert deriv > 0 and abs(deriv - closed) <= 1e-9 * closed
+
+
 def test_isosceles_counterexample_records():
     for a in (0.1, 0.3, 0.45):
         rec = counterexample_isosceles(a)
