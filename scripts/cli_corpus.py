@@ -34,6 +34,8 @@ CORPUS = [
     (0, "scan --a 0.3 --b 1.2 --t-list 1,2 --dirs 24 --samples 16 --csv {csv}"),
     (0, "scan --klein --b 0.8 --t-list 0.05,0.5 --dirs 12 --samples 8 --csv {csv}"),
     (0, "scan --a 0.5 --b 0.8660254037844386 --t-list 0.5 --dirs 24 --samples 16 --csv {csv}"),
+    (0, "scan --a 0.3 --b 1.2 --t-list 0.05,1 --dirs 25 --samples 16 --csv {csv}"),
+    (0, "scan --a 0 --b 1.5 --t-list 0.02,0.5 --dirs 24 --samples 16 --csv {csv}"),
     (3, "scan --a 0.3 --b 1.2 --t-list 1,2 --dirs 24 --samples 16 --expect monotone"),
     (0, "counterexample generic --a 0.3 --b 1.2 --csv {csv}"),
     (0, "counterexample isosceles --a 0.3 --csv {csv}"),

@@ -30,7 +30,7 @@ then get the chain rule of each deck map, and the sum runs over h.
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
 product of two circles, and its heat kernel the product of theirs.  Both
 routes then sum a box holding the disk, as a product of one sum per axis
-(``_axis_product``): the image route a Gaussian sum, costing n0 + n1
+(``_axis_product``): the image route a Gaussian sum, costing n0 + n1 + 2
 exponentials per point for the n0 * n1 images of the box; the spectral route
 a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
 one cosine and one sine per axis and point, for the half box of
@@ -60,7 +60,7 @@ serves every radius up to its own (``_disk``): a call takes the prefix
 r^2 <= R^2 (1 + 1e-12), and a call beyond the cached radius enumerates again
 out to at least twice that radius.  The cache holds the _DISK_LATTICES most recently
 used lattices and no enumeration of more than _DISK_POINTS points (a share of
-TERM_BUDGET), so it never holds more than 16 MB.
+TERM_BUDGET), so it never holds more than 23 MB.
 
 Every route sums by one rule.  Its term set depends only on the lattice, the
 time and the tolerance: the image route sums out to the enumeration radius
@@ -69,17 +69,24 @@ reduced displacement.  Its sums are elementwise and term-major: each block
 of points is a (terms x points) array, reduced over the terms, which numpy
 does row by row in a fixed order (farthest first; a projection's shell
 vectors share one modulus), or a recurrence over the terms on the spectral
-box route.  Blocks come from the term count and one byte budget
-(``_block_rows``), and a batch never leaves a block one point wide
-(``_blocks``).  So in any batch of two or more points a point's bits and
-the call's terms_used do not depend on the other points; a single point,
-one column alone, is summed pairwise and may differ from its batch value in
-the last bits.  The radial sampler (``monotonicity._eval_radial``)
-evaluates a single sample as one row of a two-row batch, so it too gets its
-batch bits.
+box route.  Both routes walk one of each pair of lattice points +-p: the
+spectral route weights cos(2 pi p.d) by 2, or sums cosines over m >= 0 on
+a box, and the image route adds the Gaussians of d - p and d + p before it
+accumulates them, the origin's last.  So every route is exactly even in the
+reduced displacement, bit for bit: K(-d) = K(d) and grad K(-d) = -grad K(d).
+A projection's cosine sum is even too, and the reduction
+(``lattice._recentre``) odd, so on a torus every kernel is even in x - y.
+Blocks come from the term count and one byte budget (``_block_rows``), and
+a batch never leaves a block one point wide (``_blocks``).  So in any
+batch of two or more points a point's bits and the call's terms_used do not
+depend on the other points; a single point, one column alone, is summed
+pairwise and may differ from its batch value in the last bits.  The radial
+sampler (``monotonicity._eval_radial``) evaluates a single sample as one
+row of a two-row batch, so it too gets its batch bits.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import threading
@@ -109,7 +116,8 @@ _EPS_FLOOR = 1e-300
 # A disk of radius R holds the lattice points with r^2 <= R^2 (1 + _DISK_SLACK).
 _DISK_SLACK = 1e-12
 # The enumeration cache (``_disk``): lattices kept, and the most points one
-# entry may hold (40 bytes each: two int64 indices and three float64 values).
+# entry may hold (40 bytes each: two int64 indices and three float64 values;
+# 56 on the image route's half disks, which hold each point's negative too).
 _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
 # Spectral box sums over up to this many points run in float arithmetic.
@@ -177,22 +185,28 @@ def _points_in_disk(rows: np.ndarray, radius: float, half: bool = False):
     """Integer combinations m*u + n*v with r^2 <= radius^2 (1 + _DISK_SLACK).
 
     For each m, the candidate n lie between the roots of the quadratic
-    |m u + n v|^2 = radius^2, widened a little; the r^2 test decides.  With
-    half, only the origin and the half-plane m > 0 or (m = 0, n > 0): one of
-    each pair of points +-p.  Each point is computed elementwise as
-    m u + n v, on its own, so its bits and its place in the order do not
-    depend on the radius.  Returns (mn, pts, r2), read-only and sorted by
-    (r2, m, n) for reproducible summation.
+    |m u + n v|^2 = radius^2, widened a little; the r^2 test decides.  The
+    quadratic is solved with u, v and the radius scaled by the power of two
+    that brings v near unit length, which is exact: its roots keep their
+    bits, and its discriminant, about 4 |v|^4 (radius / |v|)^2, stays normal
+    on long lattices, where |v| is tiny.  With half, only the origin and the
+    half-plane m > 0 or (m = 0, n > 0): one of each pair of points +-p.
+    Each point is computed elementwise as m u + n v, on its own, so its bits
+    and its place in the order do not depend on the radius.  Returns
+    (mn, pts, r2), read-only and sorted by (r2, m, n) for reproducible
+    summation.
     """
     (u0, u1), (v0, v1) = rows.tolist()
-    a_quad = v0 * v0 + v1 * v1
-    reach = radius * (1.0 + _DISK_SLACK)
-    m_r = reach * math.sqrt(a_quad) / abs(u0 * v1 - u1 * v0)
+    e = -math.frexp(max(abs(v0), abs(v1)))[1]
+    su0, su1, sv0, sv1 = (math.ldexp(c, e) for c in (u0, u1, v0, v1))
+    a_quad = sv0 * sv0 + sv1 * sv1
+    reach = math.ldexp(radius * (1.0 + _DISK_SLACK), e)
+    m_r = reach * math.sqrt(a_quad) / abs(su0 * sv1 - su1 * sv0)
     m_lo = 0 if half else math.ceil(-m_r - 1e-9)
     ms, n_los, counts = [], [], []
     for m in range(m_lo, math.floor(m_r + 1e-9) + 1):
-        w0, w1 = m * u0, m * u1
-        b_quad = 2.0 * (v0 * w0 + v1 * w1)
+        w0, w1 = m * su0, m * su1
+        b_quad = 2.0 * (sv0 * w0 + sv1 * w1)
         disc = b_quad * b_quad - 4.0 * a_quad * (w0 * w0 + w1 * w1 - reach * reach)
         if disc < 0:
             continue
@@ -226,7 +240,17 @@ _disks_lock = threading.Lock()
 
 def _disk(rows: tuple, radius: float, half: bool = False, dual: bool = False):
     """``_points_in_disk`` of the lattice spanned by rows (its dual, with dual),
-    as a prefix of the cached enumeration of that lattice.
+    as a prefix of the cached enumeration of that lattice (``_disk_entry``)."""
+    entry, k = _disk_entry(rows, radius, half, dual)
+    return entry[1][:k], entry[2][:k], entry[3][:k]
+
+
+def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
+    """The cached enumeration behind ``_disk`` and the length of its prefix
+    within the radius.  An entry is (reach, mn, pts, r2, pairs): pairs, on
+    a half disk of the primal lattice (the image route's), is its full disk
+    in pair order, 0, -p1, p1, -p2, p2, ..., so that the prefix of 2 k - 1
+    rows holds the pairs of the first k points; None otherwise.
 
     A miss enumerates out to twice the radius, or to twice the cached radius
     if that is larger, unless the disk may then hold more than _DISK_POINTS
@@ -246,15 +270,22 @@ def _disk(rows: tuple, radius: float, half: bool = False, dual: bool = False):
         reach = 2.0 * radius if entry is None else max(radius, 2.0 * entry[0])
         if _disk_bound(reach, rho, covol) > _DISK_POINTS:
             reach = radius
-        entry = (reach, *_points_in_disk(geom["dual_rows" if dual else "rows"], reach, half))
-        if len(entry[1]) <= _DISK_POINTS:
+        mn, pts, r2 = _points_in_disk(geom["dual_rows" if dual else "rows"], reach, half)
+        pairs = None
+        if half and not dual:
+            pairs = np.empty((2 * len(pts) - 1, 2))
+            pairs[0::2], pairs[1::2] = pts, -pts[1:]
+            pairs.flags.writeable = False
+            pts = pairs[0::2]
+        entry = (reach, mn, pts, r2, pairs)
+        if len(mn) <= _DISK_POINTS:
             with _disks_lock:
                 _disks[key] = entry
                 _disks.move_to_end(key)
                 while len(_disks) > _DISK_LATTICES:
                     _disks.popitem(last=False)
-    k = int(np.searchsorted(entry[3], radius * radius * (1.0 + _DISK_SLACK), side="right"))
-    return entry[1][:k], entry[2][:k], entry[3][:k]
+    return entry, int(np.searchsorted(entry[3], radius * radius * (1.0 + _DISK_SLACK),
+                                      side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +310,8 @@ def _blocks(n: int, step: int) -> list:
     gets the same bits in every block of every batch.  Only a single point
     is summed pairwise.
     """
+    if 0 < n <= step:
+        return [slice(0, n)]
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -286,12 +319,12 @@ def _blocks(n: int, step: int) -> list:
 
 
 @lru_cache(maxsize=256)
-def _far_first_axis(length: float, half: int) -> np.ndarray:
-    """Box images m * length, |m| <= half, as a column ordered by descending |m|."""
-    m = np.arange(half, 0, -1)
-    idx = np.zeros(2 * half + 1)
-    idx[0:-1:2], idx[1:-1:2] = -m, m
-    col = (length * idx)[:, None]
+def _pair_axis(length: float, half: int) -> np.ndarray:
+    """Box images m * length, |m| <= half, in pair order, shape (2, half + 1, 1):
+    row i of [0] and of [1] hold the images +-m, m = half - i, so the
+    farthest pair comes first, and the last rows hold the origin twice."""
+    m = np.arange(half, -1, -1)
+    col = (length * np.stack([m, -m]))[:, :, None]
     col.flags.writeable = False
     return col
 
@@ -444,14 +477,17 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
-    axis k: n0 + n1 exponentials per point for n0 * n1 terms.
+    axis k: n0 + n1 + 2 exponentials per point for n0 * n1 terms.
 
     Sums are laid out term-major: each block is a (terms x points) array
     built from the coordinate columns of d0 and reduced over axis 0, so the
-    elementwise loops run over points.  Such a reduction adds the terms one
-    at a time in row order, so the rows go farthest first (disk images by
-    descending modulus, box indices by descending |m|), and the largest
-    terms, which carry the value, come last.
+    elementwise loops run over points.  The images are walked as one of each
+    pair +-p (the pair order of ``_disk_entry``, the box of ``_pair_axis``):
+    the terms of d0 - p and d0 + p are added first, and the pair sums
+    reduced in row order, farthest first, so the largest terms,
+    which carry the value, come last, and the origin's last of all.  The
+    pair sum is symmetric in +-p, so the route is even in d0, bit for bit:
+    the value at -d0 is the value at d0, the gradient its negation.
     """
     geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
@@ -464,39 +500,48 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     n_pts = d0.shape[1]
     out = np.empty((n_pts, 2) if want_grad else n_pts)
     if geom["axis_aligned"]:
-        axes = [_far_first_axis(length, math.floor(span / length))
-                for length in geom["periods"].tolist()]
-        n0, n = len(axes[0]), len(axes[0]) + len(axes[1])
-        terms = n0 * (n - n0)
-        # the differences of both axes, stacked, and their Gaussians
-        for blk in _blocks(n_pts, _block_rows(2 * n)):
-            z = np.empty((n, blk.stop - blk.start))
-            np.subtract(d0[0][blk], axes[0], out=z[:n0])
-            np.subtract(d0[1][blk], axes[1], out=z[n0:])
+        periods = geom["periods"].tolist()
+        h0, h1 = (math.floor(span / length) for length in periods)
+        cols = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
+        r0, r = h0 + 1, h0 + h1 + 2
+        terms = (2 * h0 + 1) * (2 * h1 + 1)
+        # z[0] and z[1] hold d - m L and d + m L, both axes stacked; the
+        # origin's rows, last on each axis, hold d twice, and its second
+        # Gaussian is zeroed
+        for blk in _blocks(n_pts, _block_rows(4 * r)):
+            z = np.empty((2, r, blk.stop - blk.start))
+            np.subtract(d0[0][blk], cols[0], out=z[:, :r0])
+            np.subtract(d0[1][blk], cols[1], out=z[:, r0:])
             e = z * z
             e *= -alpha
             np.exp(e, out=e)
-            sums = e[:n0].sum(axis=0), e[n0:].sum(axis=0)
+            e[1, h0::h1 + 1] = 0.0
             if want_grad:
                 np.multiply(e, z, out=z)
-                grads = z[:n0].sum(axis=0), z[n0:].sum(axis=0)
+                np.add(z[0], z[1], out=z[0])
+                grads = np.add.reduce(z[0, :r0]), np.add.reduce(z[0, r0:])
+            np.add(e[0], e[1], out=e[0])
+            sums = np.add.reduce(e[0, :r0]), np.add.reduce(e[0, r0:])
             out[blk].T[:] = _axis_product(sums, grads if want_grad else None, scale)
     else:
-        _, pts, _ = _disk(rows, span)
-        terms = len(pts)
+        entry, k = _disk_entry(rows, span, True, False)
+        terms = 2 * k - 1
         _check_work(terms, n_pts)
-        far = pts[::-1]  # farthest first
+        far = entry[4][terms - 1::-1]  # each pair p, -p, farthest first, the origin last
         p0, p1 = far[:, 0:1], far[:, 1:2]
         # both difference columns, their squares and the Gaussians
         for blk in _blocks(n_pts, _block_rows(4 * terms)):
             z0 = d0[0][blk] - p0
             z1 = d0[1][blk] - p1
             e = np.exp(-alpha * (z0 * z0 + z1 * z1))
-            if want_grad:
-                out[blk, 0] = scale * np.multiply(e, z0, out=z0).sum(axis=0)
-                out[blk, 1] = scale * np.multiply(e, z1, out=z1).sum(axis=0)
-            else:
-                out[blk] = scale * e.sum(axis=0)
+            for c, a in enumerate((z0, z1) if want_grad else (e,)):
+                if want_grad:
+                    np.multiply(e, a, out=a)
+                np.add(a[0:-1:2], a[1::2], out=a[0:-1:2])
+                if want_grad:
+                    out[blk, c] = scale * np.add.reduce(a[::2])
+                else:
+                    out[blk] = scale * np.add.reduce(a[::2])
     return out, err, terms
 
 
@@ -665,22 +710,27 @@ class SpectralMode:
     surface: FlatSurface
 
 
+def _group_starts(lam, tol: float, limit: int | None = None) -> list:
+    """Where the groups of the ascending eigenvalues lam (a list or an array)
+    start, at most limit of them: a group runs from its first, cur, while
+    lam - cur <= tol * cur.  lam - cur ascends with lam, so each group's end
+    is found by bisection, and a call reads no eigenvalue past the last
+    group it returns but the one that ends it."""
+    starts, i, n = [], 0, len(lam)
+    while i < n and (limit is None or len(starts) < limit):
+        starts.append(i)
+        cur = lam[i]
+        i = bisect.bisect_right(range(n), tol * cur, i + 1, key=lambda j: lam[j] - cur)
+    return starts
+
+
 def _group_eigenvalues(entries, tol):
-    """entries: sorted (lam, payload, count); groups within tol * lam of their first, lam."""
-    modes = []
-    cur, cur_lam = [], None
-    cur_count = 0
-    for lam, payload, count in entries:
-        if cur and lam - cur_lam > tol * cur_lam:
-            modes.append((cur_lam, tuple(cur), cur_count))
-            cur, cur_count = [], 0
-        if not cur:
-            cur_lam = lam
-        cur.append(payload)
-        cur_count += count
-    if cur:
-        modes.append((cur_lam, tuple(cur), cur_count))
-    return modes
+    """entries: sorted (lam, payload, count); groups within tol * lam of their
+    first, lam (``_group_starts``), as (lam, payloads, total count)."""
+    lam = [e[0] for e in entries]
+    ends = _group_starts(lam, tol) + [len(entries)]
+    return [(lam[a], tuple(e[1] for e in entries[a:b]), sum(e[2] for e in entries[a:b]))
+            for a, b in zip(ends, ends[1:])]
 
 
 # Klein spectral parameters (l1, l2) with u = 2 pi l1 and c = pi l2 / b give
@@ -702,16 +752,12 @@ def _klein_rule(l1: int, l2: int):
     return 4, l2 % 2 == 1, 2
 
 
-def enumerate_modes(surface: FlatSurface, lambda_max: float,
-                    tol: float = _MODE_TOL) -> list[SpectralMode]:
-    """All eigenvalues <= lambda_max (1 + tol), ascending, grouped within tol * lam
-    of a group's first, lam: purely relative (``_group_eigenvalues``).
-
-    Raises InvalidParameter unless lambda_max and tol are finite and
-    non-negative, and, before enumerating, when the cover's dual disk may hold
-    more than TERM_BUDGET points: by the Voronoi bound (``_disk_bound``) or,
-    less when r << rho, by its lines m u + Z v, |m| <= r |v| / covol, of at
-    most 2 r / |v| + 1 points each, (u, v) the dual rows."""
+def _mode_table(surface: FlatSurface, lambda_max: float, tol: float):
+    """The cover dual points that stand for the eigenvalues <= lambda_max (1 + tol),
+    as arrays (lam, m, n) in the disk's order, so lam ascends; checked and
+    budgeted as ``enumerate_modes`` states.  A Klein generator (l1, l2)
+    stands for the cover's dual vectors (+-l1, +-l2 / 2b): the half disk's
+    point (m, n) = (l1, l2), n >= 0, admissible by ``_klein_rule``."""
     if not (math.isfinite(lambda_max) and lambda_max >= 0):
         raise InvalidParameter(f"lambda_max must be non-negative, got {lambda_max}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -724,20 +770,35 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
     if min(_disk_bound(radius, geom["dual_rho"], geom["dual_covol"]), lines) > TERM_BUDGET:
         raise InvalidParameter(
             f"lambda_max {lambda_max:g} needs more than {TERM_BUDGET} dual lattice points")
-    # a Klein generator (l1, l2) stands for the cover's dual vectors
-    # (+-l1, +-l2 / 2b): the half disk's point (m, n) = (l1, l2), n >= 0
     is_torus = isinstance(surface, Torus)
     mn, _, r2 = _disk(rows, radius, half=not is_torus, dual=True)
-    top = lambda_max * (1.0 + tol)
-    entries = []
-    for lam, (m, n) in zip((_FOUR_PI_SQ * r2).tolist(), mn.tolist()):
-        if lam > top:  # the points come sorted by modulus
-            break
-        if is_torus:
-            entries.append((lam, (m, n), 1))
-        elif n >= 0 and (rule := _klein_rule(m, n)) is not None:
-            entries.append((lam, (m, n, "sin" if rule[1] else "cos"), rule[2]))
-    entries.sort(key=lambda e: (e[0], e[1][:2]))
+    lam = _FOUR_PI_SQ * r2
+    k = int(np.searchsorted(lam, lambda_max * (1.0 + tol), side="right"))
+    lam, m, n = lam[:k], mn[:k, 0], mn[:k, 1]
+    if not is_torus:
+        keep = (n >= 0) & ((m != 0) | (n % 2 == 0))
+        lam, m, n = lam[keep], m[keep], n[keep]
+    return lam, m, n
+
+
+def enumerate_modes(surface: FlatSurface, lambda_max: float,
+                    tol: float = _MODE_TOL) -> list[SpectralMode]:
+    """All eigenvalues <= lambda_max (1 + tol), ascending, grouped within tol * lam
+    of a group's first, lam: purely relative (``_group_eigenvalues``).
+
+    Raises InvalidParameter unless lambda_max and tol are finite and
+    non-negative, and, before enumerating, when the cover's dual disk may hold
+    more than TERM_BUDGET points: by the Voronoi bound (``_disk_bound``) or,
+    less when r << rho, by its lines m u + Z v, |m| <= r |v| / covol, of at
+    most 2 r / |v| + 1 points each, (u, v) the dual rows."""
+    lam, m, n = _mode_table(surface, lambda_max, tol)
+    order = np.lexsort((n, m, lam))
+    points = zip(lam[order].tolist(), m[order].tolist(), n[order].tolist())
+    if isinstance(surface, Torus):
+        entries = [(lam, (m, n), 1) for lam, m, n in points]
+    else:
+        entries = [(lam, (m, n, "sin" if rule[1] else "cos"), rule[2])
+                   for lam, m, n in points for rule in (_klein_rule(m, n),)]
     return [
         SpectralMode(eigenvalue=lam, generators=gens, multiplicity=count, surface=surface)
         for lam, gens, count in _group_eigenvalues(entries, tol)
@@ -747,15 +808,22 @@ def enumerate_modes(surface: FlatSurface, lambda_max: float,
 def _mode_at(surface: FlatSurface, lam=None, index=None) -> SpectralMode:
     """The one spectral lookup, from one ``enumerate_modes`` call out to lam > 0:
     the mode within _MODE_TOL * lam of lam, or that of an index (0: constants).
-    lam defaults to lambda_1 (``principal_eigenvalue``), for an index to
-    max(index, 1)^2 lambda_1, which n^2 lambda_1, n <= index, do not pass (an
-    index past TERM_BUDGET counts as TERM_BUDGET, whose disk passes the budget)."""
+    lam defaults to lambda_1 (``principal_eigenvalue``).  An index is first
+    found in the sorted table out to max(index, 1)^2 lambda_1, which
+    n^2 lambda_1, n <= index, do not pass (an index past TERM_BUDGET counts
+    as TERM_BUDGET, whose disk passes the budget): its group's eigenvalue is
+    read there, and the modes are built out to it alone."""
     if lam is None:
         b = surface.lattice.b if isinstance(surface, Torus) else max(surface.b, 1.0)
         lam = (_TWO_PI / b) ** 2 * (1 if index is None else min(max(index, 1), TERM_BUDGET) ** 2)
     if not lam > 0:
         raise InvalidParameter(f"no mode at eigenvalue {lam!r}: it is not positive "
                                "(lambda_1 = (2 pi / b)^2 underflows to 0 beyond b ~ 4e162)")
+    if index is not None:
+        table = _mode_table(surface, lam, _MODE_TOL)[0]
+        starts = _group_starts(table, _MODE_TOL, index + 1)
+        if len(starts) > index:
+            lam = float(table[starts[index]])
     for i, mode in enumerate(enumerate_modes(surface, lam)):
         if i == index or (index is None and abs(mode.eigenvalue - lam) <= _MODE_TOL * lam):
             return mode
@@ -889,7 +957,7 @@ def _check_size(n, least: int, name: str, width: int | None = None) -> int:
 
 
 # terms x points that one disk-route call may sum; the box routes of
-# rectangular covers evaluate n0 + n1 exponentials per point for their terms
+# rectangular covers evaluate n0 + n1 + 2 exponentials per point for their terms
 WORK_BUDGET = 100 * TERM_BUDGET
 
 

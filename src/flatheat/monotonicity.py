@@ -173,8 +173,20 @@ class MonotonicityReport:
 
 
 def _scan_directions(surface: FlatSurface, n: int) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(n) / n
-    dirs = [np.stack([np.cos(ang), np.sin(ang)], axis=1)]
+    """The ring of n directions at angles 2 pi k / n, then the forced ones.
+
+    An even ring is its first half followed by 0.0 - half: exact antipodes,
+    with no -0.0, so every direction keeps its math.atan2 angle and the
+    mirroring of ``scan`` may read -u from u.
+    """
+    if n % 2:
+        ang = 2.0 * math.pi * np.arange(n) / n
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        ang = 2.0 * math.pi * np.arange(n // 2) / n
+        half = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        ring = np.concatenate([half, 0.0 - half])
+    dirs = [ring]
     if isinstance(surface, Torus):
         a, b = surface.lattice.a, surface.lattice.b
         forced = [(1.0, 0.0), (0.0, 1.0), (-a, b), (1.0 - a, b), (-1.0 - a, b)]
@@ -251,24 +263,49 @@ def _check_kernel(kernel) -> None:
         raise InvalidParameter("kernel must be Heat(...) or Projection(...)")
 
 
-def _scan_task(surface, kernel, cfg, base, dirs, smax):
+def _scan_task(surface, kernel, cfg, base, dirs, smax, src):
+    """Witness columns, inconclusive count and samples of one kernel target
+    from one base.  Row i of dirs takes its radial derivatives from the
+    evaluation of row src[i]: only the rows src names are evaluated, and the
+    eps/16 retry runs on them alone.  A mirrored row, src[i] != i, is the
+    antipode of src[i] with the same arc lengths, so its derivatives are
+    those of src[i] bit for bit (``_mirror_rows``).  The witness and
+    ambiguity masks, and the sample count, cover every row."""
     ns = cfg.n_arc_samples
     tol = cfg.derivative_tolerance
     S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
-    X, Y, dirs_b = _segment(base, dirs[:, None, :], S)
+    rows, at = np.unique(src, return_inverse=True)
+    X, Y, dirs_b = _segment(base, dirs[rows, None, :], S[rows])
     deriv, err0 = _eval_radial(surface, kernel, X, Y, dirs_b, cfg.kernel_epsilon)
     err = np.full(deriv.shape, err0)
-    witness = deriv - err > tol
-    ambiguous = ~witness & (deriv + err > tol)
+    ambiguous = ~(deriv - err > tol) & (deriv + err > tol)
     if ambiguous.any():
         d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
                               dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
         deriv[ambiguous] = np.atleast_1d(d2)
         err[ambiguous] = e2
-        witness = deriv - err > tol
-        ambiguous = ~witness & (deriv + err > tol)
+    deriv, err = deriv[at], err[at]
+    witness = deriv - err > tol
+    ambiguous = ~witness & (deriv + err > tol)
     i, j = np.nonzero(witness)
     return (i, S[i, j], deriv[i, j], err[i, j]), int(ambiguous.sum()), deriv.size
+
+
+def _mirror_rows(surface, base, n: int, smax: np.ndarray) -> np.ndarray:
+    """The rows whose evaluation serves each scan direction (``_scan_task``):
+    on a torus scanned from the origin with an even ring, the second half of
+    the ring reads the first half.  The point reflection y -> -y is an
+    isometry of every torus, the displacements of s u and -s u from the
+    origin are exact negatives, and every kernel route is exactly even in
+    them, so the radial derivative along -u is that along u, bit for bit,
+    once the two cut lengths agree, as they do term by term.  Other
+    surfaces, bases and rings evaluate every direction."""
+    src = np.arange(len(smax))
+    h = n // 2
+    if (isinstance(surface, Torus) and n % 2 == 0 and not np.any(base)
+            and np.array_equal(smax[h:n], smax[:h])):
+        src[h:n] -= h
+    return src
 
 
 def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> MonotonicityReport:
@@ -277,6 +314,13 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     Verdict: Violated when any sample's derivative certifiably exceeds the
     tolerance; Inconclusive when some sample's error bound straddles the
     tolerance even after one retry at epsilon/16; Monotone otherwise.
+
+    On a torus scanned from the origin (the default base) with an even
+    number of directions, each antipodal pair u, -u of the ring is evaluated
+    once: the reflection through the base is an isometry, so the kernel
+    profiles along u and -u are the same (``_mirror_rows``).  Witnesses and
+    points_checked are those of evaluating both.  Klein bottles, other bases
+    and odd rings evaluate every direction.
     """
     _check_kernel(kernel)
     dirs = _scan_directions(surface, cfg.n_directions)
@@ -288,9 +332,10 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     tasks = []
     for base in bases:
         smax = _s_max(surface, base, dirs)
-        tasks += [(target, base, smax) for target in targets]
+        src = _mirror_rows(surface, base, cfg.n_directions, smax)
+        tasks += [(target, base, smax, src) for target in targets]
     nw = worker_count()
-    run = lambda task: _scan_task(surface, task[0], cfg, task[1], dirs, task[2])
+    run = lambda task: _scan_task(surface, task[0], cfg, task[1], dirs, *task[2:])
     if nw > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=nw) as pool:
             results = list(pool.map(run, tasks))

@@ -122,7 +122,8 @@ def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     displacements x - h(y) = x - (y * lin[h] + shift[h]) over the deck
     elements h, shape (deck elements, ..., 2), for float arrays x, y of one
     shape (..., 2): the one place x - h(y) is formed.  It runs per
-    coordinate, so that the loops run over points, not over pairs.  An
+    coordinate, so that the loops run over points, not over pairs, but for
+    a single pair, whose elementwise operations it runs in three calls.  An
     overflow or an infinite point gives inf or NaN without a warning, which
     ``lattice._recentre`` rejects.
     """
@@ -130,6 +131,9 @@ def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     shape = (len(lin),) + (1,) * (y.ndim - 1)
     disp = np.empty((len(lin),) + y.shape)
     with np.errstate(over="ignore", invalid="ignore"):
+        if y.ndim == 1:  # one pair of points: the same operations, in fewer calls
+            np.subtract(x, y * lin + shift, out=disp)
+            return rows, lin, disp
         for c in (0, 1):
             np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
                         + shift[:, c].reshape(shape), out=disp[..., c])

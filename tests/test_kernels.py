@@ -210,6 +210,21 @@ def test_the_mode_lookup_tells_lambda_1_from_0_on_long_surfaces():
             assert mode.multiplicity == 2
 
 
+def test_principal_eigenvalue_on_surfaces_past_1e77():
+    """From b ~ 1.2e77 the discriminant of the disk enumeration's line
+    m = 0, about 4 / b^4, was subnormal and lost the disk's edge points
+    +-(0, 1 / b): the lookup found no mode.  Solved with v scaled to unit
+    length, the lookup gives the closed form with multiplicity 2, by
+    eigenvalue and by index."""
+    for b in (1e80, 1e100, 1e150):
+        for surface in (torus(0.3, b), klein_bottle(b)):
+            lam = _closed_lambda_1(surface)
+            mode = principal_eigenvalue(surface)
+            assert abs(mode.eigenvalue - lam) <= 1e-12 * lam, surface
+            assert mode.multiplicity == 2, surface
+            assert kernels._mode_at(surface, index=1) == mode, surface
+
+
 def test_index_lookup_matches_the_enumeration():
     """The index lookup, one enumeration out to max(i, 1)^2 lambda_1, gives
     the i-th mode of a wide enumeration: eigenvalue, multiplicity and
@@ -224,11 +239,11 @@ def test_index_lookup_matches_the_enumeration():
 def test_mode_lookup_errors_are_typed(monkeypatch):
     """lambda_1 = (2 pi / b)^2 underflows to 0 from b ~ 4e162: the lookup
     names the underflow before it enumerates anything.  Below that, from
-    b ~ 1e80, the disk enumeration's discriminant is subnormal, loses the
-    points on the disk's edge, and the lookup finds no mode: a typed error
-    too.  An index past TERM_BUDGET, and an infinite disk radius, are
-    refused by the budget."""
-    for b in (1e100, 1e200):
+    b ~ 1.5e154, lambda_1 is subnormal, the dual disk's squared moduli lose
+    their digits with it, and the lookup finds no mode: a typed error too.
+    An index past TERM_BUDGET, and an infinite disk radius, are refused by
+    the budget."""
+    for b in (1e160, 1e200):
         for surface in (torus(0.3, b), klein_bottle(b)):
             with pytest.raises(InvalidParameter, match="no mode at eigenvalue"):
                 principal_eigenvalue(surface)
@@ -572,6 +587,36 @@ def test_point_bits_and_terms_do_not_depend_on_the_batch(rng, monkeypatch):
             assert a[1:] == b[1:], (k, rows)
 
 
+def test_every_route_is_exactly_even_in_the_displacement(rng):
+    """K(-d) = K(d) and grad K(-d) = -grad K(d), bit for bit, on each route
+    of the cover lattice sums: the image and spectral routes of every torus
+    class and of the Klein cover (disk and box branches), values and
+    gradients, and the projection cosine sum over a shell.  The image route
+    adds the terms of each pair +-p before it accumulates them; a scan reads
+    the derivative along -u from that along u on this alone."""
+    covers = [torus(a, b) for a, b in LATTICE_CLASSES] + [klein_bottle(0.8)]
+    sizes = (1, 2, kernels._FEW_POINTS, 300)
+    for surface in covers:
+        rows = kernels._deck(surface)[0]
+        mode = enumerate_modes(surface, 400.0)[3]
+        vecs, area = kernels._shell(surface, mode)
+        w = np.full(len(vecs), 1.0 / area)
+        for n in sizes:
+            d0 = _recentre(rows, rng.uniform(-1.5, 2.5, (n, 2)))
+            neg = 0.0 - d0
+            for want_grad in (False, True):
+                sign = -1.0 if want_grad else 1.0
+                for fn in (kernels._image, kernels._spectral):
+                    for t in (0.003, 0.02, 0.3, 2.0):
+                        got, err, terms = fn(rows, t, d0, 1e-13, want_grad)
+                        back, err2, terms2 = fn(rows, t, neg, 1e-13, want_grad)
+                        assert np.array_equal(back, sign * got), (surface, n, fn, t, want_grad)
+                        assert (err2, terms2) == (err, terms)
+                got = kernels._cosine_sum(d0, vecs, w, want_grad)
+                back = kernels._cosine_sum(neg, vecs, w, want_grad)
+                assert np.array_equal(back, sign * got), (surface, n, want_grad)
+
+
 def _cache_snapshots(surface, query_args):
     """The value, gradient, error bound and terms used of each query, as bytes."""
     out = []
@@ -672,9 +717,14 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
         sums = []
         for k, length in enumerate(periods):
             half = int(np.floor((radius + geom["reach"]) / length))
-            z = d0[k] - kernels._far_first_axis(float(length), half)
-            e = np.exp(-alpha * (z * z))
-            sums.append((e.sum(axis=0), (e * z).sum(axis=0)))
+            # one of each pair +-m, farthest first: both terms added, then
+            # the pair sums in order, the origin's term last
+            m = (length * np.arange(half, 0, -1))[:, None]
+            lo, hi, z0 = d0[k] - m, d0[k] + m, d0[k][None, :]
+            e_lo, e_hi, e0 = (np.exp(-alpha * (z * z)) for z in (lo, hi, z0))
+            e = np.concatenate([e_lo + e_hi, e0])
+            g = np.concatenate([e_lo * lo + e_hi * hi, e0 * z0])
+            sums.append((e.sum(axis=0), g.sum(axis=0)))
         scale = pref0 * 2.0 * alpha if want_grad else pref0
     (a0, b0), (a1, b1) = sums
     if want_grad:

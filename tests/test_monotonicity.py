@@ -274,6 +274,37 @@ def test_scan_witnesses_match_per_sample_reference(generic_torus):
         assert report.witnesses == expected
 
 
+def test_default_base_torus_scans_mirror_antipodes_exactly():
+    """A torus scanned from the origin with an even ring evaluates each
+    antipodal pair once and reads -u from u.  Its report equals the per
+    sample reference built from every direction, for heat and projection
+    kernels, with even and odd rings (the odd ones evaluate every
+    direction), and every witness revalidates bit for bit at the epsilon
+    that certified it."""
+    for a, b in ((0.0, 1.5), (0.3, math.sqrt(1 - 0.09)), (0.5, HONEYCOMB_B), (0.3, 1.2)):
+        surface = torus(a, b)
+        for n in (24, 25):
+            cfg = ScanConfig(n_directions=n, n_arc_samples=12, t_values=(0.02, 0.3))
+            ref_cfg = dataclasses.replace(cfg, base_points=((0.0, 0.0),))
+            for kernel in (Heat(), Projection(principal_eigenvalue(surface))):
+                report = scan(surface, kernel, cfg)
+                assert report.witnesses == reference_witnesses(surface, kernel, ref_cfg)
+                assert report.points_checked == (n + 5) * 12 * (2 if kernel == Heat() else 1)
+                for w in report.witnesses:
+                    got = revalidate(surface, w, cfg.kernel_epsilon)
+                    if got[1] != w.error_bound:  # certified by the epsilon/16 retry
+                        got = revalidate(surface, w, cfg.kernel_epsilon / 16.0)
+                    assert got == (w.radial_derivative, w.error_bound), w
+    src = monotonicity._mirror_rows(torus(0.3, 1.2), np.zeros(2), 24,
+                                    np.ones(29))
+    assert src.tolist() == list(range(12)) * 2 + list(range(24, 29))
+    for base, n in (((0.1, 0.0), 24), ((0.0, 0.0), 25)):
+        assert monotonicity._mirror_rows(torus(0.3, 1.2), np.array(base), n,
+                                         np.ones(n + 5)).tolist() == list(range(n + 5))
+    assert monotonicity._mirror_rows(klein_bottle(0.8), np.zeros(2), 24,
+                                     np.ones(26)).tolist() == list(range(26))
+
+
 def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
     s, vals, derivs, errs = radial_curve(honeycomb_torus, Heat(0.3),
                                          (0.0, 0.0), (1.0, 1.0), n=101)
