@@ -30,7 +30,7 @@ then get the chain rule of each deck map, and the sum runs over h.
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
 product of two circles, and its heat kernel the product of theirs.  Both
 routes then sum a box holding the disk, as a product of one sum per axis
-(``_axis_product``): the image route a Gaussian sum, costing n0 + n1 + 2
+(``_axis_product``): the image route a Gaussian sum, costing n0 + n1
 exponentials per point for the n0 * n1 images of the box; the spectral route
 a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
 one cosine and one sine per axis and point, for the half box of
@@ -248,9 +248,9 @@ def _disk(rows: tuple, radius: float, half: bool = False, dual: bool = False):
 def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
     """The cached enumeration behind ``_disk`` and the length of its prefix
     within the radius.  An entry is (reach, mn, pts, r2, pairs): pairs, on
-    a half disk of the primal lattice (the image route's), is its full disk
-    in pair order, 0, -p1, p1, -p2, p2, ..., so that the prefix of 2 k - 1
-    rows holds the pairs of the first k points; None otherwise.
+    a half disk of the primal lattice (the image route's), is the array
+    (2, N, 2) whose planes hold the points, pts, and their negatives;
+    None otherwise.
 
     A miss enumerates out to twice the radius, or to twice the cached radius
     if that is larger, unless the disk may then hold more than _DISK_POINTS
@@ -273,10 +273,9 @@ def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
         mn, pts, r2 = _points_in_disk(geom["dual_rows" if dual else "rows"], reach, half)
         pairs = None
         if half and not dual:
-            pairs = np.empty((2 * len(pts) - 1, 2))
-            pairs[0::2], pairs[1::2] = pts, -pts[1:]
+            pairs = np.stack([pts, -pts])
             pairs.flags.writeable = False
-            pts = pairs[0::2]
+            pts = pairs[0]
         entry = (reach, mn, pts, r2, pairs)
         if len(mn) <= _DISK_POINTS:
             with _disks_lock:
@@ -320,11 +319,12 @@ def _blocks(n: int, step: int) -> list:
 
 @lru_cache(maxsize=256)
 def _pair_axis(length: float, half: int) -> np.ndarray:
-    """Box images m * length, |m| <= half, in pair order, shape (2, half + 1, 1):
-    row i of [0] and of [1] hold the images +-m, m = half - i, so the
-    farthest pair comes first, and the last rows hold the origin twice."""
-    m = np.arange(half, -1, -1)
-    col = (length * np.stack([m, -m]))[:, :, None]
+    """Box images m * length, |m| <= half, as a column in pair order: m = half
+    down to 1, then 0, then -half up to -1, so that rows i < half and
+    half + 1 + i hold the pair +-m, farthest first, and the origin closes
+    the first half."""
+    m = np.arange(half, 0, -1)
+    col = (length * np.concatenate([m, [0], -m]))[:, None]
     col.flags.writeable = False
     return col
 
@@ -464,6 +464,15 @@ def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool
     return out, err, (n0 * n1 + 1) // 2
 
 
+def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
+    """The sum over the rows of a (terms x points) block in pair order, as
+    ``_pair_axis`` lays out a box axis: the rows i and half + 1 + i, the
+    terms of a pair +-p, are added first, into row i, then rows 0 to half
+    in order, farthest first and the origin's last.  a is overwritten."""
+    np.add(a[:half], a[half + 1:], out=a[:half])
+    return np.add.reduce(a[:half + 1])
+
+
 def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over
@@ -477,7 +486,7 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
-    axis k: n0 + n1 + 2 exponentials per point for n0 * n1 terms.
+    axis k: n0 + n1 exponentials per point for n0 * n1 terms.
 
     Sums are laid out term-major: each block is a (terms x points) array
     built from the coordinate columns of d0 and reduced over axis 0, so the
@@ -502,46 +511,40 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     if geom["axis_aligned"]:
         periods = geom["periods"].tolist()
         h0, h1 = (math.floor(span / length) for length in periods)
-        cols = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
-        r0, r = h0 + 1, h0 + h1 + 2
-        terms = (2 * h0 + 1) * (2 * h1 + 1)
-        # z[0] and z[1] hold d - m L and d + m L, both axes stacked; the
-        # origin's rows, last on each axis, hold d twice, and its second
-        # Gaussian is zeroed
-        for blk in _blocks(n_pts, _block_rows(4 * r)):
-            z = np.empty((2, r, blk.stop - blk.start))
-            np.subtract(d0[0][blk], cols[0], out=z[:, :r0])
-            np.subtract(d0[1][blk], cols[1], out=z[:, r0:])
+        axes = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
+        n0, n = 2 * h0 + 1, 2 * (h0 + h1 + 1)
+        terms = n0 * (n - n0)
+        # the differences of both axes, stacked, and their Gaussians
+        for blk in _blocks(n_pts, _block_rows(2 * n)):
+            z = np.empty((n, blk.stop - blk.start))
+            np.subtract(d0[0][blk], axes[0], out=z[:n0])
+            np.subtract(d0[1][blk], axes[1], out=z[n0:])
             e = z * z
             e *= -alpha
             np.exp(e, out=e)
-            e[1, h0::h1 + 1] = 0.0
             if want_grad:
                 np.multiply(e, z, out=z)
-                np.add(z[0], z[1], out=z[0])
-                grads = np.add.reduce(z[0, :r0]), np.add.reduce(z[0, r0:])
-            np.add(e[0], e[1], out=e[0])
-            sums = np.add.reduce(e[0, :r0]), np.add.reduce(e[0, r0:])
+                grads = _pair_sums(z[:n0], h0), _pair_sums(z[n0:], h1)
+            sums = _pair_sums(e[:n0], h0), _pair_sums(e[n0:], h1)
             out[blk].T[:] = _axis_product(sums, grads if want_grad else None, scale)
     else:
         entry, k = _disk_entry(rows, span, True, False)
         terms = 2 * k - 1
         _check_work(terms, n_pts)
-        far = entry[4][terms - 1::-1]  # each pair p, -p, farthest first, the origin last
-        p0, p1 = far[:, 0:1], far[:, 1:2]
+        far = entry[4][:, k - 1::-1]  # [0] and [1] hold p and -p, farthest first
+        p0, p1 = far[..., 0:1], far[..., 1:2]
         # both difference columns, their squares and the Gaussians
-        for blk in _blocks(n_pts, _block_rows(4 * terms)):
+        for blk in _blocks(n_pts, _block_rows(8 * k)):
             z0 = d0[0][blk] - p0
             z1 = d0[1][blk] - p1
             e = np.exp(-alpha * (z0 * z0 + z1 * z1))
-            for c, a in enumerate((z0, z1) if want_grad else (e,)):
-                if want_grad:
-                    np.multiply(e, a, out=a)
-                np.add(a[0:-1:2], a[1::2], out=a[0:-1:2])
-                if want_grad:
-                    out[blk, c] = scale * np.add.reduce(a[::2])
-                else:
-                    out[blk] = scale * np.add.reduce(a[::2])
+            parts = (np.multiply(e, z0, out=z0), np.multiply(e, z1, out=z1)) if want_grad else (e,)
+            # each as one column in pair order, the origin's second copy dropped
+            sums = [_pair_sums(a.reshape(2 * k, -1)[:-1], k - 1) for a in parts]
+            if want_grad:
+                out[blk, 0], out[blk, 1] = scale * sums[0], scale * sums[1]
+            else:
+                out[blk] = scale * sums[0]
     return out, err, terms
 
 
@@ -957,7 +960,7 @@ def _check_size(n, least: int, name: str, width: int | None = None) -> int:
 
 
 # terms x points that one disk-route call may sum; the box routes of
-# rectangular covers evaluate n0 + n1 + 2 exponentials per point for their terms
+# rectangular covers evaluate n0 + n1 exponentials per point for their terms
 WORK_BUDGET = 100 * TERM_BUDGET
 
 
