@@ -179,14 +179,9 @@ def _scan_directions(surface: FlatSurface, n: int) -> np.ndarray:
     with no -0.0, so every direction keeps its math.atan2 angle and the
     mirroring of ``scan`` may read -u from u.
     """
-    if n % 2:
-        ang = 2.0 * math.pi * np.arange(n) / n
-        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        ang = 2.0 * math.pi * np.arange(n // 2) / n
-        half = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        ring = np.concatenate([half, 0.0 - half])
-    dirs = [ring]
+    ang = 2.0 * math.pi * np.arange(n if n % 2 else n // 2) / n
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    dirs = [ring if n % 2 else np.concatenate([ring, 0.0 - ring])]
     if isinstance(surface, Torus):
         a, b = surface.lattice.a, surface.lattice.b
         forced = [(1.0, 0.0), (0.0, 1.0), (-a, b), (1.0 - a, b), (-1.0 - a, b)]

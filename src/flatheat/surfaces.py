@@ -128,12 +128,12 @@ def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     ``lattice._recentre`` rejects.
     """
     rows, lin, shift = _deck(surface)
-    shape = (len(lin),) + (1,) * (y.ndim - 1)
     disp = np.empty((len(lin),) + y.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         if y.ndim == 1:  # one pair of points: the same operations, in fewer calls
             np.subtract(x, y * lin + shift, out=disp)
             return rows, lin, disp
+        shape = (len(lin),) + (1,) * (y.ndim - 1)
         for c in (0, 1):
             np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)
                         + shift[:, c].reshape(shape), out=disp[..., c])
