@@ -309,8 +309,6 @@ def _blocks(n: int, step: int) -> list:
     gets the same bits in every block of every batch.  Only a single point
     is summed pairwise.
     """
-    if 0 < n <= step:
-        return [slice(0, n)]
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()

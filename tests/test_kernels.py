@@ -649,6 +649,7 @@ def test_kernel_bits_do_not_depend_on_the_enumeration_cache(monkeypatch):
         for warm_radius in (40.0, 0.2):
             kernels._disks.clear()
             kernels._disk(rows, warm_radius)
+            kernels._disk(rows, warm_radius, half=True)
             kernels._disk(rows, warm_radius, half=True, dual=True)
             assert _cache_snapshots(surface, query_args) == cold, (a, b, warm_radius)
 
@@ -676,6 +677,23 @@ def test_enumeration_cache_caps_points_and_evicts_lattices(monkeypatch):
     kernels._disk(generic, 1.0)
     kernels._disk(honeycomb, 1.0)
     assert list(kernels._disks) == [(generic, False, False), (honeycomb, False, False)]
+    # the image route's half primal disks follow the same rules, and their
+    # entries also hold the points' negatives as a second plane
+    kernels._disks.clear()
+    kernels._disk(generic, 1.0, half=True)
+    assert kernels._disks[generic, True, False][0] == 2.0
+    mn, _, _ = kernels._disk(iso, 3.0, half=True)  # the bound counts the whole disk
+    assert len(mn) <= 100 and kernels._disks[iso, True, False][0] == 3.0
+    big = kernels._disk(iso, 12.0, half=True)
+    assert len(big[0]) > 100 and kernels._disks[iso, True, False][0] == 3.0
+    for f, c in zip(kernels._points_in_disk(np.array(iso), 12.0, True), big):
+        assert np.array_equal(f, c)
+    entry, k = kernels._disk_entry(generic, 1.0, True, False)
+    pairs = entry[4]
+    assert pairs.shape == (2, len(entry[1]), 2) and not pairs.flags.writeable
+    assert np.array_equal(pairs[0], entry[2]) and np.array_equal(pairs[1], -entry[2])
+    kernels._disk(honeycomb, 1.0, half=True)
+    assert list(kernels._disks) == [(generic, True, False), (honeycomb, True, False)]
 
 
 def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
