@@ -31,6 +31,9 @@ CORPUS = [
     (0, "kernel --a 0.5 --b 0.8660254037844386 --x 0,0 --y 0.25,0.1 --t 0.2 --csv {csv}"),
     (0, "kernel --klein --b 0.8 --x 0.1,0.2 --y 0.1,0.2 --t 0.3 --csv {csv}"),
     (0, "kernel --a 0.3 --b 1.2 --x 0,0 --y 0.4,0.5 --t 0.05 --rep image"),
+    (0, "kernel --a 0.3 --b 1.2 --x 0,0 --y 0.4,0.5 --t 10 --rep image"),
+    (0, "kernel --klein --b 1.4 --x 0.2,0.1 --y 0.7,0.9 --t 0.02"),
+    (0, "kernel --a 0 --b 1.5 --x=1e300,0 --y 0.1,0.2 --t 0.3"),
     (0, "scan --a 0.3 --b 1.2 --t-list 1,2 --dirs 24 --samples 16 --csv {csv}"),
     (0, "scan --klein --b 0.8 --t-list 0.05,0.5 --dirs 12 --samples 8 --csv {csv}"),
     (0, "scan --a 0.5 --b 0.8660254037844386 --t-list 0.5 --dirs 24 --samples 16 --csv {csv}"),

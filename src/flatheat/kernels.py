@@ -19,7 +19,8 @@ certified by a Gaussian ring bound: once all points inside a radius are
 summed, the discarded tail is dominated by an explicit erfc integral.
 
 Every value, gradient and projection goes from points to sums through one
-pipeline, ``_deck_sum``: x - h(y) is formed once, as for distances
+pipeline, ``_deck_sum`` (for a single query, its float form ``_pair_sum``,
+below): x - h(y) is formed once, as for distances
 (``surfaces._deck_displacements``), reduced once modulo the cover lattice
 (``lattice._recentre``, exactly for far-out points, which so lose no digits
 beyond those x - h(y) itself rounds away) and handed as coordinate rows to a
@@ -37,9 +38,18 @@ one cosine and one sine per axis and point, for the half box of
 ((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  The image route stacks the
 differences of both axes into one array, so both axes share each numpy
 call; the spectral route runs one recurrence (``_harmonic_sums``) on numpy
-arrays, or, for up to _FEW_POINTS displacements (a single query), on Python
+arrays, or, for batches of up to _FEW_POINTS displacements, on Python
 floats, which round each operation as numpy does.  terms_used counts the box
 terms, not the per-axis ones.
+
+A single query, one pair of points x, y of shape (2,), skips the arrays
+(``_pair_sum``): its displacements, their reduction and its route's sums run
+in Python floats, with the operations and in the order of the batch path,
+over the same term set from the same helpers, so terms_used, the bound and
+the representation are bitwise a batch's.  Past _PAIR_TERMS exponentials,
+cosines and sines per displacement, where numpy's calls cost less than the
+float loop, its reduced displacements are summed by the numpy routes as a
+batch of one column (two on a Klein bottle).
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -79,10 +89,12 @@ A projection's cosine sum is even too, and the reduction
 Blocks come from the term count and one byte budget (``_block_rows``), and
 a batch never leaves a block one point wide (``_blocks``).  So in any
 batch of two or more points a point's bits and the call's terms_used do not
-depend on the other points; a single point, one column alone, is summed
-pairwise and may differ from its batch value in the last bits.  The radial
-sampler (``monotonicity._eval_radial``) evaluates a single sample as one
-row of a two-row batch, so it too gets its batch bits.
+depend on the other points.  A single pair may differ from its batch value
+in the last bits: its reduction rounds as plain float arithmetic does, not
+as numpy's matrix product, math.exp may differ from numpy's exp in the last
+bit, and past _PAIR_TERMS a one-column batch is summed pairwise.  The
+radial sampler (``monotonicity._eval_radial``) evaluates a single sample as
+one row of a two-row batch, so it too gets its batch bits.
 """
 from __future__ import annotations
 
@@ -102,7 +114,7 @@ from .errors import (
     NonPositiveTime,
     ToleranceUnreachable,
 )
-from .lattice import _geometry, _pair, _recentre
+from .lattice import _geometry, _pair, _real, _recentre, _reduce_exactly
 from .surfaces import FlatSurface, Torus, _deck, _deck_displacements
 
 TERM_BUDGET = 10_000_000
@@ -122,6 +134,12 @@ _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
 # Spectral box sums over up to this many points run in float arithmetic.
 _FEW_POINTS = 8
+# A single query (``_pair_sum``) sums in float arithmetic while its route
+# evaluates at most this many exponentials, cosines and sines per
+# displacement; past it, the numpy sums cost less.  Measured where both cost
+# the same: about 100 on the disk routes and a Klein bottle's image box, 185
+# on a torus's image box (one displacement) and 45 on the spectral box.
+_PAIR_TERMS = 100
 _MODE_TOL = 1e-9  # relative width of an eigenvalue group (``_group_eigenvalues``)
 
 
@@ -405,11 +423,15 @@ def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool)
     return out
 
 
-def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
+def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over the
     dual lattice: one value (or gradient row) per displacement, with the
-    bound and the terms summed.
+    bound and the terms summed.  d0 may also be the list of float pairs of
+    one query (``_pair_sum``): while the route evaluates at most _PAIR_TERMS
+    exponentials, cosines and sines per displacement they are summed in
+    float arithmetic, in the same order, into a list of floats (or gradient
+    pairs); beyond, as coordinate rows.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
     weight 2 (``_cosine_sum``), farthest first, as the image route adds its
@@ -429,37 +451,46 @@ def _spectral(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius, err = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
+    pair = isinstance(d0, list)
+    n = len(d0) if pair else d0.shape[1]
     if not geom["axis_aligned"]:
         # p and -p contribute alike: sum one of each pair, with weight 2
         _, pts, r2 = _disk(rows, radius, half=True, dual=True)
-        _check_work(len(pts), d0.shape[1])
+        _check_work(len(pts), n)
+        if pair and 2 * len(pts) <= _PAIR_TERMS:  # an exponential and a cosine per term
+            far = pts[::-1].tolist(), r2[::-1].tolist()
+            return [_cosine_floats(d, *far, alpha, area, want_grad) for d in d0], err, len(pts)
         w = np.exp(-alpha * r2) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
-        return _cosine_sum(d0, pts[::-1], w[::-1], want_grad), err, len(pts)
+        return _cosine_sum(_columns(d0), pts[::-1], w[::-1], want_grad), err, len(pts)
     tops = tuple(math.floor(radius * length) for length in geom["periods"])
+    n0, n1 = (2 * m + 1 for m in tops)
+    terms = (n0 * n1 + 1) // 2
+    if pair and tops[0] + tops[1] + 4 <= _PAIR_TERMS:  # a weight per m > 0, two phases per axis
+        return _box_cosine_floats(d0, geom["periods"].tolist(), tops, alpha, area,
+                                  want_grad), err, terms
+    d0 = _columns(d0)
     p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
     w = 2.0 * np.exp(-alpha * p2)
     w[0] = 1.0  # m = 0 has no partner
     cos_w = [col[:top + 1] for col, top in zip(w.T.tolist(), tops)]
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
-    n0, n1 = (2 * m + 1 for m in tops)
-    n = d0.shape[1]
     if n <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
         theta = freq * d0
         sums = [[_harmonic_sums(c, s, cos_w[k], sin_w[k]) for c, s in zip(cs, ss)]
                 for k, (cs, ss) in enumerate(zip(np.cos(theta).tolist(), np.sin(theta).tolist()))]
-        out = np.array([_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area)
-                        for (a0, g0), (a1, g1) in zip(*sums)]).reshape((n, 2) if want_grad else n)
-    else:
-        out = np.empty((n, 2) if want_grad else n)
-        step = _block_rows(16)  # about 16 (points,) arrays over both axes
-        for i in range(0, n, step):
-            theta = freq * d0[:, i:i + step]
-            c1, s1 = np.cos(theta), np.sin(theta)
-            c, g = zip(*(_harmonic_sums(c1[k], s1[k], cos_w[k], sin_w[k]) for k in (0, 1)))
-            out[i:i + step].T[:] = _axis_product(c, g if want_grad else None, 1.0 / area)
-    return out, err, (n0 * n1 + 1) // 2
+        out = [_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area)
+               for (a0, g0), (a1, g1) in zip(*sums)]
+        return (out if pair else np.array(out).reshape((n, 2) if want_grad else n)), err, terms
+    out = np.empty((n, 2) if want_grad else n)
+    step = _block_rows(16)  # about 16 (points,) arrays over both axes
+    for i in range(0, n, step):
+        theta = freq * d0[:, i:i + step]
+        c1, s1 = np.cos(theta), np.sin(theta)
+        c, g = zip(*(_harmonic_sums(c1[k], s1[k], cos_w[k], sin_w[k]) for k in (0, 1)))
+        out[i:i + step].T[:] = _axis_product(c, g if want_grad else None, 1.0 / area)
+    return out, err, terms
 
 
 def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
@@ -471,10 +502,11 @@ def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
     return np.add.reduce(a[:half + 1])
 
 
-def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
+def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over
-    lattice images: one value (or gradient row) per displacement.
+    lattice images: one value (or gradient row) per displacement.  The list
+    of float pairs of one query is summed as ``_spectral`` states.
 
     Every reduced displacement lies within the lattice's "reach"
     (``lattice._geometry``), so every image p with |p| <= radius + reach is
@@ -504,14 +536,23 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
     scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     span = radius + geom["reach"]
-    n_pts = d0.shape[1]
-    out = np.empty((n_pts, 2) if want_grad else n_pts)
+    pair = isinstance(d0, list)
+    n_pts = len(d0) if pair else d0.shape[1]
     if geom["axis_aligned"]:
         periods = geom["periods"].tolist()
         h0, h1 = (math.floor(span / length) for length in periods)
-        axes = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
         n0, n = 2 * h0 + 1, 2 * (h0 + h1 + 1)
         terms = n0 * (n - n0)
+        if pair and n <= _PAIR_TERMS:
+            out = []
+            for d in d0:
+                (s0, g0), (s1, g1) = (_gauss_floats(dk, length, h, alpha, want_grad)
+                                      for dk, length, h in zip(d, periods, (h0, h1)))
+                out.append(_axis_product((s0, s1), (g0, g1) if want_grad else None, scale))
+            return out, err, terms
+        d0 = _columns(d0)
+        out = np.empty((n_pts, 2) if want_grad else n_pts)
+        axes = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
         # the differences of both axes, stacked, and their Gaussians
         for blk in _blocks(n_pts, _block_rows(2 * n)):
             z = np.empty((n, blk.stop - blk.start))
@@ -529,6 +570,11 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
         entry, k = _disk_entry(rows, span, True, False)
         terms = 2 * k - 1
         _check_work(terms, n_pts)
+        if pair and terms <= _PAIR_TERMS:
+            far = entry[2][k - 1::-1].tolist()  # farthest first, the origin last
+            return [_gauss_disk_floats(d, far, alpha, scale, want_grad) for d in d0], err, terms
+        d0 = _columns(d0)
+        out = np.empty((n_pts, 2) if want_grad else n_pts)
         far = entry[4][:, k - 1::-1]  # [0] and [1] hold p and -p, farthest first
         p0, p1 = far[..., 0:1], far[..., 1:2]
         # both difference columns, their squares and the Gaussians
@@ -547,6 +593,150 @@ def _image(rows: tuple, t: float, d0: np.ndarray, eps: float, want_grad: bool):
 
 
 # ---------------------------------------------------------------------------
+# one query in float arithmetic
+
+
+def _columns(d0) -> np.ndarray:
+    """The reduced displacements d0 as coordinate rows (2, P): d0 itself, or
+    the list of float pairs of one query (``_pair_sum``) as an array."""
+    return np.array(d0).T if isinstance(d0, list) else d0
+
+
+def _gauss_floats(d: float, length: float, half: int, alpha: float, want_grad: bool):
+    """One axis of the image box route at one reduced coordinate d, in float
+    arithmetic: (S, G) = (sum exp(-alpha z^2), sum z exp(-alpha z^2)) over
+    z = d - m * length, |m| <= half, with the operations of ``_image`` in its
+    pair order (``_pair_sums``): d -+ m * length added first, m = half down
+    to 1, the origin's term last.  G is 0.0 for values."""
+    s = g = 0.0
+    nalpha = -alpha
+    for m in range(half, 0, -1):
+        pm = length * m
+        lo, hi = d - pm, d + pm
+        e_lo, e_hi = math.exp(lo * lo * nalpha), math.exp(hi * hi * nalpha)
+        s += e_lo + e_hi
+        if want_grad:
+            g += e_lo * lo + e_hi * hi
+    e = math.exp(d * d * nalpha)
+    return s + e, g + e * d if want_grad else 0.0
+
+
+def _gauss_disk_floats(d: tuple, far: list, alpha: float, scale: float, want_grad: bool):
+    """The image disk route at one reduced displacement d in float
+    arithmetic: far holds its half disk, farthest first and the origin last;
+    the Gaussians of d - p and d + p are added first, as in ``_image``.
+    Returns the value, or the gradient pair."""
+    d0, d1 = d
+    nalpha = -alpha
+    s = g0 = g1 = 0.0
+    for p0, p1 in far[:-1]:
+        a0, a1, b0, b1 = d0 - p0, d1 - p1, d0 + p0, d1 + p1
+        ea = math.exp(nalpha * (a0 * a0 + a1 * a1))
+        eb = math.exp(nalpha * (b0 * b0 + b1 * b1))
+        if want_grad:
+            g0 += ea * a0 + eb * b0
+            g1 += ea * a1 + eb * b1
+        else:
+            s += ea + eb
+    e = math.exp(nalpha * (d0 * d0 + d1 * d1))
+    if want_grad:
+        return scale * (g0 + e * d0), scale * (g1 + e * d1)
+    return scale * (s + e)
+
+
+def _cosine_floats(d: tuple, pts: list, r2: list, alpha: float, area: float, want_grad: bool):
+    """The spectral disk route at one reduced displacement d in float
+    arithmetic: pts and r2 hold its half dual disk, farthest first and the
+    origin last, weighted and summed as ``_spectral`` and ``_cosine_sum``
+    weight and sum them.  Returns the value, or the gradient pair."""
+    d0, d1 = d
+    nalpha, two = -alpha, 2.0 / area
+    s = g0 = g1 = 0.0
+    for (p0, p1), q in zip(pts[:-1], r2):
+        q0, q1 = _TWO_PI * p0, _TWO_PI * p1
+        ph = q0 * d0 + q1 * d1
+        w = math.exp(nalpha * q) * two
+        if want_grad:
+            sn = math.sin(ph)
+            g0 += sn * (q0 * w)
+            g1 += sn * (q1 * w)
+        else:
+            s += math.cos(ph) * w
+    # the origin: weight 1 / area, and cos 0 = 1
+    return (g0, g1) if want_grad else s + 1.0 / area
+
+
+def _box_cosine_floats(ds: list, periods: list, tops: tuple, alpha: float, area: float,
+                       want_grad: bool) -> list:
+    """The spectral box route at the reduced displacements ds of one query, in
+    float arithmetic: per axis the weights of ``_spectral``, w_0 = 1 and
+    w_m = 2 exp(-alpha p^2) with p = m / L_k (times 2 pi p for gradients),
+    computed with the operations of ``_box_frequencies``, then the
+    recurrence ``_harmonic_sums`` and the product of the axes."""
+    axes = []
+    for length, top in zip(periods, tops):
+        p = [m / length for m in range(top + 1)]
+        w = [1.0] + [2.0 * math.exp(-alpha * (q * q)) for q in p[1:]]
+        axes.append((_TWO_PI / length, w,
+                     [_TWO_PI * q * wq for q, wq in zip(p, w)] if want_grad else None))
+    out = []
+    for d in ds:
+        (a0, g0), (a1, g1) = (_harmonic_sums(math.cos(f * dk), math.sin(f * dk), cos_w, sin_w)
+                              for dk, (f, cos_w, sin_w) in zip(d, axes))
+        out.append(_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area))
+    return out
+
+
+@lru_cache(maxsize=128)
+def _pair_frame(surface: FlatSurface):
+    """What ``_pair_sum`` reads of a surface, as Python floats: the cover rows
+    (``surfaces._deck``), the deck maps' linear parts and shifts, and the
+    cover's "far" and dual rows (``lattice._geometry``)."""
+    rows, lin, shift = _deck(surface)
+    geom = _geometry(rows)
+    lin, shift, dual = (tuple(map(tuple, a.tolist())) for a in (lin, shift, geom["dual_rows"]))
+    return rows, lin, shift, geom["far"], dual
+
+
+def _pair_sum(surface: FlatSurface, x: tuple, y: tuple, cover_sum, want_grad: bool):
+    """``_deck_sum`` for one pair of points x, y, given as float pairs, in
+    float arithmetic.  Each x - h(y) is formed with the operations of
+    ``surfaces._deck_displacements`` and reduced by the rounding rule of
+    ``lattice._recentre``: d - n L, n the rounded lattice coordinates d D^T,
+    and exactly beyond "far" (``lattice._reduce_exactly``, which rejects a
+    non-finite displacement).  cover_sum(rows, ds, k) gets the k reduced
+    displacements as a list of float pairs and returns their sums, a list
+    (or an array, past _PAIR_TERMS terms), which are added over h with each
+    deck map's linear part, as ``_deck_sum`` adds them.  Returns the value,
+    or the gradient pair, with k times the bound and the terms."""
+    rows, lin, shift, far, ((a0, a1), (b0, b1)) = _pair_frame(surface)
+    (u0, u1), (v0, v1) = rows
+    (x0, x1), (y0, y1) = x, y
+    ds = []
+    for (l0, l1), (s0, s1) in zip(lin, shift):
+        d0, d1 = x0 - (y0 * l0 + s0), x1 - (y1 * l1 + s1)
+        if abs(d0) <= far and abs(d1) <= far:  # NaN fails too
+            n0, n1 = round(a0 * d0 + a1 * d1), round(b0 * d0 + b1 * d1)
+            ds.append((d0 - (u0 * n0 + v0 * n1), d1 - (u1 * n0 + v1 * n1)))
+        else:
+            ds.append(_reduce_exactly(rows, [d0, d1]))
+    k = len(ds)
+    out, err, terms = cover_sum(rows, ds, k)
+    if not isinstance(out, list):
+        out = out.tolist()
+    if not want_grad:
+        value = 0.0
+        for v in out:
+            value += v
+        return value, k * err, k * terms
+    g0 = g1 = 0.0
+    for (l0, l1), (o0, o1) in zip(lin, out):
+        g0 += o0 * l0
+        g1 += o1 * l1
+    return (g0, g1), k * err, k * terms
+
+
+# ---------------------------------------------------------------------------
 # public heat-kernel interface
 
 
@@ -558,11 +748,15 @@ def _resolve_rep(surface: FlatSurface, t: float, representation: str) -> str:
     return representation
 
 
-def _validate_time_eps(t: float, eps: float) -> None:
+def _validate_time_eps(t, eps) -> tuple[float, float]:
+    """t and eps converted with float (``lattice._real``); NonPositiveTime
+    unless t is positive and finite, InvalidParameter unless eps is."""
+    t, eps = _real(t, "time"), _real(eps, "epsilon")
     if not (math.isfinite(t) and t > 0):
         raise NonPositiveTime(f"heat kernel needs t > 0, got {t}")
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidParameter(f"epsilon must be positive, got {eps}")
+    return t, eps
 
 
 def _broadcast_pair(x, y):
@@ -578,7 +772,7 @@ def _broadcast_pair(x, y):
 def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
     """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
     pipeline from points x, y (float arrays of one shape (..., 2)) to every
-    kernel value, gradient and projection.  It forms the displacements
+    kernel value, gradient and projection (for a single query, ``_pair_sum``).  It forms the displacements
     x - h(y) over the k deck elements h (``surfaces._deck_displacements``),
     reduces them once modulo the cover (``lattice._recentre``, which rejects
     non-finite ones) and hands the cover rows, the reduced coordinate rows
@@ -601,11 +795,28 @@ def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: 
               want_grad: bool):
     """The heat kernel (or its y-gradient) at points x, y as a deck sum, for a
     checked time and tolerance, with the representation used; each of the k
-    deck elements gets eps / k."""
+    deck elements gets eps / k.  x and y are float arrays of one shape
+    (..., 2) (``_deck_sum``), or two float pairs, one query (``_pair_sum``),
+    whose value comes as a float and whose gradient as a pair."""
     rep = _resolve_rep(surface, t, representation)
     fn = _spectral if rep == "spectral" else _image
-    return (*_deck_sum(surface, x, y, lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad),
-                       want_grad), rep)
+    total = _pair_sum if isinstance(x, tuple) else _deck_sum
+    return (*total(surface, x, y, lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad),
+                   want_grad), rep)
+
+
+def _heat_arrays(surface: FlatSurface, t, x, y, eps, representation: str, want_grad: bool):
+    """``_heat_sum`` on arrays of points, after checking the time and the
+    tolerance.  A single pair, two points of shape (2,), is one query: it is
+    summed in float arithmetic (``_pair_sum``) and returned as numpy's
+    float64, or a gradient array of shape (2,), as a batch would return it."""
+    t, eps = _validate_time_eps(t, eps)
+    x, y = _broadcast_pair(x, y)
+    if x.shape != (2,):
+        return _heat_sum(surface, t, x, y, eps, representation, want_grad)
+    out, err, terms, rep = _heat_sum(surface, t, tuple(x.tolist()), tuple(y.tolist()), eps,
+                                     representation, want_grad)
+    return np.array(out) if want_grad else np.float64(out), err, terms, rep
 
 
 def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
@@ -622,16 +833,15 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
     terms_used does not depend on the points; in a batch of two or more
     points, neither does a point's value (the module's summation rule).
+    The time and the tolerance are converted with float.
     """
-    _validate_time_eps(t, eps)
-    return _heat_sum(surface, t, *_broadcast_pair(x, y), eps, representation, want_grad=False)
+    return _heat_arrays(surface, t, x, y, eps, representation, want_grad=False)
 
 
 def heat_gradient_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
                          representation: str = "auto"):
     """Gradient of K_t(x, .) in the second argument, on arrays of points."""
-    _validate_time_eps(t, eps)
-    return _heat_sum(surface, t, *_broadcast_pair(x, y), eps, representation, want_grad=True)
+    return _heat_arrays(surface, t, x, y, eps, representation, want_grad=True)
 
 
 @dataclass(frozen=True)
@@ -649,7 +859,9 @@ class KernelQuery:
             raise InvalidParameter(f"points must be finite, got x={x}, y={y}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        _validate_time_eps(self.t, self.epsilon)
+        t, eps = _validate_time_eps(self.t, self.epsilon)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "epsilon", eps)
         if self.representation not in ("auto", "spectral", "image"):
             raise InvalidParameter(f"unknown representation {self.representation!r}")
 
@@ -672,17 +884,15 @@ class KernelGradient:
 
 def heat_kernel(query: KernelQuery) -> KernelValue:
     # the query checked its points, time and tolerance when it was made
-    vals, err, terms, rep = _heat_sum(query.surface, query.t, np.array(query.x),
-                                      np.array(query.y), query.epsilon, query.representation,
-                                      want_grad=False)
-    return KernelValue(float(vals), err, terms, rep)
+    value, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y, query.epsilon,
+                                       query.representation, want_grad=False)
+    return KernelValue(value, err, terms, rep)
 
 
 def heat_kernel_gradient(query: KernelQuery) -> KernelGradient:
-    grads, err, terms, rep = _heat_sum(query.surface, query.t, np.array(query.x),
-                                       np.array(query.y), query.epsilon, query.representation,
-                                       want_grad=True)
-    return KernelGradient((float(grads[0]), float(grads[1])), err, terms, rep)
+    grad, err, terms, rep = _heat_sum(query.surface, query.t, query.x, query.y, query.epsilon,
+                                      query.representation, want_grad=True)
+    return KernelGradient(grad, err, terms, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -810,21 +1020,28 @@ def _mode_at(surface: FlatSurface, lam=None, index=None) -> SpectralMode:
     """The one spectral lookup, from one ``enumerate_modes`` call out to lam > 0:
     the mode within _MODE_TOL * lam of lam, or that of an index (0: constants).
     lam defaults to lambda_1 (``principal_eigenvalue``).  An index is first
-    found in the sorted table out to max(index, 1)^2 lambda_1, which
-    n^2 lambda_1, n <= index, do not pass (an index past TERM_BUDGET counts
-    as TERM_BUDGET, whose disk passes the budget): its group's eigenvalue is
-    read there, and the modes are built out to it alone."""
+    found in a sorted table grown geometrically from lambda_1, doubling its
+    eigenvalue bound until the table holds that group complete and the start
+    of the next (an index of TERM_BUDGET or more needs more dual points than
+    the budget): its group's eigenvalue is read there, and the modes are
+    built out to it alone."""
     if lam is None:
         b = surface.lattice.b if isinstance(surface, Torus) else max(surface.b, 1.0)
-        lam = (_TWO_PI / b) ** 2 * (1 if index is None else min(max(index, 1), TERM_BUDGET) ** 2)
+        lam = (_TWO_PI / b) ** 2
     if not lam > 0:
         raise InvalidParameter(f"no mode at eigenvalue {lam!r}: it is not positive "
                                "(lambda_1 = (2 pi / b)^2 underflows to 0 beyond b ~ 4e162)")
     if index is not None:
-        table = _mode_table(surface, lam, _MODE_TOL)[0]
-        starts = _group_starts(table, _MODE_TOL, index + 1)
-        if len(starts) > index:
-            lam = float(table[starts[index]])
+        if index >= TERM_BUDGET:  # each group holds a dual point of the table
+            raise InvalidParameter(
+                f"mode index {index} needs more than {TERM_BUDGET} dual lattice points")
+        while True:
+            table = _mode_table(surface, lam, _MODE_TOL)[0]
+            starts = _group_starts(table, _MODE_TOL, index + 2)
+            if len(starts) > index + 1:
+                lam = float(table[starts[index]])
+                break
+            lam *= 2.0
     for i, mode in enumerate(enumerate_modes(surface, lam)):
         if i == index or (index is None and abs(mode.eigenvalue - lam) <= _MODE_TOL * lam):
             return mode

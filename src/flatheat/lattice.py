@@ -38,10 +38,26 @@ def _vec(x) -> np.ndarray:
 
 def _pair(p) -> tuple[float, float]:
     """A point given as a sequence, as a pair of floats: the check of ``_vec``
-    without building an array, for points that are kept as tuples."""
-    if len(p) != 2:
-        raise InvalidParameter(_TWO_COMPONENTS.format(len(p)))
-    return float(p[0]), float(p[1])
+    without building an array, for points that are kept as tuples.
+    InvalidParameter unless it has two components that float converts."""
+    try:
+        if len(p) == 2:
+            return float(p[0]), float(p[1])
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"a point must have two numeric components, got {p!r}") from None
+    raise InvalidParameter(_TWO_COMPONENTS.format(len(p)))
+
+
+def _real(value, what: str) -> float:
+    """One number converted with float; InvalidParameter when float refuses
+    it or it is an array (older numpy converts a one-element array with a
+    warning)."""
+    try:
+        if np.ndim(value) == 0:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameter(f"{what} must be a number, got {value!r}")
 
 
 def _cross(u, v) -> float:

@@ -46,7 +46,7 @@ from .kernels import (
     projection_gradient,
     projection_kernel,
 )
-from .lattice import LatticeTag, _pair, _unit, classify
+from .lattice import LatticeTag, _pair, _real, _unit, classify
 from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
@@ -105,9 +105,11 @@ class ScanConfig:
         object.__setattr__(self, "n_directions",
                            _check_size(self.n_directions, 4, "n_directions", width=n_arc))
         object.__setattr__(self, "t_values", _times(self.t_values, "t_values"))
-        tols = (self.derivative_tolerance, self.kernel_epsilon)
-        if not all(tol > 0 and math.isfinite(tol) for tol in tols):
-            raise InvalidParameter("tolerances must be positive and finite")
+        for name in ("derivative_tolerance", "kernel_epsilon"):
+            tol = _real(getattr(self, name), name)
+            if not (tol > 0 and math.isfinite(tol)):
+                raise InvalidParameter("tolerances must be positive and finite")
+            object.__setattr__(self, name, tol)
         if self.base_points is not None:
             object.__setattr__(self, "base_points", tuple(map(_pair, self.base_points)))
             if not all(math.isfinite(c) for p in self.base_points for c in p):

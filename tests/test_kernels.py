@@ -807,6 +807,33 @@ def test_kernel_rejects_non_finite_points():
                     fn(surface, t, np.zeros((3, 2)), np.array([[0.1, 0.1]] * 2 + [[0.0, bad]]))
 
 
+def test_times_tolerances_and_points_convert_with_float():
+    """Times, tolerances and point components are converted with float, as
+    Heat("0.5") converts its time; one that float refuses, or an array, raises
+    InvalidParameter (NonPositiveTime stays for t <= 0, NaN and inf)."""
+    surface = torus(0.3, 1.2)
+    q = KernelQuery(surface=surface, x=("0.1", 0), y=(0.2, 0.3), t="0.1", epsilon="1e-10")
+    assert (q.x, q.t, q.epsilon) == ((0.1, 0.0), 0.1, 1e-10)
+    assert heat_kernel(q) == heat_kernel(KernelQuery(surface=surface, x=(0.1, 0.0),
+                                                     y=(0.2, 0.3), t=0.1))
+    assert flatheat.ScanConfig(derivative_tolerance="1e-12").derivative_tolerance == 1e-12
+    bad = [lambda: KernelQuery(surface=surface, x=(0, 0), y=(0.1, 0.1), t="soon"),
+           lambda: KernelQuery(surface=surface, x=(0, 0), y=(0.1, 0.1), t=0.1, epsilon=None),
+           lambda: KernelQuery(surface=surface, x=(0, 0), y=(0.1, 0.1), t=0.1, epsilon="tiny"),
+           lambda: KernelQuery(surface=surface, x=("a", 0), y=(0.1, 0.1), t=0.1),
+           lambda: KernelQuery(surface=surface, x=0.5, y=(0.1, 0.1), t=0.1),
+           lambda: heat_values(surface, np.array([0.1]), np.zeros(2), np.full(2, 0.1)),
+           lambda: heat_gradient_values(surface, 0.1, np.zeros(2), np.full(2, 0.1), eps=[1e-9]),
+           lambda: flatheat.ScanConfig(derivative_tolerance="small"),
+           lambda: flatheat.ScanConfig(kernel_epsilon=None)]
+    for make in bad:
+        with pytest.raises(InvalidParameter):
+            make()
+    for t in ("-1", 0.0, "nan", math.inf):
+        with pytest.raises(NonPositiveTime):
+            KernelQuery(surface=surface, x=(0, 0), y=(0.1, 0.1), t=t)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_displacements_are_rejected():
     """Finite points whose displacement x - h(y) overflows raise the typed
