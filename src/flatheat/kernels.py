@@ -38,9 +38,9 @@ one cosine and one sine per axis and point, for the half box of
 ((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  The image route stacks the
 differences of both axes into one array, so both axes share each numpy
 call; the spectral route runs one recurrence (``_harmonic_sums``) on numpy
-arrays, or, for batches of up to _FEW_POINTS displacements, on Python
-floats, which round each operation as numpy does.  terms_used counts the box
-terms, not the per-axis ones.
+arrays, or, for a single query, on Python floats, which round each
+operation as numpy does.  terms_used counts the box terms, not the per-axis
+ones.
 
 A single query, one pair of points x, y of shape (2,), skips the arrays
 (``_pair_sum``): its displacements, their reduction and its route's sums run
@@ -49,7 +49,9 @@ over the same term set from the same helpers, so terms_used, the bound and
 the representation are bitwise a batch's.  Past _PAIR_TERMS exponentials,
 cosines and sines per displacement, where numpy's calls cost less than the
 float loop, its reduced displacements are summed by the numpy routes as a
-batch of one column (two on a Klein bottle).
+batch of one column (two on a Klein bottle).  The spectral box route has no
+such cut-over: its weights come from numpy at any size, and its recurrence
+then costs one cosine and one sine per axis and displacement.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -132,13 +134,12 @@ _DISK_SLACK = 1e-12
 # 56 on the image route's half disks, which hold each point's negative too).
 _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
-# Spectral box sums over up to this many points run in float arithmetic.
-_FEW_POINTS = 8
 # A single query (``_pair_sum``) sums in float arithmetic while its route
 # evaluates at most this many exponentials, cosines and sines per
 # displacement; past it, the numpy sums cost less.  Measured where both cost
 # the same: about 100 on the disk routes and a Klein bottle's image box, 185
-# on a torus's image box (one displacement) and 45 on the spectral box.
+# on a torus's image box (one displacement).  The spectral box sums a query
+# in floats at any size (``_spectral``).
 _PAIR_TERMS = 100
 _MODE_TOL = 1e-9  # relative width of an eigenvalue group (``_group_eigenvalues``)
 
@@ -378,7 +379,7 @@ def _axis_product(a, b, scale: float):
 def _harmonic_sums(c1, s1, cos_w: list, sin_w: list | None):
     """sum_m cos_w[m] cos(m theta), and sum_m sin_w[m] sin(m theta) (0.0 when
     sin_w is None), from c1 = cos theta and s1 = sin theta: float arrays, or
-    Python floats for a few points.
+    Python floats for one query.
 
     cos(m theta) and sin(m theta) follow from those of theta by angle
     addition, so each entry costs two trigonometric calls for any number of
@@ -428,10 +429,10 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over the
     dual lattice: one value (or gradient row) per displacement, with the
     bound and the terms summed.  d0 may also be the list of float pairs of
-    one query (``_pair_sum``): while the route evaluates at most _PAIR_TERMS
-    exponentials, cosines and sines per displacement they are summed in
-    float arithmetic, in the same order, into a list of floats (or gradient
-    pairs); beyond, as coordinate rows.
+    one query (``_pair_sum``): on the box, and on the disk while it
+    evaluates at most _PAIR_TERMS exponentials and cosines per displacement,
+    they are summed in float arithmetic, in the same order, into a list of
+    floats (or gradient pairs); beyond, as coordinate rows.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
     weight 2 (``_cosine_sum``), farthest first, as the image route adds its
@@ -466,23 +467,19 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     tops = tuple(math.floor(radius * length) for length in geom["periods"])
     n0, n1 = (2 * m + 1 for m in tops)
     terms = (n0 * n1 + 1) // 2
-    if pair and tops[0] + tops[1] + 4 <= _PAIR_TERMS:  # a weight per m > 0, two phases per axis
-        return _box_cosine_floats(d0, geom["periods"].tolist(), tops, alpha, area,
-                                  want_grad), err, terms
-    d0 = _columns(d0)
     p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
     w = 2.0 * np.exp(-alpha * p2)
     w[0] = 1.0  # m = 0 has no partner
     cos_w = [col[:top + 1] for col, top in zip(w.T.tolist(), tops)]
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
-    if n <= _FEW_POINTS:  # float arithmetic costs less than numpy calls
-        theta = freq * d0
-        sums = [[_harmonic_sums(c, s, cos_w[k], sin_w[k]) for c, s in zip(cs, ss)]
-                for k, (cs, ss) in enumerate(zip(np.cos(theta).tolist(), np.sin(theta).tolist()))]
-        out = [_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area)
-               for (a0, g0), (a1, g1) in zip(*sums)]
-        return (out if pair else np.array(out).reshape((n, 2) if want_grad else n)), err, terms
+    if pair:  # one query: its phases and the recurrence in float arithmetic
+        freqs, out = freq[:, 0].tolist(), []
+        for d in d0:
+            (a0, g0), (a1, g1) = (_harmonic_sums(math.cos(f * dk), math.sin(f * dk), cw, sw)
+                                  for f, dk, cw, sw in zip(freqs, d, cos_w, sin_w))
+            out.append(_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area))
+        return out, err, terms
     out = np.empty((n, 2) if want_grad else n)
     step = _block_rows(16)  # about 16 (points,) arrays over both axes
     for i in range(0, n, step):
@@ -666,27 +663,6 @@ def _cosine_floats(d: tuple, pts: list, r2: list, alpha: float, area: float, wan
     return (g0, g1) if want_grad else s + 1.0 / area
 
 
-def _box_cosine_floats(ds: list, periods: list, tops: tuple, alpha: float, area: float,
-                       want_grad: bool) -> list:
-    """The spectral box route at the reduced displacements ds of one query, in
-    float arithmetic: per axis the weights of ``_spectral``, w_0 = 1 and
-    w_m = 2 exp(-alpha p^2) with p = m / L_k (times 2 pi p for gradients),
-    computed with the operations of ``_box_frequencies``, then the
-    recurrence ``_harmonic_sums`` and the product of the axes."""
-    axes = []
-    for length, top in zip(periods, tops):
-        p = [m / length for m in range(top + 1)]
-        w = [1.0] + [2.0 * math.exp(-alpha * (q * q)) for q in p[1:]]
-        axes.append((_TWO_PI / length, w,
-                     [_TWO_PI * q * wq for q, wq in zip(p, w)] if want_grad else None))
-    out = []
-    for d in ds:
-        (a0, g0), (a1, g1) = (_harmonic_sums(math.cos(f * dk), math.sin(f * dk), cos_w, sin_w)
-                              for dk, (f, cos_w, sin_w) in zip(d, axes))
-        out.append(_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area))
-    return out
-
-
 @lru_cache(maxsize=128)
 def _pair_frame(surface: FlatSurface):
     """What ``_pair_sum`` reads of a surface, as Python floats: the cover rows
@@ -772,12 +748,13 @@ def _broadcast_pair(x, y):
 def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
     """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
     pipeline from points x, y (float arrays of one shape (..., 2)) to every
-    kernel value, gradient and projection (for a single query, ``_pair_sum``).  It forms the displacements
-    x - h(y) over the k deck elements h (``surfaces._deck_displacements``),
-    reduces them once modulo the cover (``lattice._recentre``, which rejects
-    non-finite ones) and hands the cover rows, the reduced coordinate rows
-    d0, shape (2, k P), and k to cover_sum(rows, d0, k), which returns one sum
-    (or gradient row) per displacement with its bound and its terms.
+    kernel value, gradient and projection (for a single query, ``_pair_sum``).
+    It forms the displacements x - h(y) over the k deck elements h
+    (``surfaces._deck_displacements``), reduces them once modulo the cover
+    (``lattice._recentre``, which rejects non-finite ones) and hands the
+    cover rows, the reduced coordinate rows d0, shape (2, k P), and k to
+    cover_sum(rows, d0, k), which returns one sum (or gradient row) per
+    displacement with its bound and its terms.
     Gradients are multiplied by each deck map's linear part lin[h] (the chain
     rule; the glide reverses x1).  Returns the sums over h with k times the
     bound and the terms.

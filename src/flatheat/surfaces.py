@@ -122,19 +122,13 @@ def _deck_displacements(surface: FlatSurface, x: np.ndarray, y: np.ndarray):
     displacements x - h(y) = x - (y * lin[h] + shift[h]) over the deck
     elements h, shape (deck elements, ..., 2), for float arrays x, y of one
     shape (..., 2): the one place x - h(y) is formed.  It runs per
-    coordinate, so that the loops run over points, not over pairs, but for
-    a single pair, whose elementwise operations it runs in three calls: the
-    broadcast form takes about half the time of the per-coordinate one up
-    to ~100 points and two to four times it from ~1000.  An
+    coordinate, so that the loops run over points, not over pairs.  An
     overflow or an infinite point gives inf or NaN without a warning, which
     ``lattice._recentre`` rejects.
     """
     rows, lin, shift = _deck(surface)
     disp = np.empty((len(lin),) + y.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if y.ndim == 1:  # one pair of points: the same operations, in fewer calls
-            np.subtract(x, y * lin + shift, out=disp)
-            return rows, lin, disp
         shape = (len(lin),) + (1,) * (y.ndim - 1)
         for c in (0, 1):
             np.subtract(x[..., c], y[..., c] * lin[:, c].reshape(shape)

@@ -595,7 +595,7 @@ def test_every_route_is_exactly_even_in_the_displacement(rng):
     adds the terms of each pair +-p before it accumulates them; a scan reads
     the derivative along -u from that along u on this alone."""
     covers = [torus(a, b) for a, b in LATTICE_CLASSES] + [klein_bottle(0.8)]
-    sizes = (1, 2, kernels._FEW_POINTS, 300)
+    sizes = (1, 2, 8, 300)
     for surface in covers:
         rows = kernels._deck(surface)[0]
         mode = enumerate_modes(surface, 400.0)[3]
@@ -754,12 +754,10 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
 
 def test_box_routes_match_per_axis_reference(rng):
     """The box routes of a rectangular cover, whose image sums share numpy
-    calls between the axes and whose spectral sums over a few points run in
-    float arithmetic, give bitwise the per-axis loops' output: for one
-    displacement, the two of a Klein query, and batches on both sides of
-    _FEW_POINTS."""
+    calls between the axes, give bitwise the per-axis loops' output: for one
+    displacement, the two of a Klein query, and batches of 8, 9 and 300."""
     heights = [1.5, 2.7] + [2.0 * b for b in (0.2, 0.7, 1.0, 1.4)]
-    sizes = (1, 2, kernels._FEW_POINTS, kernels._FEW_POINTS + 1, 300)
+    sizes = (1, 2, 8, 9, 300)
     disps = [rng.uniform(-1.5, 2.5, (n, 2)) for n in sizes]
     for h in heights:
         rows = ((1.0, 0.0), (0.0, h))
