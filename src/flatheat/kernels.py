@@ -78,25 +78,22 @@ Every route sums by one rule.  Its term set depends only on the lattice, the
 time and the tolerance: the image route sums out to the enumeration radius
 plus the lattice's "reach" (``lattice._geometry``), which bounds every
 reduced displacement.  Its sums are elementwise and term-major: each block
-of points is a (terms x points) array, reduced over the terms, which numpy
-does row by row in a fixed order (farthest first; a projection's shell
-vectors share one modulus), or a recurrence over the terms on the spectral
-box route.  Both routes walk one of each pair of lattice points +-p: the
+of points is a (terms x points) array, reduced over the terms row by row in
+a fixed order (``_row_sum``: farthest first; a projection's shell vectors
+share one modulus), or a recurrence over the terms on the spectral box
+route.  Both routes walk one of each pair of lattice points +-p: the
 spectral route weights cos(2 pi p.d) by 2, or sums cosines over m >= 0 on
 a box, and the image route adds the Gaussians of d - p and d + p before it
 accumulates them, the origin's last.  So every route is exactly even in the
 reduced displacement, bit for bit: K(-d) = K(d) and grad K(-d) = -grad K(d).
 A projection's cosine sum is even too, and the reduction
 (``lattice._recentre``) odd, so on a torus every kernel is even in x - y.
-Blocks come from the term count and one byte budget (``_block_rows``), and
-a batch never leaves a block one point wide (``_blocks``).  So in any
-batch of two or more points a point's bits and the call's terms_used do not
-depend on the other points.  A single pair may differ from its batch value
-in the last bits: its reduction rounds as plain float arithmetic does, not
-as numpy's matrix product, math.exp may differ from numpy's exp in the last
-bit, and past _PAIR_TERMS a one-column batch is summed pairwise.  The
-radial sampler (``monotonicity._eval_radial``) evaluates a single sample as
-one row of a two-row batch, so it too gets its batch bits.
+Blocks come from the term count and one byte budget (``_block_rows``), at
+least one point wide.  So in any batch, a batch of one included, a point's
+bits and the call's terms_used do not depend on the other points.  A single
+pair may differ from its batch value in the last bits: its reduction rounds
+as plain float arithmetic does, not as numpy's matrix product, and math.exp
+may differ from numpy's exp in the last bit.
 """
 from __future__ import annotations
 
@@ -311,27 +308,22 @@ def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
 
 
 def _block_rows(width: int) -> int:
-    """Points per block, so that width float64 values per point fit _BLOCK_BYTES.
-
-    At least two: a term count too large for the budget then exceeds it by
-    one more point's arrays, and ``_blocks`` never has to make a one-point
-    block of a batch.
-    """
-    return max(2, _BLOCK_BYTES // (8 * max(width, 1)))
+    """Points per block, so that width float64 values per point fit
+    _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _blocks(n: int, step: int) -> list:
-    """Slices of step >= 2 points over range(n), a one-point tail joined to the block before.
+    """Slices of step points over range(n), the last one possibly narrower."""
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
-    numpy reduces a (terms x 1) block pairwise but a wider one row by row,
-    so every block of a batch is at least two points wide, and each point
-    gets the same bits in every block of every batch.  Only a single point
-    is summed pairwise.
-    """
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the rows of a (terms x points) block, in row order, at
+    every width: numpy reduces a block two or more points wide row by row,
+    but a one-point column pairwise, so a column is accumulated instead.
+    A point's sum then has the same bits in every block of every batch."""
+    return np.add.reduce(a) if a.shape[1] > 1 else np.add.accumulate(a)[-1]
 
 
 @lru_cache(maxsize=256)
@@ -417,10 +409,10 @@ def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool)
         ph += p1 * d0[1, blk]
         if want_grad:
             np.sin(ph, out=ph)
-            out[blk, 0] = (ph * coef[:, 0:1]).sum(axis=0)
-            out[blk, 1] = np.multiply(ph, coef[:, 1:2], out=ph).sum(axis=0)
+            out[blk, 0] = _row_sum(ph * coef[:, 0:1])
+            out[blk, 1] = _row_sum(np.multiply(ph, coef[:, 1:2], out=ph))
         else:
-            out[blk] = np.multiply(np.cos(ph, out=ph), coef, out=ph).sum(axis=0)
+            out[blk] = _row_sum(np.multiply(np.cos(ph, out=ph), coef, out=ph))
     return out
 
 
@@ -496,7 +488,7 @@ def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
     terms of a pair +-p, are added first, into row i, then rows 0 to half
     in order, farthest first and the origin's last.  a is overwritten."""
     np.add(a[:half], a[half + 1:], out=a[:half])
-    return np.add.reduce(a[:half + 1])
+    return _row_sum(a[:half + 1])
 
 
 def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
@@ -808,8 +800,8 @@ def heat_values(surface: FlatSurface, t: float, x, y, eps: float = 1e-10,
     count the terms of their box, though they evaluate them as a product of
     two per-axis sums: the n0 * n1 images of the image box, and the half
     box ((2 M0 + 1)(2 M1 + 1) + 1) / 2 of dual points |p_k| <= M_k / L_k.
-    terms_used does not depend on the points; in a batch of two or more
-    points, neither does a point's value (the module's summation rule).
+    terms_used does not depend on the points; in a batch, neither does a
+    point's value (the module's summation rule).
     The time and the tolerance are converted with float.
     """
     return _heat_arrays(surface, t, x, y, eps, representation, want_grad=False)

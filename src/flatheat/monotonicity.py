@@ -215,20 +215,14 @@ def _segment(base, u, s):
 def _eval_radial(surface, kernel, X, Y, U, eps):
     """Radial derivatives g0 u0 + g1 u1 and their error bound for sample blocks
     X, Y and directions U (..., 2); a heat kernel is evaluated at its own
-    time, and eps serves it only.  A single sample, of any shape, is
-    evaluated as one row of a two-row batch, as a scan evaluates it, so it
-    gets the bits it gets in every batch (the summation rule of
-    ``kernels``).  A BLAS dot of the same numbers may round differently, and
-    revalidate would then not give back a scan's bits."""
-    one = math.prod(np.shape(U)[:-1]) == 1
-    if one:
-        X, Y = (np.broadcast_to(np.reshape(a, (1, 2)), (2, 2)) for a in (X, Y))
+    time, and eps serves it only.  A sample gets the same bits in every
+    batch, a batch of one included (the summation rule of ``kernels``).  A
+    BLAS dot of the same numbers may round differently, and revalidate would
+    then not give back a scan's bits."""
     if isinstance(kernel, Heat):
         grads, err, _, _ = heat_gradient_values(surface, kernel.t, X, Y, eps=eps)
     else:
         grads, err = projection_gradient(surface, kernel.mode, X, Y)
-    if one:
-        grads = grads[0].reshape(np.shape(U))
     return grads[..., 0] * U[..., 0] + grads[..., 1] * U[..., 1], err
 
 
@@ -245,10 +239,12 @@ def _profile(surface, kernel, base, u, s, eps):
 
 
 def _radial_at(surface, kernel, base, u, s, eps) -> tuple[float, float]:
-    """Radial derivative and error bound of the one sample base + s * u."""
-    X, Y, U = _segment(np.asarray(base, dtype=float), np.asarray(u, dtype=float), s)
+    """Radial derivative and error bound of the one sample base + s * u,
+    evaluated as a batch of one (shape (1, 2)), as a scan evaluates its
+    row, not as a single query (``kernels._pair_sum``)."""
+    X, Y, U = _segment(np.asarray(base, dtype=float), np.asarray(u, dtype=float), [s])
     deriv, err = _eval_radial(surface, kernel, X, Y, U, eps)
-    return float(deriv), float(err)
+    return float(deriv[0]), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def _scan_task(surface, kernel, cfg, base, dirs, smax, src):
     if ambiguous.any():
         d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
                               dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
-        deriv[ambiguous] = np.atleast_1d(d2)
+        deriv[ambiguous] = d2
         err[ambiguous] = e2
     deriv, err = deriv[at], err[at]
     witness = deriv - err > tol
@@ -383,10 +379,11 @@ def _witness_objects(tasks, dirs, columns) -> tuple:
 
 def revalidate(surface: FlatSurface, witness: ViolationWitness,
                kernel_epsilon: float) -> tuple[float, float]:
-    """Re-evaluate a witness's radial derivative at the given epsilon, on the
-    single-sample path that counterexample witnesses take (``_radial_at``):
-    at the scan's epsilon, every witness of a scan's first pass, and of a
-    counterexample, comes back bit for bit (``_eval_radial``)."""
+    """Re-evaluate a witness's radial derivative at the given epsilon as a
+    batch of one, the path counterexample witnesses take (``_radial_at``):
+    a sample's bits do not depend on its batch, so at the scan's epsilon
+    every witness of a scan's first pass, and of a counterexample, comes
+    back bit for bit (``_eval_radial``)."""
     if witness.kernel == "heat":
         kernel = Heat(witness.t)
     else:
@@ -682,8 +679,11 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
     is singular, when it has not converged after _NEWTON_STEPS steps, or when
     its last gradient exceeds 1e-5 of the largest on the grid.  Converged
     cells are deduplicated in seed-cell order, so the first seed to reach a
-    critical point represents it.  Raises DegenerateCritical when |det H|
-    falls below 1e-10 relative to |H|_F^2.
+    critical point represents it.  Each Hessian is scaled exactly by a
+    power of two before it is classified, so its determinant does not
+    underflow at large t.  Raises DegenerateCritical when |det H| falls
+    below 1e-10 relative to |H|_F^2, and ToleranceUnreachable when no
+    maximum or no minimum is found, as once the gradient underflows.
     """
     if not isinstance(surface, Torus):
         raise InvalidParameter("census requires a torus")
@@ -732,6 +732,7 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
         found.append((c, hess[k]))
     maxima, minima, saddles = [], [], []
     for c, H in found:
+        H = np.ldexp(H, -np.frexp(np.abs(H).max())[1])
         det = float(np.linalg.det(H))
         if abs(det) < 1e-10 * float((H * H).sum()):
             raise DegenerateCritical(f"degenerate Hessian at lattice coords {tuple(c)}")
@@ -741,6 +742,10 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
             maxima.append((float(c[0]), float(c[1])))
         else:
             minima.append((float(c[0]), float(c[1])))
+    if not (maxima and minima):  # K_t(0, .) has both on a compact surface
+        raise ToleranceUnreachable(
+            f"census at t={t} found no {'maximum' if not maxima else 'minimum'}, which "
+            "K_t(0, .) always has: its gradient underflows on the grid at large t")
     maxima.sort()
     minima.sort()
     saddles.sort()

@@ -514,15 +514,17 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
 
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)  # one block per call
     wide = evaluate()
-    # blocks of 7 points on the per-axis spectral route, and of 2 (the floor)
-    # or 3 on the others, where the tori's 301 points leave a one-point
-    # tail to join to the block before
+    # blocks of 5 to 7 points on the per-axis spectral route, 3 on the
+    # shorter image boxes, and of one point where more terms take more bytes
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
     assert kernels._block_rows(40) == 3
+    narrow = evaluate()
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8)  # blocks of one point on every route
+    assert kernels._block_rows(1) == 1
     # every route runs elementwise, and its term-major sums add row by row in
-    # every block at least two points wide: bitwise equal
-    for (s, rep, a), (_, _, b) in zip(wide, evaluate()):
-        assert np.array_equal(a, b), (s, rep)
+    # every block, one point wide included: bitwise equal
+    for (s, rep, a), (_, _, b), (_, _, c) in zip(wide, narrow, evaluate()):
+        assert np.array_equal(a, b) and np.array_equal(a, c), (s, rep)
 
 
 LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),
@@ -553,8 +555,8 @@ def test_cached_disk_prefix_matches_fresh_enumeration(monkeypatch):
 
 
 def test_point_bits_and_terms_do_not_depend_on_the_batch(rng, monkeypatch):
-    """In a batch of two or more points each point keeps its bits, and the
-    call its terms_used and bound, when the batch is reordered, cut to a
+    """In any batch, a batch of one included, each point keeps its bits, and
+    the call its terms_used and bound, when the batch is reordered, cut to a
     subset or summed in other blocks: every route sums term-major and
     elementwise over a term set that the lattice, time and tolerance fix.
     Every lattice class and a Klein bottle; both representations, values,
@@ -578,8 +580,8 @@ def test_point_bits_and_terms_do_not_depend_on_the_batch(rng, monkeypatch):
 
     whole = evaluate(np.arange(41))
     others = [(perm, evaluate(perm)), (perm[:2], evaluate(perm[:2])),
-              (perm[5:12], evaluate(perm[5:12]))]
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 700)  # blocks of 2 or 3 points
+              (perm[3:4], evaluate(perm[3:4])), (perm[5:12], evaluate(perm[5:12]))]
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 700)  # narrower blocks, of one point on long routes
     others.append((np.arange(41), evaluate(np.arange(41))))
     for rows, outs in others:
         for k, (a, b) in enumerate(zip(whole, outs)):
@@ -736,13 +738,13 @@ def _per_axis_box_reference(rows, t, disp, eps, want_grad, rep):
         for k, length in enumerate(periods):
             half = int(np.floor((radius + geom["reach"]) / length))
             # one of each pair +-m, farthest first: both terms added, then
-            # the pair sums in order, the origin's term last
+            # the pair sums in row order at every width, the origin's term last
             m = (length * np.arange(half, 0, -1))[:, None]
             lo, hi, z0 = d0[k] - m, d0[k] + m, d0[k][None, :]
             e_lo, e_hi, e0 = (np.exp(-alpha * (z * z)) for z in (lo, hi, z0))
             e = np.concatenate([e_lo + e_hi, e0])
             g = np.concatenate([e_lo * lo + e_hi * hi, e0 * z0])
-            sums.append((e.sum(axis=0), g.sum(axis=0)))
+            sums.append((np.add.accumulate(e)[-1], np.add.accumulate(g)[-1]))
         scale = pref0 * 2.0 * alpha if want_grad else pref0
     (a0, b0), (a1, b1) = sums
     if want_grad:

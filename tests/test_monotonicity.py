@@ -150,8 +150,8 @@ def test_witnesses_revalidate_at_tighter_epsilon(generic_torus):
 def test_revalidate_reproduces_scan_witnesses_bitwise():
     """At the scan's own epsilon, revalidate rebuilds a witness the first pass
     certified from the same sample point and the same derivative form, and
-    evaluates it as one row of a two-row batch.  A point's bits do not depend
-    on its batch, so the derivative comes back bit for bit: heat and
+    evaluates it as a batch of one.  A point's bits do not depend on its
+    batch, so the derivative comes back bit for bit: heat and
     projection scans on the generic, isosceles and honeycomb tori and on a
     Klein bottle.  A witness taken from the epsilon/16 retry carries a
     smaller bound and is skipped."""
@@ -598,6 +598,22 @@ def test_census_generic_counts(generic_torus):
     res = critical_point_census(generic_torus, 0.3, grid=128)
     assert res.counts == (1, 1, 2)
     assert res.index_sum == 0
+
+
+def test_census_at_large_times(square_torus, honeycomb_torus):
+    """At t = 10 the Hessians are about 1e-170, so their determinants would
+    underflow to 0; scaled exactly by a power of two, the counts are those
+    of smaller times, with index sum 0, the Euler characteristic.  Once the
+    gradient grid itself underflows, no maximum is found, and the census
+    raises instead of reporting none."""
+    for surface, t, counts in ((square_torus, 10.0, (1, 1, 2)), (square_torus, 17.0, (1, 1, 2)),
+                               (honeycomb_torus, 10.0, (1, 2, 3)),
+                               (honeycomb_torus, 12.0, (1, 2, 3))):
+        res = critical_point_census(surface, t, grid=64)
+        assert (res.counts, res.index_sum) == (counts, 0), (surface, t)
+    for surface, t in ((square_torus, 20.0), (honeycomb_torus, 15.0), (honeycomb_torus, 30.0)):
+        with pytest.raises(flatheat.ToleranceUnreachable):
+            critical_point_census(surface, t, grid=64)
 
 
 def test_census_stable_under_grid_refinement(honeycomb_torus):
