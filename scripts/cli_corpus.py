@@ -35,6 +35,8 @@ CORPUS = [
     (0, "kernel --klein --b 1.4 --x 0.2,0.1 --y 0.7,0.9 --t 0.02"),
     (0, "kernel --a 0 --b 1.5 --x=1e300,0 --y 0.1,0.2 --t 0.3"),
     (0, "kernel --a 0.5 --b 0.8660254037844386 --x 0,0 --y 0.3,0.2 --t 0.003 --rep spectral"),
+    (0, "kernel --a 0 --b 1.5 --x 0.1,0.2 --y 0.6,0.45 --t 10 --rep image"),
+    (0, "kernel --a 0 --b 1 --x 0,0 --y 0.1,0.2 --t 1e308"),
     (0, "scan --a 0.3 --b 1.2 --t-list 1,2 --dirs 24 --samples 16 --csv {csv}"),
     (0, "scan --klein --b 0.8 --t-list 0.05,0.5 --dirs 12 --samples 8 --csv {csv}"),
     (0, "scan --a 0.5 --b 0.8660254037844386 --t-list 0.5 --dirs 24 --samples 16 --csv {csv}"),
@@ -57,6 +59,8 @@ CORPUS = [
     (2, "counterexample generic --a 0.3 --b 1e200"),
     (2, "counterexample generic --a 0.3 --b 1e6"),
     (2, "census --a 0.5 --b 0.8660254037844386 --t 30 --grid 64"),
+    (2, "census --a 0 --b 1 --t -1000 --grid 64"),
+    (2, "pde-check --a 0 --b 1 --t 1e308 --n 16"),
 ]
 
 

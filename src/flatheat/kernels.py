@@ -30,28 +30,27 @@ then get the chain rule of each deck map, and the sum runs over h.
 
 A rectangular cover (every Klein cover, and a torus with a = 0) is the
 product of two circles, and its heat kernel the product of theirs.  Both
-routes then sum a box holding the disk, as a product of one sum per axis
-(``_axis_product``): the image route a Gaussian sum, costing n0 + n1
-exponentials per point for the n0 * n1 images of the box; the spectral route
-a cosine sum over m >= 0, whose cos(m theta) follow by angle addition from
-one cosine and one sine per axis and point, for the half box of
-((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  The image route stacks the
-differences of both axes into one array, so both axes share each numpy
-call; the spectral route runs one recurrence (``_harmonic_sums``) on numpy
-arrays, or, for a single query, on Python floats, which round each
-operation as numpy does.  terms_used counts the box terms, not the per-axis
-ones.
+routes then sum a box holding the disk, as a product of one sum per axis,
+through one driver (``_box``): the image route a Gaussian sum
+(``_gauss_sums``), costing n0 + n1 exponentials per point for the n0 * n1
+images of the box; the spectral route a cosine sum over m >= 0
+(``_harmonic_sums``), whose cos(m theta) follow by angle addition from one
+cosine and one sine per axis and point, for the half box of
+((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  Each axis sum is one loop over
+its terms that takes its exp, cos and sin as arguments: ``_box`` runs it on
+a block of a batch's coordinate row with numpy's, and on a single query's
+floats with the math module's, which round each operation as numpy does.
+terms_used counts the box terms, not the per-axis ones.
 
 A single query, one pair of points x, y of shape (2,), skips the arrays
 (``_pair_sum``): its displacements, their reduction and its route's sums run
 in Python floats, with the operations and in the order of the batch path,
 over the same term set from the same helpers, so terms_used, the bound and
-the representation are bitwise a batch's.  Past _PAIR_TERMS exponentials,
+the representation are bitwise a batch's.  The box routes sum a query in
+floats at any size.  On the disk routes, past _PAIR_TERMS exponentials,
 cosines and sines per displacement, where numpy's calls cost less than the
 float loop, its reduced displacements are summed by the numpy routes as a
-batch of one column (two on a Klein bottle).  The spectral box route has no
-such cut-over: its weights come from numpy at any size, and its recurrence
-then costs one cosine and one sine per axis and displacement.
+batch of one column (two on a Klein bottle).
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
@@ -80,11 +79,11 @@ plus the lattice's "reach" (``lattice._geometry``), which bounds every
 reduced displacement.  Its sums are elementwise and term-major: each block
 of points is a (terms x points) array, reduced over the terms row by row in
 a fixed order (``_row_sum``: farthest first; a projection's shell vectors
-share one modulus), or a recurrence over the terms on the spectral box
-route.  Both routes walk one of each pair of lattice points +-p: the
-spectral route weights cos(2 pi p.d) by 2, or sums cosines over m >= 0 on
-a box, and the image route adds the Gaussians of d - p and d + p before it
-accumulates them, the origin's last.  So every route is exactly even in the
+share one modulus), or, on a box, a loop over each axis's terms.  Both
+routes walk one of each pair of lattice points +-p: the spectral route
+weights cos(2 pi p.d) by 2, or sums cosines over m >= 0 on a box, and the
+image route adds the Gaussians of d - p and d + p before it accumulates
+them, the origin's last.  So every route is exactly even in the
 reduced displacement, bit for bit: K(-d) = K(d) and grad K(-d) = -grad K(d).
 A projection's cosine sum is even too, and the reduction
 (``lattice._recentre``) odd, so on a torus every kernel is even in x - y.
@@ -131,12 +130,11 @@ _DISK_SLACK = 1e-12
 # 56 on the image route's half disks, which hold each point's negative too).
 _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
-# A single query (``_pair_sum``) sums in float arithmetic while its route
-# evaluates at most this many exponentials, cosines and sines per
-# displacement; past it, the numpy sums cost less.  Measured where both cost
-# the same: about 100 on the disk routes and a Klein bottle's image box, 185
-# on a torus's image box (one displacement).  The spectral box sums a query
-# in floats at any size (``_spectral``).
+# A single query (``_pair_sum``) on a disk route sums in float arithmetic
+# while the route evaluates at most this many exponentials, cosines and sines
+# per displacement; past it, the numpy sums cost less.  Measured where both
+# cost the same: about 100 on either disk route.  The box routes sum a query
+# in floats at any size (``_box``).
 _PAIR_TERMS = 100
 _MODE_TOL = 1e-9  # relative width of an eigenvalue group (``_group_eigenvalues``)
 
@@ -179,7 +177,11 @@ def _disk_bound(radius: float, rho: float, covol: float) -> float:
 def _radius_for(alpha: float, rho: float, covol: float, eps: float,
                 prefactor: float, moment: int = 0) -> float:
     """Smallest enumeration radius (up to ~20%) with prefactor * tail <= eps,
-    and that bound, prefactor * tail."""
+    and that bound, prefactor * tail.  A prefactor that underflows to 0, as
+    the image route's does at huge t, certifies nothing: ToleranceUnreachable."""
+    if not prefactor > 0:
+        raise ToleranceUnreachable(
+            f"certified tolerance {eps:g}: the tail bound's prefactor underflows to 0")
     eps = max(eps, _EPS_FLOOR)
     c0 = prefactor * _TWO_PI / covol * (1.0 / (2.0 * alpha) + 3.0 * rho + 2.0 * rho * rho + 1.0)
     u = 0.0
@@ -304,7 +306,7 @@ def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
 
 
 # ---------------------------------------------------------------------------
-# point blocks and cached box images
+# point blocks and cached box frequencies
 
 
 def _block_rows(width: int) -> int:
@@ -327,25 +329,11 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _pair_axis(length: float, half: int) -> np.ndarray:
-    """Box images m * length, |m| <= half, as a column in pair order: m = half
-    down to 1, then 0, then -half up to -1, so that rows i < half and
-    half + 1 + i hold the pair +-m, farthest first, and the origin closes
-    the first half."""
-    m = np.arange(half, 0, -1)
-    col = (length * np.concatenate([m, [0], -m]))[:, None]
-    col.flags.writeable = False
-    return col
-
-
-@lru_cache(maxsize=256)
 def _box_frequencies(rows: tuple, top: int):
     """For the dual box of an axis-aligned lattice, with p_k = m / L_k for
-    m <= top: p^2 and 2 pi p, of shape (top + 1, 2), and the angular
-    frequencies 2 pi / L_k as a column, all read-only."""
-    periods = _geometry(rows)["periods"]
-    p = np.arange(top + 1)[:, None] / periods
-    out = p * p, _TWO_PI * p, (_TWO_PI / periods)[:, None]
+    m <= top: p^2 and 2 pi p, of shape (top + 1, 2), read-only."""
+    p = np.arange(top + 1)[:, None] / _geometry(rows)["periods"]
+    out = p * p, _TWO_PI * p
     for a in out:
         a.flags.writeable = False
     return out
@@ -355,17 +343,52 @@ def _box_frequencies(rows: tuple, top: int):
 # lattice-sum evaluators on displacements d = x - h(y), h a deck element
 
 
-def _axis_product(a, b, scale: float):
-    """A box sum whose terms are a product of one factor per axis.
+def _box(d0, axis, scale: float, want_grad: bool):
+    """A box sum whose terms are a product of one factor per axis, at the
+    reduced displacements d0: coordinate rows (2, P), or the list of float
+    pairs of one query (``_pair_sum``).  axis(k, d, lib) returns the sums
+    (A_k, B_k) of axis k at its coordinates d, B_k those of the factor's
+    derivative (0.0 for values), with lib's exp, cos and sin: the math
+    module on a query's floats, numpy on a block of a batch's coordinate
+    row, elementwise, so a point's bits do not depend on its block.  The
+    value is scale * A0 * A1, the gradient (scale * B0 * A1, scale * A0 * B1):
+    a list of floats (or gradient pairs) for a query, an array for a batch."""
+    if isinstance(d0, list):
+        out = []
+        for d in d0:
+            (a0, b0), (a1, b1) = (axis(k, dk, math) for k, dk in enumerate(d))
+            out.append((scale * b0 * a1, scale * a0 * b1) if want_grad else scale * a0 * a1)
+        return out
+    n = d0.shape[1]
+    out = np.empty((n, 2) if want_grad else n)
+    # about 8 (points,) arrays live in an axis loop; 4 and 16 ran Klein scans slower
+    for blk in _blocks(n, _block_rows(8)):
+        (a0, b0), (a1, b1) = (axis(k, d0[k, blk], np) for k in (0, 1))
+        if want_grad:
+            out[blk, 0], out[blk, 1] = scale * b0 * a1, scale * a0 * b1
+        else:
+            out[blk] = scale * a0 * a1
+    return out
 
-    a holds the per-axis sums (A0, A1), so the value is scale * A0 * A1; with
-    per-axis derivative sums b = (B0, B1) the gradient components are
-    (scale * B0 * A1, scale * A0 * B1).  b is None for values.  Arrays, or
-    Python floats for one point, with the same operations and bits.
-    """
-    if b is None:
-        return scale * a[0] * a[1]
-    return scale * b[0] * a[1], scale * a[0] * b[1]
+
+def _gauss_sums(d, length: float, half: int, alpha: float, want_grad: bool, exp):
+    """One axis of the image box route at the reduced coordinates d, a float
+    (exp = math.exp) or an array (numpy's exp): (S, G) = (sum e, sum z e),
+    e = exp(-alpha z^2), over z = d - m * length, |m| <= half; G is 0.0 for
+    values.  The same operations run in the same order on either type: the
+    terms of d -+ m * length first, m = half down to 1, the origin's last,
+    so S is even in d and G odd, bit for bit."""
+    s = g = 0.0
+    nalpha = -alpha
+    for m in range(half, 0, -1):
+        pm = length * m
+        lo, hi = d - pm, d + pm
+        e_lo, e_hi = exp(lo * lo * nalpha), exp(hi * hi * nalpha)
+        s += e_lo + e_hi
+        if want_grad:
+            g += e_lo * lo + e_hi * hi
+    e = exp(d * d * nalpha)
+    return s + e, g + e * d if want_grad else 0.0
 
 
 def _harmonic_sums(c1, s1, cos_w: list, sin_w: list | None):
@@ -416,15 +439,27 @@ def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool)
     return out
 
 
+def _weights(alpha: float, p2: np.ndarray, largest: float) -> np.ndarray:
+    """exp(-alpha p2) over p2 >= 0, whose largest entry is largest.  At huge
+    t alpha p2 may overflow, and past t ~ 4.5e306 alpha itself, where p2 = 0
+    reads inf * 0 (the caller overwrites the origin's weight): the weights
+    are then exactly 0, and numpy's warnings are silenced, only then, as
+    np.errstate costs microseconds a call."""
+    if alpha * largest < math.inf:
+        return np.exp(-alpha * p2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-alpha * p2)
+
+
 def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``), summed over the
     dual lattice: one value (or gradient row) per displacement, with the
     bound and the terms summed.  d0 may also be the list of float pairs of
-    one query (``_pair_sum``): on the box, and on the disk while it
-    evaluates at most _PAIR_TERMS exponentials and cosines per displacement,
-    they are summed in float arithmetic, in the same order, into a list of
-    floats (or gradient pairs); beyond, as coordinate rows.
+    one query (``_pair_sum``): on the box (``_box``), and on the disk while
+    it evaluates at most _PAIR_TERMS exponentials and cosines per
+    displacement, they are summed in float arithmetic, in the same order,
+    into a list of floats (or gradient pairs); beyond, as coordinate rows.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
     weight 2 (``_cosine_sum``), farthest first, as the image route adds its
@@ -435,7 +470,7 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
     G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
     w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
-    point (``_harmonic_sums``) for the half box of
+    point (``_harmonic_sums``, run by ``_box``) for the half box of
     ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
@@ -444,49 +479,43 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     moment = 1 if want_grad else 0
     pref = (_TWO_PI if want_grad else 1.0) / area
     radius, err = _radius_for(alpha, geom["dual_rho"], geom["dual_covol"], eps, pref, moment)
-    pair = isinstance(d0, list)
-    n = len(d0) if pair else d0.shape[1]
     if not geom["axis_aligned"]:
         # p and -p contribute alike: sum one of each pair, with weight 2
         _, pts, r2 = _disk(rows, radius, half=True, dual=True)
-        _check_work(len(pts), n)
+        pair = isinstance(d0, list)
+        _check_work(len(pts), len(d0) if pair else d0.shape[1])
         if pair and 2 * len(pts) <= _PAIR_TERMS:  # an exponential and a cosine per term
             far = pts[::-1].tolist(), r2[::-1].tolist()
             return [_cosine_floats(d, *far, alpha, area, want_grad) for d in d0], err, len(pts)
-        w = np.exp(-alpha * r2) * (2.0 / area)
+        w = _weights(alpha, r2, r2[-1].item()) * (2.0 / area)
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
         return _cosine_sum(_columns(d0), pts[::-1], w[::-1], want_grad), err, len(pts)
-    tops = tuple(math.floor(radius * length) for length in geom["periods"])
+    periods = geom["periods"].tolist()
+    tops = [math.floor(radius * length) for length in periods]
     n0, n1 = (2 * m + 1 for m in tops)
     terms = (n0 * n1 + 1) // 2
-    p2, two_pi_p, freq = _box_frequencies(rows, max(tops))
-    w = 2.0 * np.exp(-alpha * p2)
+    freqs = [_TWO_PI / length for length in periods]
+    p2, two_pi_p = _box_frequencies(rows, max(tops))
+    p_max = max(tops) / min(periods)  # the largest p_k, as _box_frequencies forms it
+    w = 2.0 * _weights(alpha, p2, p_max * p_max)
     w[0] = 1.0  # m = 0 has no partner
     cos_w = [col[:top + 1] for col, top in zip(w.T.tolist(), tops)]
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
-    if pair:  # one query: its phases and the recurrence in float arithmetic
-        freqs, out = freq[:, 0].tolist(), []
-        for d in d0:
-            (a0, g0), (a1, g1) = (_harmonic_sums(math.cos(f * dk), math.sin(f * dk), cw, sw)
-                                  for f, dk, cw, sw in zip(freqs, d, cos_w, sin_w))
-            out.append(_axis_product((a0, a1), (g0, g1) if want_grad else None, 1.0 / area))
-        return out, err, terms
-    out = np.empty((n, 2) if want_grad else n)
-    step = _block_rows(16)  # about 16 (points,) arrays over both axes
-    for i in range(0, n, step):
-        theta = freq * d0[:, i:i + step]
-        c1, s1 = np.cos(theta), np.sin(theta)
-        c, g = zip(*(_harmonic_sums(c1[k], s1[k], cos_w[k], sin_w[k]) for k in (0, 1)))
-        out[i:i + step].T[:] = _axis_product(c, g if want_grad else None, 1.0 / area)
-    return out, err, terms
+
+    def axis(k, dk, lib):
+        theta = freqs[k] * dk
+        return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
+
+    return _box(d0, axis, 1.0 / area, want_grad), err, terms
 
 
 def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
     """The sum over the rows of a (terms x points) block in pair order, as
-    ``_pair_axis`` lays out a box axis: the rows i and half + 1 + i, the
-    terms of a pair +-p, are added first, into row i, then rows 0 to half
-    in order, farthest first and the origin's last.  a is overwritten."""
+    the image disk route lays out its half disk and its negative
+    (``_disk_entry``): the rows i and half + 1 + i, the terms of a pair +-p,
+    are added first, into row i, then rows 0 to half in order, farthest
+    first and the origin's last.  a is overwritten."""
     np.add(a[:half], a[half + 1:], out=a[:half])
     return _row_sum(a[:half + 1])
 
@@ -505,17 +534,18 @@ def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
-    axis k: n0 + n1 exponentials per point for n0 * n1 terms.
+    axis k: n0 + n1 exponentials per point for n0 * n1 terms, summed per
+    axis by ``_gauss_sums`` and multiplied by ``_box``.
 
-    Sums are laid out term-major: each block is a (terms x points) array
-    built from the coordinate columns of d0 and reduced over axis 0, so the
-    elementwise loops run over points.  The images are walked as one of each
-    pair +-p (the pair order of ``_disk_entry``, the box of ``_pair_axis``):
-    the terms of d0 - p and d0 + p are added first, and the pair sums
-    reduced in row order, farthest first, so the largest terms,
-    which carry the value, come last, and the origin's last of all.  The
-    pair sum is symmetric in +-p, so the route is even in d0, bit for bit:
-    the value at -d0 is the value at d0, the gradient its negation.
+    The images are walked as one of each pair +-p, farthest first: the
+    terms of d0 - p and d0 + p are added first, and the pair sums
+    accumulated in that order, so the largest terms, which carry the value,
+    come last, and the origin's last of all.  The disk lays its sums out
+    term-major: each block is a (terms x points) array built from the
+    coordinate rows of d0, in the pair order of ``_disk_entry``, and reduced
+    over axis 0 (``_pair_sums``), so the elementwise loops run over points.
+    The pair sum is symmetric in +-p, so the route is even in d0, bit for
+    bit: the value at -d0 is the value at d0, the gradient its negation.
     """
     geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
@@ -525,59 +555,39 @@ def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     scale = pref0 * 2.0 * alpha if want_grad else pref0
     radius, err = _radius_for(alpha, geom["rho"], geom["covol"], eps, pref, moment)
     span = radius + geom["reach"]
-    pair = isinstance(d0, list)
-    n_pts = len(d0) if pair else d0.shape[1]
     if geom["axis_aligned"]:
         periods = geom["periods"].tolist()
-        h0, h1 = (math.floor(span / length) for length in periods)
-        n0, n = 2 * h0 + 1, 2 * (h0 + h1 + 1)
-        terms = n0 * (n - n0)
-        if pair and n <= _PAIR_TERMS:
-            out = []
-            for d in d0:
-                (s0, g0), (s1, g1) = (_gauss_floats(dk, length, h, alpha, want_grad)
-                                      for dk, length, h in zip(d, periods, (h0, h1)))
-                out.append(_axis_product((s0, s1), (g0, g1) if want_grad else None, scale))
-            return out, err, terms
-        d0 = _columns(d0)
-        out = np.empty((n_pts, 2) if want_grad else n_pts)
-        axes = [_pair_axis(length, h) for length, h in zip(periods, (h0, h1))]
-        # the differences of both axes, stacked, and their Gaussians
-        for blk in _blocks(n_pts, _block_rows(2 * n)):
-            z = np.empty((n, blk.stop - blk.start))
-            np.subtract(d0[0][blk], axes[0], out=z[:n0])
-            np.subtract(d0[1][blk], axes[1], out=z[n0:])
-            e = z * z
-            e *= -alpha
-            np.exp(e, out=e)
-            if want_grad:
-                np.multiply(e, z, out=z)
-                grads = _pair_sums(z[:n0], h0), _pair_sums(z[n0:], h1)
-            sums = _pair_sums(e[:n0], h0), _pair_sums(e[n0:], h1)
-            out[blk].T[:] = _axis_product(sums, grads if want_grad else None, scale)
-    else:
-        entry, k = _disk_entry(rows, span, True, False)
-        terms = 2 * k - 1
-        _check_work(terms, n_pts)
-        if pair and terms <= _PAIR_TERMS:
-            far = entry[2][k - 1::-1].tolist()  # farthest first, the origin last
-            return [_gauss_disk_floats(d, far, alpha, scale, want_grad) for d in d0], err, terms
-        d0 = _columns(d0)
-        out = np.empty((n_pts, 2) if want_grad else n_pts)
-        far = entry[4][:, k - 1::-1]  # [0] and [1] hold p and -p, farthest first
-        p0, p1 = far[..., 0:1], far[..., 1:2]
-        # both difference columns, their squares and the Gaussians
-        for blk in _blocks(n_pts, _block_rows(8 * k)):
-            z0 = d0[0][blk] - p0
-            z1 = d0[1][blk] - p1
-            e = np.exp(-alpha * (z0 * z0 + z1 * z1))
-            parts = (np.multiply(e, z0, out=z0), np.multiply(e, z1, out=z1)) if want_grad else (e,)
-            # each as one column in pair order, the origin's second copy dropped
-            sums = [_pair_sums(a.reshape(2 * k, -1)[:-1], k - 1) for a in parts]
-            if want_grad:
-                out[blk, 0], out[blk, 1] = scale * sums[0], scale * sums[1]
-            else:
-                out[blk] = scale * sums[0]
+        halves = [math.floor(span / length) for length in periods]
+        terms = (2 * halves[0] + 1) * (2 * halves[1] + 1)
+
+        def axis(k, dk, lib):
+            return _gauss_sums(dk, periods[k], halves[k], alpha, want_grad, lib.exp)
+
+        return _box(d0, axis, scale, want_grad), err, terms
+    pair = isinstance(d0, list)
+    n_pts = len(d0) if pair else d0.shape[1]
+    entry, k = _disk_entry(rows, span, True, False)
+    terms = 2 * k - 1
+    _check_work(terms, n_pts)
+    if pair and terms <= _PAIR_TERMS:
+        far = entry[2][k - 1::-1].tolist()  # farthest first, the origin last
+        return [_gauss_disk_floats(d, far, alpha, scale, want_grad) for d in d0], err, terms
+    d0 = _columns(d0)
+    out = np.empty((n_pts, 2) if want_grad else n_pts)
+    far = entry[4][:, k - 1::-1]  # [0] and [1] hold p and -p, farthest first
+    p0, p1 = far[..., 0:1], far[..., 1:2]
+    # both difference columns, their squares and the Gaussians
+    for blk in _blocks(n_pts, _block_rows(8 * k)):
+        z0 = d0[0][blk] - p0
+        z1 = d0[1][blk] - p1
+        e = np.exp(-alpha * (z0 * z0 + z1 * z1))
+        parts = (np.multiply(e, z0, out=z0), np.multiply(e, z1, out=z1)) if want_grad else (e,)
+        # each as one column in pair order, the origin's second copy dropped
+        sums = [_pair_sums(a.reshape(2 * k, -1)[:-1], k - 1) for a in parts]
+        if want_grad:
+            out[blk, 0], out[blk, 1] = scale * sums[0], scale * sums[1]
+        else:
+            out[blk] = scale * sums[0]
     return out, err, terms
 
 
@@ -589,25 +599,6 @@ def _columns(d0) -> np.ndarray:
     """The reduced displacements d0 as coordinate rows (2, P): d0 itself, or
     the list of float pairs of one query (``_pair_sum``) as an array."""
     return np.array(d0).T if isinstance(d0, list) else d0
-
-
-def _gauss_floats(d: float, length: float, half: int, alpha: float, want_grad: bool):
-    """One axis of the image box route at one reduced coordinate d, in float
-    arithmetic: (S, G) = (sum exp(-alpha z^2), sum z exp(-alpha z^2)) over
-    z = d - m * length, |m| <= half, with the operations of ``_image`` in its
-    pair order (``_pair_sums``): d -+ m * length added first, m = half down
-    to 1, the origin's term last.  G is 0.0 for values."""
-    s = g = 0.0
-    nalpha = -alpha
-    for m in range(half, 0, -1):
-        pm = length * m
-        lo, hi = d - pm, d + pm
-        e_lo, e_hi = math.exp(lo * lo * nalpha), math.exp(hi * hi * nalpha)
-        s += e_lo + e_hi
-        if want_grad:
-            g += e_lo * lo + e_hi * hi
-    e = math.exp(d * d * nalpha)
-    return s + e, g + e * d if want_grad else 0.0
 
 
 def _gauss_disk_floats(d: tuple, far: list, alpha: float, scale: float, want_grad: bool):

@@ -38,6 +38,7 @@ from .kernels import (
     SpectralMode,
     _check_size,
     _mode_at,
+    _validate_time_eps,
     eigenbasis_values,
     fundamental_domain_grid,
     heat_gradient_values,
@@ -687,6 +688,7 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
     """
     if not isinstance(surface, Torus):
         raise InvalidParameter("census requires a torus")
+    t = _validate_time_eps(t, 1.0)[0]  # before e^{-lambda_1 t}, which overflows for t << 0
     grid = _check_size(grid, 64, "grid")
     lat = surface.lattice
     B = lat.basis

@@ -108,7 +108,10 @@ def evolve(initial: GridSolution, t_final: float) -> GridSolution:
             f"dt = {initial.dt:g} exceeds the stability bound {bound:g}")
     n, dt, u = initial.n, initial.dt, initial.field.copy()
     remaining = t_final - initial.time
-    steps = int(remaining / dt)
+    steps = remaining / dt
+    if not math.isfinite(steps):
+        raise InvalidParameter(f"the step count to t_final = {t_final:g} at dt = {dt:g} overflows")
+    steps = int(steps)
     last = remaining - steps * dt
     last = last if last > 1e-15 * max(t_final, 1.0) else 0.0
     if steps or last:

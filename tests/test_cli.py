@@ -246,6 +246,24 @@ def test_domain_errors_exit_2(capsys):
         assert err.startswith("error: InvalidParameter: "), (argv, err)
 
 
+def test_census_at_a_large_negative_time_exits_2(capsys):
+    """The census checks t before it forms e^{-lambda_1 t}, which overflows
+    at t = -1000."""
+    code, out, err = run(capsys, ["census", "--a", "0", "--b", "1", "--t", "-1000",
+                                  "--grid", "64"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonPositiveTime: ")
+
+
+def test_pde_check_past_a_float_step_count_exits_2(capsys):
+    """At t = 1e308 the count of Euler steps overflows to inf; t = 1e300 runs."""
+    code, out, err = run(capsys, ["pde-check", "--a", "0", "--b", "1", "--t", "1e308",
+                                  "--n", "16"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidParameter: the step count")
+    run_valid(capsys, ["pde-check", "--a", "0", "--b", "1", "--t", "1e300", "--n", "16"])
+
+
 def test_pde_check_over_the_work_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(kernels, "TERM_BUDGET", 32 * 32 - 1)
     code, out, err = run(capsys, ["pde-check", "--a", "0", "--b", "1",

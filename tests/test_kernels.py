@@ -942,6 +942,44 @@ def test_gradient_at_huge_time_is_zero():
             assert math.isfinite(out.error_bound) and out.error_bound <= 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_weights_at_huge_times_warn_nothing():
+    """From t ~ 1e305 alpha |p|^2 may overflow, and past t ~ 4.5e306
+    alpha = 4 pi^2 t itself, where the origin's inf * 0 reads nan: every
+    spectral weight but the origin's is then exactly 0, with no
+    RuntimeWarning, on the box and on the disk, in a batch and in a query;
+    the kernel is 1 / area and its gradient 0."""
+    for surface in (torus(0.0, 1.0), torus(0.3, 1.2), klein_bottle(0.7), klein_bottle(0.05)):
+        for t in (1e306, 4.5e306, 1e308):
+            vals, _, _, used = heat_values(surface, t, np.zeros((3, 2)), np.full((3, 2), 0.2))
+            grads, _, _, _ = heat_gradient_values(surface, t, np.zeros((3, 2)),
+                                                  np.full((3, 2), 0.2))
+            assert used == "spectral"
+            assert vals == pytest.approx(1.0 / surface.area, rel=1e-15)
+            assert not grads.any()
+            q = KernelQuery(surface=surface, x=(0.0, 0.0), y=(0.1, 0.2), t=t)
+            assert heat_kernel(q).value == pytest.approx(1.0 / surface.area, rel=1e-15)
+            assert heat_kernel_gradient(q).gradient == (0.0, 0.0)
+
+
+def test_image_route_at_huge_times_is_unreachable():
+    """The image route's tail prefactor underflows to 0 at huge t: the
+    gradient's 1 / (8 pi t^2) past t ~ 1e161, and 1 / (4 pi t) once 4 pi t
+    overflows.  No bound can then be certified, so values and gradients
+    raise ToleranceUnreachable, never ZeroDivisionError from the moment-1
+    tail's alpha^(3/2)."""
+    q = KernelQuery(surface=torus(0.0, 1.0), x=(0.0, 0.0), y=(0.2, 0.2), t=1e300,
+                    representation="image")
+    with pytest.raises(ToleranceUnreachable):
+        heat_kernel_gradient(q)
+    for surface in (torus(0.0, 1.0), torus(0.3, 1.2), klein_bottle(0.7)):
+        for t in (1e250, 1e280, 1e300, 1e308):
+            for fn in (heat_values, heat_gradient_values):
+                with pytest.raises(ToleranceUnreachable):
+                    fn(surface, t, np.zeros((2, 2)), np.full((2, 2), 0.2),
+                       representation="image")
+
+
 def test_unreachable_tolerance_raises():
     # tiny time and absurd accuracy needs more than the term budget
     with pytest.raises(ToleranceUnreachable):

@@ -1,6 +1,8 @@
 """One query summed in float arithmetic (``kernels._pair_sum``) against the
-same pair run as a two-row batch, on both sides of the cut-over
-``kernels._PAIR_TERMS``, with its exact symmetries and its far points."""
+same pair run as a two-row batch, on both sides of the disk routes' cut-over
+``kernels._PAIR_TERMS`` and on the box routes, which sum a pair in floats at
+any size, with its exact symmetries and its far points; and the box routes'
+axis sums, the same loop on a float and on an array."""
 import math
 
 import numpy as np
@@ -68,8 +70,10 @@ def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
     value (or gradient) lies within 48 u sum |term| of it: every lattice
     class and two Klein bottles, every representation, values and
     gradients, times from 0.003 to 10 and two tolerances; at the measured
-    cut-over, where both sides are reached, and with every route on one
-    side of it (the spectral box sums a pair in floats at any size)."""
+    cut-over, where the disk routes reach both sides, and with every disk
+    route on one side of it.  A pair on a box route (a rectangular cover)
+    never reaches the numpy sums, at any size: at t = 10 the image box of
+    torus(0, 1.5) evaluates more than 100 exponentials per displacement."""
     if pair_terms is not None:
         monkeypatch.setattr(kernels, "_PAIR_TERMS", pair_terms)
     # a pair past the cut-over reaches the numpy sums through _columns
@@ -82,6 +86,7 @@ def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
     monkeypatch.setattr(kernels, "_columns", counted)
     sides = set()
     for surface in SURFACES:
+        box = kernels._geometry(_deck(surface)[0])["axis_aligned"]
         for t in TIMES:
             for eps in EPSILONS:
                 for rep in ("image", "spectral", "auto"):
@@ -91,16 +96,42 @@ def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
                                             representation=rep)
                             before = past[0]
                             got = (heat_kernel_gradient(q) if want_grad else heat_kernel(q))
-                            sides.add(past[0] > before)
+                            case = (surface, t, eps, rep, want_grad, x)
+                            assert not (box and past[0] > before), case
+                            sides.add((box, past[0] > before))
                             ref, err, terms, used = batch_of_two(surface, t, x, y, eps, rep,
                                                                  want_grad)
-                            case = (surface, t, eps, rep, want_grad, x)
                             assert (got.error_bound, got.terms_used,
                                     got.representation_used) == (err, terms, used), case
                             size = term_size(surface, t, used, x, y, want_grad)
                             value = got.gradient if want_grad else got.value
                             assert np.abs(np.subtract(value, ref)).max() <= 48 * U * size, case
-    assert sides == {None: {True, False}, 0: {True, False}, 10 ** 6: {False}}[pair_terms]
+    disk = {None: {(False, True), (False, False)}, 0: {(False, True)},
+            10 ** 6: {(False, False)}}[pair_terms]
+    assert sides == disk | {(True, False)}
+
+
+def test_box_axis_sums_are_elementwise_float_loops():
+    """With numpy's exp, cos and sin passed in, ``kernels._gauss_sums`` and
+    ``kernels._harmonic_sums`` on an array of coordinates give bitwise what
+    each coordinate gives on its own, as a float: one loop, the same
+    operations in the same order on either type."""
+    d = np.random.default_rng(11).uniform(-0.8, 0.8, 37)
+    for length, half, alpha in ((1.0, 3, 25.0), (1.5, 12, 0.9), (0.1, 40, 0.02)):
+        for want_grad in (False, True):
+            s, g = kernels._gauss_sums(d, length, half, alpha, want_grad, np.exp)
+            for i, di in enumerate(d.tolist()):
+                si, gi = kernels._gauss_sums(di, length, half, alpha, want_grad, np.exp)
+                assert (s[i], g[i] if want_grad else g) == (si, gi), (length, half, i)
+    cos_w = [1.0] + (2.0 * np.exp(-0.37 * np.arange(1, 30) ** 2)).tolist()
+    sin_w = (np.arange(30) * np.array(cos_w)).tolist()
+    for freq in (2.0 * math.pi, 2.0 * math.pi / 0.1):
+        theta = freq * d
+        for sw in (None, sin_w):
+            c, s = kernels._harmonic_sums(np.cos(theta), np.sin(theta), cos_w, sw)
+            for i, th in enumerate(theta.tolist()):
+                ci, si = kernels._harmonic_sums(np.cos(th), np.sin(th), cos_w, sw)
+                assert (c[i], s[i] if sw else s) == (ci, si), (freq, i)
 
 
 def test_single_pair_arrays_take_the_pair_path():
