@@ -11,8 +11,11 @@ their printouts are the same:
     diff <(PYTHONPATH=/path/to/other/src python3 scripts/cli_corpus.py) \\
          <(PYTHONPATH=src python3 scripts/cli_corpus.py)
 
-Exits 1 if an exit code differs from the one listed beside its invocation.
-No report is run with --timing, whose wall time differs from run to run.
+An exception that escapes ``cli.main`` ends its invocation, not the run:
+its type name is printed in place of the exit code, its traceback goes to
+stderr, and it counts as a differing exit code.  Exits 1 if an exit code
+differs from the one listed beside its invocation.  No report is run with
+--timing, whose wall time differs from run to run.
 """
 import contextlib
 import hashlib
@@ -20,6 +23,7 @@ import io
 import shlex
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 from flatheat import cli
@@ -35,6 +39,7 @@ CORPUS = [
     (0, "kernel --klein --b 1.4 --x 0.2,0.1 --y 0.7,0.9 --t 0.02"),
     (0, "kernel --a 0 --b 1.5 --x=1e300,0 --y 0.1,0.2 --t 0.3"),
     (0, "kernel --a 0.5 --b 0.8660254037844386 --x 0,0 --y 0.3,0.2 --t 0.003 --rep spectral"),
+    (0, "kernel --a 0.5 --b 0.8660254037844386 --x 0,0 --y 0.3,0.2 --t 2 --rep image"),
     (0, "kernel --a 0 --b 1.5 --x 0.1,0.2 --y 0.6,0.45 --t 10 --rep image"),
     (0, "kernel --a 0 --b 1 --x 0,0 --y 0.1,0.2 --t 1e308"),
     (0, "scan --a 0.3 --b 1.2 --t-list 1,2 --dirs 24 --samples 16 --csv {csv}"),
@@ -75,8 +80,14 @@ def run(expected: int, line: str, tmp: Path) -> bool:
     csv_path.unlink(missing_ok=True)
     argv = [arg.replace("{csv}", str(csv_path)) for arg in shlex.split(line)]
     out, err = io.StringIO(), io.StringIO()
+    crash = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # one invocation's crash must not end the run
+            code, crash = type(exc).__name__, traceback.format_exc()
+    if crash is not None:
+        print(f"{line}\n{crash}", file=sys.stderr)
     csv_digest = _digest(csv_path.read_bytes()) if csv_path.exists() else "-"
     print(f"{line}\n  exit {code} (expected {expected})  "
           f"stdout {_digest(out.getvalue().encode())}\n  "

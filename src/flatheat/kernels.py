@@ -23,44 +23,46 @@ pipeline, ``_deck_sum`` (for a single query, its float form ``_pair_sum``,
 below): x - h(y) is formed once, as for distances
 (``surfaces._deck_displacements``), reduced once modulo the cover lattice
 (``lattice._recentre``, exactly for far-out points, which so lose no digits
-beyond those x - h(y) itself rounds away) and handed as coordinate rows to a
-route that takes reduced displacements only: ``_image`` or ``_spectral`` for
-the heat kernel, ``_cosine_sum`` over one shell for a projection.  Gradients
-then get the chain rule of each deck map, and the sum runs over h.
+beyond those x - h(y) itself rounds away) and handed to a route that takes
+reduced displacements only: ``_image`` or ``_spectral`` for the heat kernel,
+the cosine loop over one shell for a projection.  Gradients then get the
+chain rule of each deck map, and the sum runs over h.
 
-A rectangular cover (every Klein cover, and a torus with a = 0) is the
-product of two circles, and its heat kernel the product of theirs.  Both
-routes then sum a box holding the disk, as a product of one sum per axis,
-through one driver (``_box``): the image route a Gaussian sum
-(``_gauss_sums``), costing n0 + n1 exponentials per point for the n0 * n1
-images of the box; the spectral route a cosine sum over m >= 0
-(``_harmonic_sums``), whose cos(m theta) follow by angle addition from one
-cosine and one sine per axis and point, for the half box of
-((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual points.  Each axis sum is one loop over
-its terms that takes its exp, cos and sin as arguments: ``_box`` runs it on
-a block of a batch's coordinate row with numpy's, and on a single query's
-floats with the math module's, which round each operation as numpy does.
-terms_used counts the box terms, not the per-axis ones.
+Each route writes its sum once, as one loop over its terms that takes its
+exp, cos and sin as arguments, and one driver (``_sum_points``) runs every
+loop: on a single query's list of float pairs with the math module's
+functions, and on each block of a batch's coordinate rows with numpy's,
+elementwise.  Python floats round each operation as numpy does.
 
-A single query, one pair of points x, y of shape (2,), skips the arrays
-(``_pair_sum``): its displacements, their reduction and its route's sums run
-in Python floats, with the operations and in the order of the batch path,
+* The image disk (``_gauss_disk``) walks one of each pair of lattice points
+  +-p, farthest first, adds the Gaussians of d - p and d + p and
+  accumulates the pair sums, the origin's last.
+* The spectral disk and a projection's shell share one cosine loop
+  (``_cosines``) over weighted dual vectors: the spectral disk walks one of
+  each pair +-p with weight 2, farthest first, the origin last.
+* A rectangular cover (every Klein cover, and a torus with a = 0) is the
+  product of two circles, and its heat kernel the product of theirs.  Both
+  routes then sum a box holding the disk, as a product of one sum per axis
+  (``_box_loop``): the image route a Gaussian sum (``_gauss_sums``),
+  costing n0 + n1 exponentials per point for the n0 * n1 images of the box;
+  the spectral route a cosine sum over m >= 0 (``_harmonic_sums``), whose
+  cos(m theta) follow by angle addition from one cosine and one sine per
+  axis and point, for the half box of ((2 M0 + 1)(2 M1 + 1) + 1) / 2 dual
+  points.  terms_used counts the box terms, not the per-axis ones.
+
+A single query (``_pair_sum``) forms and reduces its displacements in Python
+floats too, with the operations of the batch path, and its route sums them
 over the same term set from the same helpers, so terms_used, the bound and
-the representation are bitwise a batch's.  The box routes sum a query in
-floats at any size.  On the disk routes, past _PAIR_TERMS exponentials,
-cosines and sines per displacement, where numpy's calls cost less than the
-float loop, its reduced displacements are summed by the numpy routes as a
-batch of one column (two on a Klein bottle).
+the representation are bitwise a batch's.
 
 Spectral projections are the same deck sum taken over one eigenvalue shell
 of the cover, P(x, y) = sum over h and over the cover dual vectors p with
 4 pi^2 |p|^2 = lambda of cos(2 pi p.(x - h(y))) / cover area: the spectral
-disk route's cosine sum (``_cosine_sum``) with weight 1 / area.  The mode
-table reads the cover's dual disk too, a Klein bottle's from its half disk.
-The explicit orthonormal eigenbases are the cover's eigenfunctions made
-deck-invariant (on a Klein bottle, products of one trigonometric factor per
-axis); they share no code with the deck sums, so they check them
-independently.
+disk's cosine loop with weight 1 / area.  The mode table reads the cover's
+dual disk too, a Klein bottle's from its half disk.  The explicit
+orthonormal eigenbases are the cover's eigenfunctions made deck-invariant
+(on a Klein bottle, products of one trigonometric factor per axis); they
+share no code with the deck sums, so they check them independently.
 
 Lattice points are enumerated in a fixed order (sorted by modulus, ties
 broken by integer coordinates), and each point's coordinates are computed
@@ -69,30 +71,27 @@ points enumerated with them.  A disk of any radius is then a prefix of the
 sorted enumeration of a larger one, and one cached enumeration per lattice
 serves every radius up to its own (``_disk``): a call takes the prefix
 r^2 <= R^2 (1 + 1e-12), and a call beyond the cached radius enumerates again
-out to at least twice that radius.  The cache holds the _DISK_LATTICES most recently
-used lattices and no enumeration of more than _DISK_POINTS points (a share of
-TERM_BUDGET), so it never holds more than 23 MB.
+out to at least twice that radius.  The cache holds the _DISK_LATTICES most
+recently used lattices and no enumeration of more than _DISK_POINTS points
+(a share of TERM_BUDGET), so it never holds more than 16 MB.
 
 Every route sums by one rule.  Its term set depends only on the lattice, the
 time and the tolerance: the image route sums out to the enumeration radius
 plus the lattice's "reach" (``lattice._geometry``), which bounds every
-reduced displacement.  Its sums are elementwise and term-major: each block
-of points is a (terms x points) array, reduced over the terms row by row in
-a fixed order (``_row_sum``: farthest first; a projection's shell vectors
-share one modulus), or, on a box, a loop over each axis's terms.  Both
-routes walk one of each pair of lattice points +-p: the spectral route
-weights cos(2 pi p.d) by 2, or sums cosines over m >= 0 on a box, and the
-image route adds the Gaussians of d - p and d + p before it accumulates
-them, the origin's last.  So every route is exactly even in the
-reduced displacement, bit for bit: K(-d) = K(d) and grad K(-d) = -grad K(d).
-A projection's cosine sum is even too, and the reduction
-(``lattice._recentre``) odd, so on a torus every kernel is even in x - y.
-Blocks come from the term count and one byte budget (``_block_rows``), at
-least one point wide.  So in any batch, a batch of one included, a point's
-bits and the call's terms_used do not depend on the other points.  A single
-pair may differ from its batch value in the last bits: its reduction rounds
-as plain float arithmetic does, not as numpy's matrix product, and math.exp
-may differ from numpy's exp in the last bit.
+reduced displacement.  Its loop adds the terms in one fixed order at every
+point, elementwise, so in any batch, a batch of one included, a point's bits
+and the call's terms_used do not depend on the other points or on the
+blocks of _BLOCK_POINTS points the driver cuts a batch into.  Every route
+walks one of each pair of lattice points +-p: the spectral route weights
+cos(2 pi p.d) by 2, or sums cosines over m >= 0 on a box, and the image
+route adds the Gaussians of d - p and d + p before it accumulates them.  So
+every route is exactly even in the reduced displacement, bit for bit:
+K(-d) = K(d) and grad K(-d) = -grad K(d).  A projection's cosine sum is
+even too, and the reduction (``lattice._recentre``) odd, so on a torus every
+kernel is even in x - y.  A single pair may differ from its batch value in
+the last bits: its reduction rounds as plain float arithmetic does, not as
+numpy's matrix product, and math's exp, cos and sin may differ from numpy's
+in the last bit.
 """
 from __future__ import annotations
 
@@ -118,24 +117,17 @@ from .surfaces import FlatSurface, Torus, _deck, _deck_displacements
 TERM_BUDGET = 10_000_000
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
-# Evaluators work in blocks of points.  The points per block come from a
-# byte budget for all the float64 arrays a block keeps live at once, sized
-# for a core's cache; each route states how many floats per point it keeps.
-_BLOCK_BYTES = 1 << 20
+# The driver (``_sum_points``) runs a batch in blocks of this many points,
+# sized for a core's cache: a route's term loop keeps about 8 float64 arrays
+# of a block live; blocks sized for 4 and 16 arrays ran Klein scans slower.
+_BLOCK_POINTS = 1 << 14
 _EPS_FLOOR = 1e-300
 # A disk of radius R holds the lattice points with r^2 <= R^2 (1 + _DISK_SLACK).
 _DISK_SLACK = 1e-12
 # The enumeration cache (``_disk``): lattices kept, and the most points one
-# entry may hold (40 bytes each: two int64 indices and three float64 values;
-# 56 on the image route's half disks, which hold each point's negative too).
+# entry may hold (40 bytes each: two int64 indices and three float64 values).
 _DISK_LATTICES = 16
 _DISK_POINTS = TERM_BUDGET // 400
-# A single query (``_pair_sum``) on a disk route sums in float arithmetic
-# while the route evaluates at most this many exponentials, cosines and sines
-# per displacement; past it, the numpy sums cost less.  Measured where both
-# cost the same: about 100 on either disk route.  The box routes sum a query
-# in floats at any size (``_box``).
-_PAIR_TERMS = 100
 _MODE_TOL = 1e-9  # relative width of an eigenvalue group (``_group_eigenvalues``)
 
 
@@ -258,17 +250,7 @@ _disks_lock = threading.Lock()
 
 def _disk(rows: tuple, radius: float, half: bool = False, dual: bool = False):
     """``_points_in_disk`` of the lattice spanned by rows (its dual, with dual),
-    as a prefix of the cached enumeration of that lattice (``_disk_entry``)."""
-    entry, k = _disk_entry(rows, radius, half, dual)
-    return entry[1][:k], entry[2][:k], entry[3][:k]
-
-
-def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
-    """The cached enumeration behind ``_disk`` and the length of its prefix
-    within the radius.  An entry is (reach, mn, pts, r2, pairs): pairs, on
-    a half disk of the primal lattice (the image route's), is the array
-    (2, N, 2) whose planes hold the points, pts, and their negatives;
-    None otherwise.
+    as a prefix of a cached enumeration of that lattice.
 
     A miss enumerates out to twice the radius, or to twice the cached radius
     if that is larger, unless the disk may then hold more than _DISK_POINTS
@@ -288,31 +270,19 @@ def _disk_entry(rows: tuple, radius: float, half: bool, dual: bool):
         reach = 2.0 * radius if entry is None else max(radius, 2.0 * entry[0])
         if _disk_bound(reach, rho, covol) > _DISK_POINTS:
             reach = radius
-        mn, pts, r2 = _points_in_disk(geom["dual_rows" if dual else "rows"], reach, half)
-        pairs = None
-        if half and not dual:
-            pairs = np.stack([pts, -pts])
-            pairs.flags.writeable = False
-            pts = pairs[0]
-        entry = (reach, mn, pts, r2, pairs)
-        if len(mn) <= _DISK_POINTS:
+        entry = (reach, *_points_in_disk(geom["dual_rows" if dual else "rows"], reach, half))
+        if len(entry[1]) <= _DISK_POINTS:
             with _disks_lock:
                 _disks[key] = entry
                 _disks.move_to_end(key)
                 while len(_disks) > _DISK_LATTICES:
                     _disks.popitem(last=False)
-    return entry, int(np.searchsorted(entry[3], radius * radius * (1.0 + _DISK_SLACK),
-                                      side="right"))
+    k = int(np.searchsorted(entry[3], radius * radius * (1.0 + _DISK_SLACK), side="right"))
+    return entry[1][:k], entry[2][:k], entry[3][:k]
 
 
 # ---------------------------------------------------------------------------
-# point blocks and cached box frequencies
-
-
-def _block_rows(width: int) -> int:
-    """Points per block, so that width float64 values per point fit
-    _BLOCK_BYTES; at least one."""
-    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+# the term-loop driver and cached box frequencies
 
 
 def _blocks(n: int, step: int) -> list:
@@ -320,12 +290,26 @@ def _blocks(n: int, step: int) -> list:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """The sum over the rows of a (terms x points) block, in row order, at
-    every width: numpy reduces a block two or more points wide row by row,
-    but a one-point column pairwise, so a column is accumulated instead.
-    A point's sum then has the same bits in every block of every batch."""
-    return np.add.reduce(a) if a.shape[1] > 1 else np.add.accumulate(a)[-1]
+def _sum_points(d0, loop, want_grad: bool):
+    """Run a route's term loop at the reduced displacements d0: coordinate
+    rows (2, P), or the list of float pairs of one query (``_pair_sum``).
+    loop(x0, x1, lib) sums the route's terms at the coordinates x0, x1 with
+    lib's exp, cos and sin, in the same operations and order on either type:
+    the math module on a query's floats, numpy on each block of a batch's
+    coordinate rows, elementwise, so a point's bits do not depend on its
+    block.  It returns the value, or the gradient pair: a list of those for
+    a query, an array for a batch."""
+    if isinstance(d0, list):
+        return [loop(x0, x1, math) for x0, x1 in d0]
+    n = d0.shape[1]
+    out = np.empty((n, 2) if want_grad else n)
+    for blk in _blocks(n, _BLOCK_POINTS):
+        sums = loop(d0[0, blk], d0[1, blk], np)
+        if want_grad:
+            out[blk, 0], out[blk, 1] = sums
+        else:
+            out[blk] = sums
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -340,35 +324,18 @@ def _box_frequencies(rows: tuple, top: int):
 
 
 # ---------------------------------------------------------------------------
-# lattice-sum evaluators on displacements d = x - h(y), h a deck element
+# term loops on displacements d = x - h(y), h a deck element
 
 
-def _box(d0, axis, scale: float, want_grad: bool):
-    """A box sum whose terms are a product of one factor per axis, at the
-    reduced displacements d0: coordinate rows (2, P), or the list of float
-    pairs of one query (``_pair_sum``).  axis(k, d, lib) returns the sums
-    (A_k, B_k) of axis k at its coordinates d, B_k those of the factor's
-    derivative (0.0 for values), with lib's exp, cos and sin: the math
-    module on a query's floats, numpy on a block of a batch's coordinate
-    row, elementwise, so a point's bits do not depend on its block.  The
-    value is scale * A0 * A1, the gradient (scale * B0 * A1, scale * A0 * B1):
-    a list of floats (or gradient pairs) for a query, an array for a batch."""
-    if isinstance(d0, list):
-        out = []
-        for d in d0:
-            (a0, b0), (a1, b1) = (axis(k, dk, math) for k, dk in enumerate(d))
-            out.append((scale * b0 * a1, scale * a0 * b1) if want_grad else scale * a0 * a1)
-        return out
-    n = d0.shape[1]
-    out = np.empty((n, 2) if want_grad else n)
-    # about 8 (points,) arrays live in an axis loop; 4 and 16 ran Klein scans slower
-    for blk in _blocks(n, _block_rows(8)):
-        (a0, b0), (a1, b1) = (axis(k, d0[k, blk], np) for k in (0, 1))
-        if want_grad:
-            out[blk, 0], out[blk, 1] = scale * b0 * a1, scale * a0 * b1
-        else:
-            out[blk] = scale * a0 * a1
-    return out
+def _box_loop(axis, scale: float, want_grad: bool):
+    """The term loop of a box route, whose terms are a product of one factor
+    per axis: axis(k, x, lib) returns the sums (A_k, B_k) of axis k at its
+    coordinates x, B_k those of the factor's derivative (0.0 for values).
+    The value is scale * A0 * A1, the gradient (scale * B0 * A1, scale * A0 * B1)."""
+    def loop(x0, x1, lib):
+        (a0, b0), (a1, b1) = axis(0, x0, lib), axis(1, x1, lib)
+        return (scale * b0 * a1, scale * a0 * b1) if want_grad else scale * a0 * a1
+    return loop
 
 
 def _gauss_sums(d, length: float, half: int, alpha: float, want_grad: bool, exp):
@@ -415,28 +382,45 @@ def _harmonic_sums(c1, s1, cos_w: list, sin_w: list | None):
     return acc_c, acc_s
 
 
-def _cosine_sum(d0: np.ndarray, pts: np.ndarray, w: np.ndarray, want_grad: bool):
-    """sum_p w_p cos(2 pi p.d) over the dual vectors p, the rows of pts, or the
-    y-gradient sum_p 2 pi p w_p sin(2 pi p.d), at each reduced displacement
-    d of d0 (coordinate rows, shape (2, P)).  Term-major, as in ``_image``:
-    each block is a (terms x points) array of phases built elementwise from
-    the coordinate rows of d0, reduced over axis 0, so the terms are added
-    in the row order of pts."""
-    tp = _TWO_PI * pts
-    p0, p1 = tp[:, 0:1], tp[:, 1:2]
-    coef = tp * w[:, None] if want_grad else w[:, None]
-    n = d0.shape[1]
-    out = np.empty((n, 2) if want_grad else n)
-    for blk in _blocks(n, _block_rows(2 * len(pts))):  # the phases and a product
-        ph = p0 * d0[0, blk]
-        ph += p1 * d0[1, blk]
+def _gauss_disk(d0, d1, far: list, alpha: float, want_grad: bool, exp):
+    """The image disk route's sum at the reduced coordinates d0, d1, floats
+    (exp = math.exp) or arrays (numpy's exp): sum e, or the gradient sums
+    (sum z0 e, sum z1 e), e = exp(-alpha |z|^2), over z = d -+ p for the
+    points p of far, the half disk farthest first and the origin last.  The
+    Gaussians of d - p and d + p are added first and the pair sums
+    accumulated in that order, so the largest terms, which carry the value,
+    come last, and the sum is even in d, the gradient odd, bit for bit."""
+    nalpha = -alpha
+    s = g0 = g1 = 0.0
+    for p0, p1 in far[:-1]:
+        a0, a1, b0, b1 = d0 - p0, d1 - p1, d0 + p0, d1 + p1
+        ea = exp(nalpha * (a0 * a0 + a1 * a1))
+        eb = exp(nalpha * (b0 * b0 + b1 * b1))
         if want_grad:
-            np.sin(ph, out=ph)
-            out[blk, 0] = _row_sum(ph * coef[:, 0:1])
-            out[blk, 1] = _row_sum(np.multiply(ph, coef[:, 1:2], out=ph))
+            g0 += ea * a0 + eb * b0
+            g1 += ea * a1 + eb * b1
         else:
-            out[blk] = _row_sum(np.multiply(np.cos(ph, out=ph), coef, out=ph))
-    return out
+            s += ea + eb
+    e = exp(nalpha * (d0 * d0 + d1 * d1))
+    return (g0 + e * d0, g1 + e * d1) if want_grad else s + e
+
+
+def _cosines(d0, d1, vecs: list, want_grad: bool, cos, sin):
+    """sum w cos(q.d) over the weighted vectors (q0, q1, w) of vecs, in their
+    order, or the y-gradient (sum q0 w sin(q.d), sum q1 w sin(q.d)), at the
+    reduced coordinates d0, d1: floats (the math module's cos and sin) or
+    arrays (numpy's).  q is 2 pi times a dual vector p: the spectral disk's
+    and a projection's shell."""
+    s = g0 = g1 = 0.0
+    for q0, q1, w in vecs:
+        ph = q0 * d0 + q1 * d1
+        if want_grad:
+            sn = sin(ph)
+            g0 += sn * (q0 * w)
+            g1 += sn * (q1 * w)
+        else:
+            s += cos(ph) * w
+    return (g0, g1) if want_grad else s
 
 
 def _weights(alpha: float, p2: np.ndarray, largest: float) -> np.ndarray:
@@ -453,24 +437,23 @@ def _weights(alpha: float, p2: np.ndarray, largest: float) -> np.ndarray:
 
 def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
-    (coordinate rows, shape (2, P), ``lattice._recentre``), summed over the
-    dual lattice: one value (or gradient row) per displacement, with the
-    bound and the terms summed.  d0 may also be the list of float pairs of
-    one query (``_pair_sum``): on the box (``_box``), and on the disk while
-    it evaluates at most _PAIR_TERMS exponentials and cosines per
-    displacement, they are summed in float arithmetic, in the same order,
-    into a list of floats (or gradient pairs); beyond, as coordinate rows.
+    (coordinate rows, shape (2, P), ``lattice._recentre``, or the list of
+    float pairs of one query), summed over the dual lattice by the driver
+    (``_sum_points``): one value (or gradient pair) per displacement, with
+    the bound and the terms summed.
 
     Every dual point p with |p| <= radius is summed, one of each pair +-p with
-    weight 2 (``_cosine_sum``), farthest first, as the image route adds its
-    terms.  A rectangular lattice, with periods L0, L1, sums the box
-    |p_k| <= radius instead, which holds that disk, so its omitted terms are
-    part of the disk's tail.  Its term is a product of one factor per axis,
-    so the box sum is C0 * C1 / area and the gradient (G0 * C1, C0 * G1) /
-    area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
+    weight 2 exp(-alpha |p|^2) / area, farthest first, the origin, weight
+    1 / area, last (``_cosines``), as the image route adds its terms.  The
+    weights are formed once per call, by the math module for a query and by
+    numpy for a batch.  A rectangular lattice, with periods L0, L1, sums the
+    box |p_k| <= radius instead, which holds that disk, so its omitted terms
+    are part of the disk's tail.  Its term is a product of one factor per
+    axis, so the box sum is C0 * C1 / area and the gradient (G0 * C1,
+    C0 * G1) / area, with C_k = sum_{m >= 0} w_m cos(2 pi m d_k / L_k) and
     G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
     w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
-    point (``_harmonic_sums``, run by ``_box``) for the half box of
+    point (``_harmonic_sums``, run by ``_box_loop``) for the half box of
     ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
@@ -482,14 +465,20 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     if not geom["axis_aligned"]:
         # p and -p contribute alike: sum one of each pair, with weight 2
         _, pts, r2 = _disk(rows, radius, half=True, dual=True)
-        pair = isinstance(d0, list)
-        _check_work(len(pts), len(d0) if pair else d0.shape[1])
-        if pair and 2 * len(pts) <= _PAIR_TERMS:  # an exponential and a cosine per term
-            far = pts[::-1].tolist(), r2[::-1].tolist()
-            return [_cosine_floats(d, *far, alpha, area, want_grad) for d in d0], err, len(pts)
-        w = _weights(alpha, r2, r2[-1].item()) * (2.0 / area)
+        _check_work(len(pts), d0)
+        if isinstance(d0, list):
+            nalpha, two = -alpha, 2.0 / area
+            w = [math.exp(nalpha * q) * two for q in r2.tolist()]
+        else:
+            w = (_weights(alpha, r2, r2[-1].item()) * (2.0 / area)).tolist()
         w[0] = 1.0 / area  # the origin, first by modulus, has no partner
-        return _cosine_sum(_columns(d0), pts[::-1], w[::-1], want_grad), err, len(pts)
+        vecs = [(_TWO_PI * p0, _TWO_PI * p1, wp) for (p0, p1), wp in zip(pts.tolist(), w)]
+        vecs.reverse()  # farthest first
+
+        def loop(x0, x1, lib):
+            return _cosines(x0, x1, vecs, want_grad, lib.cos, lib.sin)
+
+        return _sum_points(d0, loop, want_grad), err, len(pts)
     periods = geom["periods"].tolist()
     tops = [math.floor(radius * length) for length in periods]
     n0, n1 = (2 * m + 1 for m in tops)
@@ -503,49 +492,29 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
 
-    def axis(k, dk, lib):
-        theta = freqs[k] * dk
+    def axis(k, x, lib):
+        theta = freqs[k] * x
         return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
 
-    return _box(d0, axis, 1.0 / area, want_grad), err, terms
-
-
-def _pair_sums(a: np.ndarray, half: int) -> np.ndarray:
-    """The sum over the rows of a (terms x points) block in pair order, as
-    the image disk route lays out its half disk and its negative
-    (``_disk_entry``): the rows i and half + 1 + i, the terms of a pair +-p,
-    are added first, into row i, then rows 0 to half in order, farthest
-    first and the origin's last.  a is overwritten."""
-    np.add(a[:half], a[half + 1:], out=a[:half])
-    return _row_sum(a[:half + 1])
+    return _sum_points(d0, _box_loop(axis, 1.0 / area, want_grad), want_grad), err, terms
 
 
 def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
-    """Cover kernel (or y-gradient) at the reduced displacements d0
-    (coordinate rows, shape (2, P), ``lattice._recentre``), summed over
-    lattice images: one value (or gradient row) per displacement.  The list
-    of float pairs of one query is summed as ``_spectral`` states.
+    """Cover kernel (or y-gradient) at the reduced displacements d0, as
+    ``_spectral`` takes them, summed over lattice images by the driver
+    (``_sum_points``): one value (or gradient pair) per displacement.
 
     Every reduced displacement lies within the lattice's "reach"
     (``lattice._geometry``), so every image p with |p| <= radius + reach is
-    summed, and with it each d0 - p within the radius.  A rectangular
+    summed, and with it each d0 - p within the radius: one of each pair +-p,
+    farthest first, the origin last (``_gauss_disk``).  A rectangular
     lattice sums the box |p_k| <= radius + reach instead, which holds that
     disk, so its omitted terms are part of the disk's tail.
     Its Gaussian exp(-alpha |z|^2) is the product of one factor per axis, so
     the box sum is S0 * S1 and the gradient sum (G0 * S1, S0 * G1), with
     S_k = sum exp(-alpha z_k^2) and G_k = sum z_k exp(-alpha z_k^2) along
     axis k: n0 + n1 exponentials per point for n0 * n1 terms, summed per
-    axis by ``_gauss_sums`` and multiplied by ``_box``.
-
-    The images are walked as one of each pair +-p, farthest first: the
-    terms of d0 - p and d0 + p are added first, and the pair sums
-    accumulated in that order, so the largest terms, which carry the value,
-    come last, and the origin's last of all.  The disk lays its sums out
-    term-major: each block is a (terms x points) array built from the
-    coordinate rows of d0, in the pair order of ``_disk_entry``, and reduced
-    over axis 0 (``_pair_sums``), so the elementwise loops run over points.
-    The pair sum is symmetric in +-p, so the route is even in d0, bit for
-    bit: the value at -d0 is the value at d0, the gradient its negation.
+    axis by ``_gauss_sums`` and multiplied by ``_box_loop``.
     """
     geom = _geometry(rows)
     alpha = 1.0 / (4.0 * t)
@@ -560,90 +529,24 @@ def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
         halves = [math.floor(span / length) for length in periods]
         terms = (2 * halves[0] + 1) * (2 * halves[1] + 1)
 
-        def axis(k, dk, lib):
-            return _gauss_sums(dk, periods[k], halves[k], alpha, want_grad, lib.exp)
+        def axis(k, x, lib):
+            return _gauss_sums(x, periods[k], halves[k], alpha, want_grad, lib.exp)
 
-        return _box(d0, axis, scale, want_grad), err, terms
-    pair = isinstance(d0, list)
-    n_pts = len(d0) if pair else d0.shape[1]
-    entry, k = _disk_entry(rows, span, True, False)
-    terms = 2 * k - 1
-    _check_work(terms, n_pts)
-    if pair and terms <= _PAIR_TERMS:
-        far = entry[2][k - 1::-1].tolist()  # farthest first, the origin last
-        return [_gauss_disk_floats(d, far, alpha, scale, want_grad) for d in d0], err, terms
-    d0 = _columns(d0)
-    out = np.empty((n_pts, 2) if want_grad else n_pts)
-    far = entry[4][:, k - 1::-1]  # [0] and [1] hold p and -p, farthest first
-    p0, p1 = far[..., 0:1], far[..., 1:2]
-    # both difference columns, their squares and the Gaussians
-    for blk in _blocks(n_pts, _block_rows(8 * k)):
-        z0 = d0[0][blk] - p0
-        z1 = d0[1][blk] - p1
-        e = np.exp(-alpha * (z0 * z0 + z1 * z1))
-        parts = (np.multiply(e, z0, out=z0), np.multiply(e, z1, out=z1)) if want_grad else (e,)
-        # each as one column in pair order, the origin's second copy dropped
-        sums = [_pair_sums(a.reshape(2 * k, -1)[:-1], k - 1) for a in parts]
-        if want_grad:
-            out[blk, 0], out[blk, 1] = scale * sums[0], scale * sums[1]
-        else:
-            out[blk] = scale * sums[0]
-    return out, err, terms
+        return _sum_points(d0, _box_loop(axis, scale, want_grad), want_grad), err, terms
+    _, pts, _ = _disk(rows, span, half=True)
+    terms = 2 * len(pts) - 1
+    _check_work(terms, d0)
+    far = pts[::-1].tolist()  # farthest first, the origin last
+
+    def loop(x0, x1, lib):
+        out = _gauss_disk(x0, x1, far, alpha, want_grad, lib.exp)
+        return (scale * out[0], scale * out[1]) if want_grad else scale * out
+
+    return _sum_points(d0, loop, want_grad), err, terms
 
 
 # ---------------------------------------------------------------------------
 # one query in float arithmetic
-
-
-def _columns(d0) -> np.ndarray:
-    """The reduced displacements d0 as coordinate rows (2, P): d0 itself, or
-    the list of float pairs of one query (``_pair_sum``) as an array."""
-    return np.array(d0).T if isinstance(d0, list) else d0
-
-
-def _gauss_disk_floats(d: tuple, far: list, alpha: float, scale: float, want_grad: bool):
-    """The image disk route at one reduced displacement d in float
-    arithmetic: far holds its half disk, farthest first and the origin last;
-    the Gaussians of d - p and d + p are added first, as in ``_image``.
-    Returns the value, or the gradient pair."""
-    d0, d1 = d
-    nalpha = -alpha
-    s = g0 = g1 = 0.0
-    for p0, p1 in far[:-1]:
-        a0, a1, b0, b1 = d0 - p0, d1 - p1, d0 + p0, d1 + p1
-        ea = math.exp(nalpha * (a0 * a0 + a1 * a1))
-        eb = math.exp(nalpha * (b0 * b0 + b1 * b1))
-        if want_grad:
-            g0 += ea * a0 + eb * b0
-            g1 += ea * a1 + eb * b1
-        else:
-            s += ea + eb
-    e = math.exp(nalpha * (d0 * d0 + d1 * d1))
-    if want_grad:
-        return scale * (g0 + e * d0), scale * (g1 + e * d1)
-    return scale * (s + e)
-
-
-def _cosine_floats(d: tuple, pts: list, r2: list, alpha: float, area: float, want_grad: bool):
-    """The spectral disk route at one reduced displacement d in float
-    arithmetic: pts and r2 hold its half dual disk, farthest first and the
-    origin last, weighted and summed as ``_spectral`` and ``_cosine_sum``
-    weight and sum them.  Returns the value, or the gradient pair."""
-    d0, d1 = d
-    nalpha, two = -alpha, 2.0 / area
-    s = g0 = g1 = 0.0
-    for (p0, p1), q in zip(pts[:-1], r2):
-        q0, q1 = _TWO_PI * p0, _TWO_PI * p1
-        ph = q0 * d0 + q1 * d1
-        w = math.exp(nalpha * q) * two
-        if want_grad:
-            sn = math.sin(ph)
-            g0 += sn * (q0 * w)
-            g1 += sn * (q1 * w)
-        else:
-            s += math.cos(ph) * w
-    # the origin: weight 1 / area, and cos 0 = 1
-    return (g0, g1) if want_grad else s + 1.0 / area
 
 
 @lru_cache(maxsize=128)
@@ -664,10 +567,10 @@ def _pair_sum(surface: FlatSurface, x: tuple, y: tuple, cover_sum, want_grad: bo
     ``lattice._recentre``: d - n L, n the rounded lattice coordinates d D^T,
     and exactly beyond "far" (``lattice._reduce_exactly``, which rejects a
     non-finite displacement).  cover_sum(rows, ds, k) gets the k reduced
-    displacements as a list of float pairs and returns their sums, a list
-    (or an array, past _PAIR_TERMS terms), which are added over h with each
-    deck map's linear part, as ``_deck_sum`` adds them.  Returns the value,
-    or the gradient pair, with k times the bound and the terms."""
+    displacements as a list of float pairs and returns a list of their sums
+    (``_sum_points``), which are added over h with each deck map's linear
+    part, as ``_deck_sum`` adds them.  Returns the value, or the gradient
+    pair, with k times the bound and the terms."""
     rows, lin, shift, far, ((a0, a1), (b0, b1)) = _pair_frame(surface)
     (u0, u1), (v0, v1) = rows
     (x0, x1), (y0, y1) = x, y
@@ -681,8 +584,6 @@ def _pair_sum(surface: FlatSurface, x: tuple, y: tuple, cover_sum, want_grad: bo
             ds.append(_reduce_exactly(rows, [d0, d1]))
     k = len(ds)
     out, err, terms = cover_sum(rows, ds, k)
-    if not isinstance(out, list):
-        out = out.tolist()
     if not want_grad:
         value = 0.0
         for v in out:
@@ -1037,14 +938,20 @@ def _shell(surface: FlatSurface, mode: SpectralMode):
 def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
     """P_lambda(x, y) = sum over deck elements h and shell vectors p of
     cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound: the
-    spectral disk route's cosine sum over the shell (``_shell``), with weight
-    1 / area, through the heat kernel's deck sum."""
+    spectral disk route's cosine loop (``_cosines``) over the shell
+    (``_shell``), with weight 1 / area, run by the driver through the heat
+    kernel's deck sum."""
     _check_mode(surface, mode)
     vecs, area = _shell(surface, mode)
-    w = np.full(len(vecs), 1.0 / area)
+    w = 1.0 / area
+    shell = [(_TWO_PI * p0, _TWO_PI * p1, w) for p0, p1 in vecs.tolist()]
+
+    def loop(x0, x1, lib):
+        return _cosines(x0, x1, shell, want_grad, lib.cos, lib.sin)
+
     out, _, terms = _deck_sum(
         surface, *_broadcast_pair(x, y),
-        lambda rows, d0, k: (_cosine_sum(d0, vecs, w, want_grad), 0.0, len(vecs)), want_grad)
+        lambda rows, d0, k: (_sum_points(d0, loop, want_grad), 0.0, len(vecs)), want_grad)
     if not want_grad:
         return out
     # a heuristic rounding bound over the deck elements times shell vectors summed
@@ -1139,9 +1046,11 @@ def _check_size(n, least: int, name: str, width: int | None = None) -> int:
 WORK_BUDGET = 100 * TERM_BUDGET
 
 
-def _check_work(terms: int, points: int) -> None:
-    """ToleranceUnreachable when summing terms lattice terms at each of points
-    displacements passes WORK_BUDGET; checked before anything is summed."""
+def _check_work(terms: int, d0) -> None:
+    """ToleranceUnreachable when summing terms lattice terms at each reduced
+    displacement of d0 (``_sum_points``) passes WORK_BUDGET; checked before
+    anything is summed."""
+    points = len(d0) if isinstance(d0, list) else d0.shape[1]
     if terms * points > WORK_BUDGET:
         raise ToleranceUnreachable(
             f"{terms} terms at {points} points need {terms * points} term evaluations, "

@@ -512,17 +512,13 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
         return [(s, rep, fn(s, t, X, Y, eps=1e-13, representation=rep)[0])
                 for s, t, rep in cases for fn in (heat_values, heat_gradient_values)]
 
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1 << 40)  # one block per call
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", 1 << 40)  # one block per call
     wide = evaluate()
-    # blocks of 5 to 7 points on the per-axis spectral route, 3 on the
-    # shorter image boxes, and of one point where more terms take more bytes
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1000)
-    assert kernels._block_rows(40) == 3
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", 3)
     narrow = evaluate()
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8)  # blocks of one point on every route
-    assert kernels._block_rows(1) == 1
-    # every route runs elementwise, and its term-major sums add row by row in
-    # every block, one point wide included: bitwise equal
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", 1)  # blocks of one point
+    # every route's term loop runs elementwise, in every block, one point
+    # wide included: bitwise equal
     for (s, rep, a), (_, _, b), (_, _, c) in zip(wide, narrow, evaluate()):
         assert np.array_equal(a, b) and np.array_equal(a, c), (s, rep)
 
@@ -581,7 +577,7 @@ def test_point_bits_and_terms_do_not_depend_on_the_batch(rng, monkeypatch):
     whole = evaluate(np.arange(41))
     others = [(perm, evaluate(perm)), (perm[:2], evaluate(perm[:2])),
               (perm[3:4], evaluate(perm[3:4])), (perm[5:12], evaluate(perm[5:12]))]
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 700)  # narrower blocks, of one point on long routes
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", 3)  # narrower blocks
     others.append((np.arange(41), evaluate(np.arange(41))))
     for rows, outs in others:
         for k, (a, b) in enumerate(zip(whole, outs)):
@@ -602,7 +598,7 @@ def test_every_route_is_exactly_even_in_the_displacement(rng):
         rows = kernels._deck(surface)[0]
         mode = enumerate_modes(surface, 400.0)[3]
         vecs, area = kernels._shell(surface, mode)
-        w = np.full(len(vecs), 1.0 / area)
+        shell = [(2 * math.pi * p0, 2 * math.pi * p1, 1.0 / area) for p0, p1 in vecs.tolist()]
         for n in sizes:
             d0 = _recentre(rows, rng.uniform(-1.5, 2.5, (n, 2)))
             neg = 0.0 - d0
@@ -614,8 +610,8 @@ def test_every_route_is_exactly_even_in_the_displacement(rng):
                         back, err2, terms2 = fn(rows, t, neg, 1e-13, want_grad)
                         assert np.array_equal(back, sign * got), (surface, n, fn, t, want_grad)
                         assert (err2, terms2) == (err, terms)
-                got = kernels._cosine_sum(d0, vecs, w, want_grad)
-                back = kernels._cosine_sum(neg, vecs, w, want_grad)
+                got = np.array(kernels._cosines(*d0, shell, want_grad, np.cos, np.sin))
+                back = np.array(kernels._cosines(*neg, shell, want_grad, np.cos, np.sin))
                 assert np.array_equal(back, sign * got), (surface, n, want_grad)
 
 
@@ -679,8 +675,7 @@ def test_enumeration_cache_caps_points_and_evicts_lattices(monkeypatch):
     kernels._disk(generic, 1.0)
     kernels._disk(honeycomb, 1.0)
     assert list(kernels._disks) == [(generic, False, False), (honeycomb, False, False)]
-    # the image route's half primal disks follow the same rules, and their
-    # entries also hold the points' negatives as a second plane
+    # the image route's half primal disks follow the same rules
     kernels._disks.clear()
     kernels._disk(generic, 1.0, half=True)
     assert kernels._disks[generic, True, False][0] == 2.0
@@ -690,10 +685,7 @@ def test_enumeration_cache_caps_points_and_evicts_lattices(monkeypatch):
     assert len(big[0]) > 100 and kernels._disks[iso, True, False][0] == 3.0
     for f, c in zip(kernels._points_in_disk(np.array(iso), 12.0, True), big):
         assert np.array_equal(f, c)
-    entry, k = kernels._disk_entry(generic, 1.0, True, False)
-    pairs = entry[4]
-    assert pairs.shape == (2, len(entry[1]), 2) and not pairs.flags.writeable
-    assert np.array_equal(pairs[0], entry[2]) and np.array_equal(pairs[1], -entry[2])
+    kernels._disk(generic, 1.0, half=True)  # a hit makes generic the most recently used
     kernels._disk(honeycomb, 1.0, half=True)
     assert list(kernels._disks) == [(generic, True, False), (honeycomb, True, False)]
 

@@ -1,8 +1,7 @@
 """One query summed in float arithmetic (``kernels._pair_sum``) against the
-same pair run as a two-row batch, on both sides of the disk routes' cut-over
-``kernels._PAIR_TERMS`` and on the box routes, which sum a pair in floats at
-any size, with its exact symmetries and its far points; and the box routes'
-axis sums, the same loop on a float and on an array."""
+same pair run as a two-row batch, on every route at every size, with its
+exact symmetries and its far points; and every route's term loop, the same
+loop on a float and on an array."""
 import math
 
 import numpy as np
@@ -62,31 +61,24 @@ def batch_of_two(surface, t, x, y, eps, rep, want_grad):
     return out[0], err, terms, used
 
 
-@pytest.mark.parametrize("pair_terms", [None, 0, 10 ** 6],
-                         ids=["cut-over", "batch-sums", "float-sums"])
-def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
+def test_pair_matches_its_two_row_batch(monkeypatch):
     """terms_used, error_bound and representation_used are bitwise those of
     the pair run as a two-row batch, and, as both sum the same terms, the
     value (or gradient) lies within 48 u sum |term| of it: every lattice
     class and two Klein bottles, every representation, values and
-    gradients, times from 0.003 to 10 and two tolerances; at the measured
-    cut-over, where the disk routes reach both sides, and with every disk
-    route on one side of it.  A pair on a box route (a rectangular cover)
-    never reaches the numpy sums, at any size: at t = 10 the image box of
-    torus(0, 1.5) evaluates more than 100 exponentials per displacement."""
-    if pair_terms is not None:
-        monkeypatch.setattr(kernels, "_PAIR_TERMS", pair_terms)
-    # a pair past the cut-over reaches the numpy sums through _columns
-    past, columns = [0], kernels._columns
+    gradients, times from 0.003 to 10 and two tolerances.  A pair never
+    reaches the numpy sums, on any route at any size: at t = 10 the image
+    disk of torus(0.3, 1.2) sums 3,567 terms per displacement, and the image
+    box of torus(0, 1.5) evaluates more than 100 exponentials."""
+    # the numpy sums cut their displacements into blocks; a query has none
+    blocks, cut = [0], kernels._blocks
 
-    def counted(d0):
-        past[0] += isinstance(d0, list)
-        return columns(d0)
+    def counted(n, step):
+        blocks[0] += 1
+        return cut(n, step)
 
-    monkeypatch.setattr(kernels, "_columns", counted)
-    sides = set()
+    monkeypatch.setattr(kernels, "_blocks", counted)
     for surface in SURFACES:
-        box = kernels._geometry(_deck(surface)[0])["axis_aligned"]
         for t in TIMES:
             for eps in EPSILONS:
                 for rep in ("image", "spectral", "auto"):
@@ -94,11 +86,10 @@ def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
                         for x, y in PAIRS:
                             q = KernelQuery(surface=surface, x=x, y=y, t=t, epsilon=eps,
                                             representation=rep)
-                            before = past[0]
+                            before = blocks[0]
                             got = (heat_kernel_gradient(q) if want_grad else heat_kernel(q))
                             case = (surface, t, eps, rep, want_grad, x)
-                            assert not (box and past[0] > before), case
-                            sides.add((box, past[0] > before))
+                            assert blocks[0] == before, case
                             ref, err, terms, used = batch_of_two(surface, t, x, y, eps, rep,
                                                                  want_grad)
                             assert (got.error_bound, got.terms_used,
@@ -106,16 +97,14 @@ def test_pair_matches_its_two_row_batch(pair_terms, monkeypatch):
                             size = term_size(surface, t, used, x, y, want_grad)
                             value = got.gradient if want_grad else got.value
                             assert np.abs(np.subtract(value, ref)).max() <= 48 * U * size, case
-    disk = {None: {(False, True), (False, False)}, 0: {(False, True)},
-            10 ** 6: {(False, False)}}[pair_terms]
-    assert sides == disk | {(True, False)}
 
 
 def test_box_axis_sums_are_elementwise_float_loops():
-    """With numpy's exp, cos and sin passed in, ``kernels._gauss_sums`` and
-    ``kernels._harmonic_sums`` on an array of coordinates give bitwise what
-    each coordinate gives on its own, as a float: one loop, the same
-    operations in the same order on either type."""
+    """With numpy's exp, cos and sin passed in, the box routes' axis sums
+    ``kernels._gauss_sums`` and ``kernels._harmonic_sums`` and the disk
+    routes' loops ``kernels._gauss_disk`` and ``kernels._cosines`` on arrays
+    of coordinates give bitwise what each coordinate gives on its own, as a
+    float: one loop, the same operations in the same order on either type."""
     d = np.random.default_rng(11).uniform(-0.8, 0.8, 37)
     for length, half, alpha in ((1.0, 3, 25.0), (1.5, 12, 0.9), (0.1, 40, 0.02)):
         for want_grad in (False, True):
@@ -132,6 +121,18 @@ def test_box_axis_sums_are_elementwise_float_loops():
             for i, th in enumerate(theta.tolist()):
                 ci, si = kernels._harmonic_sums(np.cos(th), np.sin(th), cos_w, sw)
                 assert (c[i], s[i] if sw else s) == (ci, si), (freq, i)
+    rows = ((1.0, 0.0), (-0.3, 1.2))
+    far = kernels._disk(rows, 3.0, half=True)[1][::-1].tolist()
+    _, pts, r2 = kernels._disk(rows, 4.0, half=True, dual=True)
+    vecs = [(2.0 * math.pi * p0, 2.0 * math.pi * p1, w)
+            for (p0, p1), w in zip(pts.tolist(), np.exp(-0.37 * r2).tolist())]
+    e = np.random.default_rng(12).uniform(-0.8, 0.8, 37)
+    for want_grad in (False, True):
+        for loop in (lambda x0, x1: kernels._gauss_disk(x0, x1, far, 0.9, want_grad, np.exp),
+                     lambda x0, x1: kernels._cosines(x0, x1, vecs, want_grad, np.cos, np.sin)):
+            out = np.array(loop(d, e))
+            each = np.array([loop(x0, x1) for x0, x1 in zip(d.tolist(), e.tolist())])
+            assert np.array_equal(out.T if want_grad else out, each), want_grad
 
 
 def test_single_pair_arrays_take_the_pair_path():
@@ -160,8 +161,7 @@ def _meta(out):
 
 def test_torus_pairs_are_exactly_symmetric():
     """On a torus K(x, y) = K(y, x) and the gradient negates, bit for bit, on
-    every route and on both sides of the cut-over; at x = y the gradient is
-    exactly (0.0, 0.0)."""
+    every route at every size; at x = y the gradient is exactly (0.0, 0.0)."""
     rng = np.random.default_rng(7)
     for a, b in LATTICE_CLASSES:
         surface = torus(a, b)
