@@ -8,8 +8,10 @@ at one batch size (1, 2, 7 or 300 points, the first rows of one seeded set)
 or as a single query (``KernelQuery``); or one projection mode, value or
 gradient, at one size.  Its line gives the digest of the returned array's
 bytes with the error bound, terms used and representation used, or of the
-name of the error it raises.  Two checkouts give bitwise the same kernels
-exactly when their printouts are the same:
+name of the error it raises.  Last come a few small scans (``SCANS``), each
+the digest of the reprs of its witnesses, inconclusive count, points
+checked and verdict.  Two checkouts give bitwise the same kernels and scan
+witnesses exactly when their printouts are the same:
 
     diff <(PYTHONPATH=/path/to/other/src python3 scripts/kernel_digests.py) \\
          <(PYTHONPATH=src python3 scripts/kernel_digests.py)
@@ -23,9 +25,10 @@ import math
 
 import numpy as np
 
-from flatheat import (FlatHeatError, KernelQuery, enumerate_modes, heat_kernel,
-                      heat_kernel_gradient, klein_bottle, projection_gradient,
-                      projection_kernel, torus)
+from flatheat import (FlatHeatError, Heat, KernelQuery, Projection, ScanConfig,
+                      enumerate_modes, heat_kernel, heat_kernel_gradient, klein_bottle,
+                      principal_eigenvalue, projection_gradient, projection_kernel, scan,
+                      torus)
 from flatheat.kernels import heat_gradient_values, heat_values
 
 SURFACES = [("torus", a, b) for a, b in ((0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)),
@@ -35,6 +38,21 @@ REPS = ("image", "spectral", "auto")
 TIMES = (0.003, 0.02, 0.3, 2.0, 10.0)
 EPSILONS = (1e-6, 1e-13)
 SIZES = (1, 2, 7, 300)
+# (name, surface, kernel or None for the heat kernel at the times, config):
+# the generic torus from the origin with an even (mirrored) and an odd ring,
+# a Klein bottle from three bases at an image time and two spectral ones,
+# and a projection scan
+_SMALL = dict(n_directions=24, n_arc_samples=16)
+SCANS = [
+    ("torus(0.3, 1.2) even ring", torus(0.3, 1.2), None,
+     ScanConfig(t_values=(0.02, 0.3, 1.0), **_SMALL)),
+    ("torus(0.3, 1.2) odd ring", torus(0.3, 1.2), None,
+     ScanConfig(t_values=(0.02, 0.3, 1.0), n_directions=25, n_arc_samples=16)),
+    ("klein(0.73) 3 bases", klein_bottle(0.73), None,
+     ScanConfig(t_values=(0.02, 0.3, 2.0), base_points=((0.1, 0.2), (0.3, 0.55), (0.45, 0.9)),
+                **_SMALL)),
+    ("torus(0.3, 1.2) projection", torus(0.3, 1.2), "projection", ScanConfig(**_SMALL)),
+]
 
 
 def _digest(call) -> str:
@@ -60,6 +78,13 @@ def _query(surface, t, x, y, eps, rep, grad):
 def _projection(fn, surface, mode, x, y, grad):
     out = fn(surface, mode, x, y)
     return out if grad else (out,)  # a gradient comes with its bound
+
+
+def _scan(surface, kernel, cfg):
+    if kernel == "projection":
+        kernel = Projection(principal_eigenvalue(surface))
+    report = scan(surface, kernel or Heat(), cfg)
+    return report.witnesses, report.inconclusive_count, report.points_checked, report.verdict
 
 
 def main() -> int:
@@ -88,6 +113,8 @@ def main() -> int:
                 for n, x, y in [(n, X[:n], Y[:n]) for n in SIZES] + [("query", X[0], Y[0])]:
                     h = _digest(lambda x=x, y=y: _projection(fn, surface, mode, x, y, grad))
                     print(f"{h}  {case} {n if n == 'query' else f'n={n}'}")
+    for name, surface, kernel, cfg in SCANS:
+        print(f"{_digest(lambda: _scan(surface, kernel, cfg))}  scan {name}")
     return 0
 
 

@@ -26,7 +26,12 @@ below): x - h(y) is formed once, as for distances
 beyond those x - h(y) itself rounds away) and handed to a route that takes
 reduced displacements only: ``_image`` or ``_spectral`` for the heat kernel,
 the cosine loop over one shell for a projection.  Gradients then get the
-chain rule of each deck map, and the sum runs over h.
+chain rule of each deck map, and the sum runs over h.  The reduction and
+the deck total are the two halves of ``_deck_sum`` (``_deck_reduce`` and
+``_deck_total``), so a scan, whose samples are the same at every time,
+reduces them once and runs each time's route on the one reduced set
+(``_heat_times``); the spectral times of a rectangular cover then share
+the cosine and sine of each coordinate (``_box_trig``).
 
 Each route writes its sum once, as one loop over its terms that takes its
 exp, cos and sin as arguments, and one driver (``_sum_points``) runs every
@@ -298,13 +303,16 @@ def _sum_points(d0, loop, want_grad: bool):
     the math module on a query's floats, numpy on each block of a batch's
     coordinate rows, elementwise, so a point's bits do not depend on its
     block.  It returns the value, or the gradient pair: a list of those for
-    a query, an array for a batch."""
+    a query, an array for a batch.  A scan's spectral box route passes each
+    coordinate row as its cosine and sine, a pair of rows (2, P)
+    (``_box_trig``)."""
     if isinstance(d0, list):
         return [loop(x0, x1, math) for x0, x1 in d0]
-    n = d0.shape[1]
+    x0, x1 = d0
+    n = x0.shape[-1]
     out = np.empty((n, 2) if want_grad else n)
     for blk in _blocks(n, _BLOCK_POINTS):
-        sums = loop(d0[0, blk], d0[1, blk], np)
+        sums = loop(x0[..., blk], x1[..., blk], np)
         if want_grad:
             out[blk, 0], out[blk, 1] = sums
         else:
@@ -435,7 +443,7 @@ def _weights(alpha: float, p2: np.ndarray, largest: float) -> np.ndarray:
         return np.exp(-alpha * p2)
 
 
-def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
+def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool, trig: bool = False):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``, or the list of
     float pairs of one query), summed over the dual lattice by the driver
@@ -454,7 +462,9 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
     w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
     point (``_harmonic_sums``, run by ``_box_loop``) for the half box of
-    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
+    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.  With trig, d0 holds the cosines
+    and sines of a batch's coordinate rows on a rectangular lattice
+    (``_box_trig``), which a scan forms once for all its times.
     """
     geom = _geometry(rows)
     area = geom["covol"]
@@ -492,11 +502,29 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
 
-    def axis(k, x, lib):
-        theta = freqs[k] * x
-        return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
+    def axis(k, x, lib):  # x: coordinates, or their cosines and sines
+        if not trig:
+            theta = freqs[k] * x
+            return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
+        return _harmonic_sums(x[0], x[1], cos_w[k], sin_w[k])
 
     return _sum_points(d0, _box_loop(axis, 1.0 / area, want_grad), want_grad), err, terms
+
+
+def _box_trig(rows: tuple, d0) -> tuple:
+    """cos theta_k and sin theta_k, theta_k = 2 pi d_k / L_k, of the
+    coordinate rows d0 (2, P) on a rectangular lattice with periods L0, L1:
+    per axis k, rows (2, P), formed as ``_spectral`` forms them block
+    by block.  They do not depend on t, so a scan forms them once for all
+    its spectral times (``_heat_times``)."""
+    out = []
+    for k, length in enumerate(_geometry(rows)["periods"].tolist()):
+        theta = (_TWO_PI / length) * d0[k]
+        cos_sin = np.empty((2,) + theta.shape)
+        np.cos(theta, out=cos_sin[0])
+        np.sin(theta, out=cos_sin[1])
+        out.append(cos_sin)
+    return tuple(out)
 
 
 def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
@@ -629,27 +657,42 @@ def _broadcast_pair(x, y):
     return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
 
 
+def _deck_reduce(surface: FlatSurface, x, y):
+    """The first half of ``_deck_sum``: the displacements x - h(y) over the k
+    deck elements h (``surfaces._deck_displacements``), reduced once modulo
+    the cover (``lattice._recentre``, which rejects non-finite ones).
+    Returns the cover rows, the deck maps' linear parts, the reduced
+    coordinate rows d0, shape (2, k P), and the shape (k, ...) they came in;
+    the unreduced displacements are dropped."""
+    rows, lin, disp = _deck_displacements(surface, x, y)
+    return rows, lin, _recentre(rows, disp), disp.shape[:-1]
+
+
+def _deck_total(lin, shape: tuple, out, err: float, terms: int, want_grad: bool):
+    """The second half of ``_deck_sum``: one cover sum (or gradient row) out
+    per reduced displacement of ``_deck_reduce``, in its shape (k, ...), with
+    its bound and its terms.  Gradients are multiplied by each deck map's
+    linear part lin[h] (the chain rule; the glide reverses x1).  Returns the
+    sums over h with k times the bound and the terms."""
+    k = len(lin)
+    out = out.reshape(shape + out.shape[1:])
+    if want_grad:
+        out *= lin.reshape((k,) + (1,) * (out.ndim - 2) + (2,))
+    return out.sum(axis=0), k * err, k * terms
+
+
 def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
     """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
     pipeline from points x, y (float arrays of one shape (..., 2)) to every
     kernel value, gradient and projection (for a single query, ``_pair_sum``).
-    It forms the displacements x - h(y) over the k deck elements h
-    (``surfaces._deck_displacements``), reduces them once modulo the cover
-    (``lattice._recentre``, which rejects non-finite ones) and hands the
-    cover rows, the reduced coordinate rows d0, shape (2, k P), and k to
-    cover_sum(rows, d0, k), which returns one sum (or gradient row) per
-    displacement with its bound and its terms.
-    Gradients are multiplied by each deck map's linear part lin[h] (the chain
-    rule; the glide reverses x1).  Returns the sums over h with k times the
-    bound and the terms.
+    Its two halves are the reduction (``_deck_reduce``) and the deck total
+    (``_deck_total``); between them cover_sum(rows, d0, k) gets the cover
+    rows, the reduced coordinate rows d0, shape (2, k P), and k, and returns
+    one sum (or gradient row) per displacement with its bound and its terms.
+    A scan reduces once for all its times (``_heat_times``).
     """
-    rows, lin, disp = _deck_displacements(surface, x, y)
-    k = len(lin)
-    out, err, terms = cover_sum(rows, _recentre(rows, disp), k)
-    out = out.reshape(disp.shape[:-1] + out.shape[1:])
-    if want_grad:
-        out *= lin.reshape((k,) + (1,) * (out.ndim - 2) + (2,))
-    return out.sum(axis=0), k * err, k * terms
+    rows, lin, d0, shape = _deck_reduce(surface, x, y)
+    return _deck_total(lin, shape, *cover_sum(rows, d0, len(lin)), want_grad)
 
 
 def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: str,
@@ -664,6 +707,37 @@ def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: 
     total = _pair_sum if isinstance(x, tuple) else _deck_sum
     return (*total(surface, x, y, lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad),
                    want_grad), rep)
+
+
+def _heat_times(surface: FlatSurface, times, x, y, eps: float, want_grad: bool):
+    """``_heat_sum`` at each of the times in turn, with the automatic
+    representation, from one reduction of the points x, y (float arrays of
+    one shape (..., 2), ``_deck_reduce``): a generator of (sums, bound,
+    terms, representation), each bitwise what ``heat_values`` (or
+    ``heat_gradient_values``) returns at that time.  Each time runs its own
+    route on the shared reduced set; two or more spectral times of a
+    rectangular cover run on its cosines and sines (``_box_trig``), formed
+    at the first of them, after which the reduced set goes unless an image
+    time follows.  A time's sums are let go once yielded."""
+    rows, lin, d0, shape = _deck_reduce(surface, x, y)
+    eps = eps / len(lin)
+    reps = [_resolve_rep(surface, t, "auto") for t in times]
+    share = _geometry(rows)["axis_aligned"] and reps.count("spectral") > 1
+    cos_sin = None
+
+    def cover(j):
+        nonlocal d0, cos_sin
+        t, rep = times[j], reps[j]
+        if rep == "image" or not share:
+            return (_image if rep == "image" else _spectral)(rows, t, d0, eps, want_grad)
+        if cos_sin is None:
+            cos_sin = _box_trig(rows, d0)
+            if "image" not in reps[j:]:
+                d0 = None
+        return _spectral(rows, t, cos_sin, eps, want_grad, trig=True)
+
+    for j, rep in enumerate(reps):
+        yield (*_deck_total(lin, shape, *cover(j), want_grad), rep)
 
 
 def _heat_arrays(surface: FlatSurface, t, x, y, eps, representation: str, want_grad: bool):

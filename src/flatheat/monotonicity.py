@@ -8,11 +8,15 @@ certified error bound, and reports witnesses where the derivative certifiably
 exceeds the tolerance.  Counterexample constructors rebuild the known failing
 configurations in closed form and return revalidatable witnesses.
 
-Every geodesic sample takes one path: the kernel target, which carries its
-time (+inf for a projection) -> ``_segment`` (the points base + s * u) ->
-``_eval_radial`` (radial derivatives), or ``_profile`` (values as well, for
-curves and records) -> ``_witness`` (one sample on its own, as ``revalidate``
-evaluates it).  Scan and counterexample witnesses alike come from the
+Every geodesic sample starts as a kernel target, which carries its time
+(+inf for a projection), and ``_segment`` (the points base + s * u).  A
+scan's main pass (``_scan_task``) evaluates every target of a base on one
+set of samples: all its heat times from one reduction of them
+(``kernels._heat_times``).  Everything else takes ``_eval_radial`` (radial
+derivatives) one target at a time: the scan's eps/16 retry, ``_profile``
+(values as well, for curves and records) and ``_witness`` (one sample on
+its own, as ``revalidate`` evaluates it).  Both give a sample the same
+bits.  Scan and counterexample witnesses alike come from the
 ``ViolationWitness`` constructor.
 """
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import (
 from .kernels import (
     SpectralMode,
     _check_size,
+    _heat_times,
     _mode_at,
     _validate_time_eps,
     eigenbasis_values,
@@ -213,18 +218,23 @@ def _segment(base, u, s):
     return np.broadcast_to(base, Y.shape), Y, np.broadcast_to(u, Y.shape)
 
 
+def _radial(grads, U):
+    """Radial derivatives g0 u0 + g1 u1 of gradients grads along U (..., 2),
+    elementwise.  A BLAS dot of the same numbers may round differently, and
+    revalidate would then not give back a scan's bits."""
+    return grads[..., 0] * U[..., 0] + grads[..., 1] * U[..., 1]
+
+
 def _eval_radial(surface, kernel, X, Y, U, eps):
-    """Radial derivatives g0 u0 + g1 u1 and their error bound for sample blocks
-    X, Y and directions U (..., 2); a heat kernel is evaluated at its own
-    time, and eps serves it only.  A sample gets the same bits in every
-    batch, a batch of one included (the summation rule of ``kernels``).  A
-    BLAS dot of the same numbers may round differently, and revalidate would
-    then not give back a scan's bits."""
+    """Radial derivatives (``_radial``) and their error bound for sample
+    blocks X, Y and directions U (..., 2); a heat kernel is evaluated at its
+    own time, and eps serves it only.  A sample gets the same bits in every
+    batch, a batch of one included (the summation rule of ``kernels``)."""
     if isinstance(kernel, Heat):
         grads, err, _, _ = heat_gradient_values(surface, kernel.t, X, Y, eps=eps)
     else:
         grads, err = projection_gradient(surface, kernel.mode, X, Y)
-    return grads[..., 0] * U[..., 0] + grads[..., 1] * U[..., 1], err
+    return _radial(grads, U), err
 
 
 def _profile(surface, kernel, base, u, s, eps):
@@ -257,32 +267,51 @@ def _check_kernel(kernel) -> None:
         raise InvalidParameter("kernel must be Heat(...) or Projection(...)")
 
 
-def _scan_task(surface, kernel, cfg, base, dirs, smax, src):
-    """Witness columns, inconclusive count and samples of one kernel target
-    from one base.  Row i of dirs takes its radial derivatives from the
+def _scan_task(surface, targets, cfg, base, dirs, smax, src):
+    """Witness columns, inconclusive count and samples of each kernel target
+    from one base, one triple per target.  Heat targets take their first
+    pass from one reduction of the samples for all their times
+    (``kernels._heat_times``), bitwise what ``_eval_radial`` gives at each;
+    each target's columns are cut, and its arrays let go, before the next
+    target runs.  Row i of dirs takes its radial derivatives from the
     evaluation of row src[i]: only the rows src names are evaluated, and the
-    eps/16 retry runs on them alone.  A mirrored row, src[i] != i, is the
-    antipode of src[i] with the same arc lengths, so its derivatives are
-    those of src[i] bit for bit (``_mirror_rows``).  The witness and
-    ambiguity masks, and the sample count, cover every row."""
+    eps/16 retry, one per target, runs on them alone.  A mirrored row,
+    src[i] != i, is the antipode of src[i] with the same arc lengths, so its
+    derivatives are those of src[i] bit for bit (``_mirror_rows``).  The
+    witness and ambiguity masks, and the sample count, cover every row.  A
+    target's bounds stay one float until a retry, and its rows are copied
+    out only when some are mirrored: the fewer large arrays a target
+    allocates, the less the worker threads' malloc arenas, and so the
+    scan's peak RSS, grow."""
     ns = cfg.n_arc_samples
     tol = cfg.derivative_tolerance
     S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
     rows, at = np.unique(src, return_inverse=True)
     X, Y, dirs_b = _segment(base, dirs[rows, None, :], S[rows])
-    deriv, err0 = _eval_radial(surface, kernel, X, Y, dirs_b, cfg.kernel_epsilon)
-    err = np.full(deriv.shape, err0)
-    ambiguous = ~(deriv - err > tol) & (deriv + err > tol)
-    if ambiguous.any():
-        d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
-                              dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
-        deriv[ambiguous] = d2
-        err[ambiguous] = e2
-    deriv, err = deriv[at], err[at]
-    witness = deriv - err > tol
-    ambiguous = ~witness & (deriv + err > tol)
-    i, j = np.nonzero(witness)
-    return (i, S[i, j], deriv[i, j], err[i, j]), int(ambiguous.sum()), deriv.size
+    if isinstance(targets[0], Heat):
+        passes = _heat_times(surface, [k.t for k in targets], X, Y, cfg.kernel_epsilon, True)
+    else:
+        passes = (projection_gradient(surface, k.mode, X, Y) for k in targets)
+    out = []
+    for kernel, (grads, err0, *_) in zip(targets, passes):
+        deriv = _radial(grads, dirs_b)
+        del grads  # each target's arrays go before the next target's are formed
+        err = err0  # one bound for every sample, until a retry
+        ambiguous = ~(deriv - err > tol) & (deriv + err > tol)
+        if ambiguous.any():
+            d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
+                                  dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
+            deriv[ambiguous] = d2
+            err = np.where(ambiguous, e2, err0)
+        if len(rows) < len(src):
+            deriv, err = deriv[at], (err[at] if np.ndim(err) else err)
+        witness = deriv - err > tol
+        ambiguous = ~witness & (deriv + err > tol)
+        i, j = np.nonzero(witness)
+        err = np.broadcast_to(err, deriv.shape)
+        out.append(((i, S[i, j], deriv[i, j], err[i, j]), int(ambiguous.sum()), deriv.size))
+        del deriv, err, witness, ambiguous
+    return out
 
 
 def _mirror_rows(surface, base, n: int, smax: np.ndarray) -> np.ndarray:
@@ -309,6 +338,15 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     tolerance; Inconclusive when some sample's error bound straddles the
     tolerance even after one retry at epsilon/16; Monotone otherwise.
 
+    One task per base point covers all its times (``_scan_task``): it forms
+    the samples, their deck displacements and their reduction once, and
+    evaluates each time on them; the spectral times of a rectangular cover
+    share the cosines and sines of the reduced coordinates.  When the scan
+    has fewer bases than workers, as a torus scanned from the origin has,
+    each base's times are cut into ceil(workers / bases) contiguous groups,
+    at most one per time, and each group is a task.  Witnesses, counts and
+    verdicts do not depend on the workers or the groups.
+
     On a torus scanned from the origin (the default base) with an even
     number of directions, each antipodal pair u, -u of the ring is evaluated
     once: the reflection through the base is an isometry, so the kernel
@@ -323,19 +361,22 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
         targets = [Heat(t) for t in cfg.t_values]
     else:
         targets = [kernel]
+    nw = worker_count()
+    groups = 1 if len(bases) >= nw else min(len(targets), -(-nw // len(bases)))
+    cuts = [len(targets) * g // groups for g in range(groups + 1)]
     tasks = []
     for base in bases:
         smax = _s_max(surface, base, dirs)
         src = _mirror_rows(surface, base, cfg.n_directions, smax)
-        tasks += [(target, base, smax, src) for target in targets]
-    nw = worker_count()
+        tasks += [(targets[lo:hi], base, smax, src) for lo, hi in zip(cuts, cuts[1:])]
     run = lambda task: _scan_task(surface, task[0], cfg, task[1], dirs, *task[2:])
     if nw > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(run, tasks))
+            results = [r for rs in pool.map(run, tasks) for r in rs]
     else:
-        results = [run(task) for task in tasks]
-    witnesses = _witness_objects(tasks, dirs, [cols for cols, _, _ in results])
+        results = [r for task in tasks for r in run(task)]
+    pairs = [(target, task[1]) for task in tasks for target in task[0]]
+    witnesses = _witness_objects(pairs, dirs, [cols for cols, _, _ in results])
     inconclusive = sum(amb for _, amb, _ in results)
     points = sum(cnt for _, _, cnt in results)
     if witnesses:
@@ -349,25 +390,26 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
         points_checked=points, inconclusive_count=inconclusive, verdict=verdict)
 
 
-def _witness_objects(tasks, dirs, columns) -> tuple:
-    """Witnesses from per-task (direction index, s, derivative, error) columns;
-    each task's kernel target gives its witnesses' time.
+def _witness_objects(pairs, dirs, columns) -> tuple:
+    """Witnesses from (direction index, s, derivative, error) columns, one per
+    (kernel target, base) pair of pairs; the target gives its witnesses'
+    time.
 
     They are ordered by (t, base, direction angle, s) with one stable sort, so
-    ties keep task, direction and sample order.  The angle of a direction is
+    ties keep pair, direction and sample order.  The angle of a direction is
     math.atan2 of its components, the key its witness gives.
     """
     if not columns:
         return ()
-    owner = np.repeat(np.arange(len(tasks)), [len(cols[0]) for cols in columns])
+    owner = np.repeat(np.arange(len(pairs)), [len(cols[0]) for cols in columns])
     i, s, deriv, err = (np.concatenate(col) for col in zip(*columns))
-    bases = np.array([task[1] for task in tasks])
-    t = np.array([task[0].t for task in tasks])[owner]
+    bases = np.array([base for _, base in pairs])
+    t = np.array([target.t for target, _ in pairs])[owner]
     angle = np.array([math.atan2(u1, u0) for u0, u1 in dirs.tolist()])
     order = np.lexsort((s, angle[i], bases[owner, 1], bases[owner, 0], t))
     base_of = [tuple(b) for b in bases.tolist()]
     dir_of = [tuple(u) for u in dirs.tolist()]
-    kernel = tasks[0][0]
+    kernel = pairs[0][0]
     heat = isinstance(kernel, Heat)
     return tuple(map(
         ViolationWitness,
@@ -726,12 +768,14 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
         converged[active[done]] = True
         active = active[solvable & ~done]
     found = []   # (lattice coords in [0,1)^2, hessian), in seed-cell order
+    coords = np.empty((0, 2))  # those of found, as rows
     for k in np.flatnonzero(converged & (np.hypot(g0[:, 0], g0[:, 1]) <= 1e-5 * gscale)):
         c = (y[k] @ Binv) % 1.0
         c[c > 1.0 - 1e-9] = 0.0
-        if any(_torus_coord_gap(c, c0) < 1e-6 for c0, _ in found):
+        if (_torus_coord_gap(c, coords) < 1e-6).any():
             continue
         found.append((c, hess[k]))
+        coords = np.vstack([coords, c])
     maxima, minima, saddles = [], [], []
     for c, H in found:
         H = np.ldexp(H, -np.frexp(np.abs(H).max())[1])
@@ -756,7 +800,9 @@ def critical_point_census(surface: Torus, t: float, grid: int = 256) -> CensusRe
         index_sum=len(maxima) + len(minima) - len(saddles))
 
 
-def _torus_coord_gap(c1: np.ndarray, c2) -> float:
+def _torus_coord_gap(c1: np.ndarray, c2):
+    """Distances in lattice coordinates modulo 1 from c1 to c2, a point or
+    rows of points, one elementwise call for all rows."""
     d = np.asarray(c1) - np.asarray(c2)
     d -= np.round(d)
-    return float(np.hypot(d[0], d[1]))
+    return np.hypot(d[..., 0], d[..., 1])

@@ -4,6 +4,7 @@ Oracles: an exhaustive Gaussian double sum for small times (converged to all
 digits at t <= 0.25), central finite differences for gradients, midpoint
 quadrature for mass/semigroup identities, and closed-form eigenvalue data.
 """
+import itertools
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -521,6 +522,32 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
     # wide included: bitwise equal
     for (s, rep, a), (_, _, b), (_, _, c) in zip(wide, narrow, evaluate()):
         assert np.array_equal(a, b) and np.array_equal(a, c), (s, rep)
+
+
+def test_heat_times_give_each_time_its_own_bits(rng, monkeypatch):
+    """``kernels._heat_times`` reduces the points once for all its times, and
+    forms the cosines and sines of a rectangular cover once for its spectral
+    times, yet yields at each time bitwise what heat_values and
+    heat_gradient_values return there: sums, bound, terms and
+    representation.  Times out of order and repeated, and in increasing
+    order, so that the reduced points go once the spectral times begin; on
+    both routes; a disk torus, a rectangular one and two Klein bottles; in
+    one block and in blocks of three points."""
+    X = rng.uniform(-1.0, 2.0, (3, 5, 2))
+    Y = rng.uniform(-1.0, 2.0, (3, 5, 2))
+    mixed = (2.0, 0.003, 0.3, 0.02, 128.0, 0.3, 0.05)
+    surfaces = (torus(0.3, 1.2), torus(0.0, 1.5), klein_bottle(0.8), klein_bottle(1.4))
+    for block in (1 << 14, 3):
+        monkeypatch.setattr(kernels, "_BLOCK_POINTS", block)
+        for s, times in itertools.product(surfaces, (mixed, sorted(mixed))):
+            for grad, fn in ((False, heat_values), (True, heat_gradient_values)):
+                got = list(kernels._heat_times(s, times, X, Y, 1e-13, grad))
+                assert len(got) == len(times)
+                assert {rep for *_, rep in got} == {"image", "spectral"}, s
+                for t, (out, err, terms, rep) in zip(times, got):
+                    ref, ref_err, ref_terms, ref_rep = fn(s, t, X, Y, eps=1e-13)
+                    assert (err, terms, rep) == (ref_err, ref_terms, ref_rep), (s, t)
+                    assert out.shape == ref.shape and np.array_equal(out, ref), (s, t, grad)
 
 
 LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),

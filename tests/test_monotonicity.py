@@ -354,25 +354,58 @@ def test_radial_curve_of_the_heat_kernel_needs_a_time():
 
 
 def test_scans_do_not_depend_on_the_worker_count(monkeypatch):
-    """One worker runs the tasks in the calling thread, three run them in a
-    pool: a three-base, three-time Klein heat scan and a three-base torus
-    projection scan give the same witnesses, counts and verdicts either way."""
+    """One worker runs the tasks in the calling thread, two and three run
+    them in a pool: a three-base, three-time Klein heat scan, a three-base
+    torus projection scan and a one-base torus heat scan at four times,
+    whose times the workers split into groups, give the same witnesses,
+    counts and verdicts either way."""
     gen = torus(0.3, 1.2)
     size = dict(n_directions=24, n_arc_samples=16)
     jobs = [(klein_bottle(0.8), Heat(),
              ScanConfig(t_values=(0.05, 0.5, 4.0),
                         base_points=((0.1, 0.2), (0.3, 0.55), (0.45, 0.9)), **size)),
             (gen, Projection(principal_eigenvalue(gen)),
-             ScanConfig(base_points=((0.0, 0.0), (0.2, 0.1), (0.4, 0.7)), **size))]
+             ScanConfig(base_points=((0.0, 0.0), (0.2, 0.1), (0.4, 0.7)), **size)),
+            (gen, Heat(), ScanConfig(t_values=(0.01, 0.05, 0.5, 1.0), **size))]
     reports = {}
-    for threads in (1, 3):
+    for threads in (1, 2, 3):
         monkeypatch.setenv("FLAT_HEAT_THREADS", str(threads))
         assert flatheat.worker_count() == threads
         reports[threads] = [scan(*job) for job in jobs]
-    for one, three in zip(reports[1], reports[3]):
-        assert one.witnesses and one.witnesses == three.witnesses
-        assert (one.verdict, one.inconclusive_count, one.points_checked) == \
-            (three.verdict, three.inconclusive_count, three.points_checked)
+    for threads in (2, 3):
+        for one, more in zip(reports[1], reports[threads]):
+            assert one.witnesses and one.witnesses == more.witnesses
+            assert (one.verdict, one.inconclusive_count, one.points_checked) == \
+                (more.verdict, more.inconclusive_count, more.points_checked)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_scan_of_several_times_is_its_one_time_scans_merged(monkeypatch, threads):
+    """A scan at times t_1 < ... < t_k, which forms each base's samples and
+    their reduction once for every time, returns what the k scans at
+    Heat(t_i) return once merged: their witnesses in turn, the sum of their
+    inconclusive counts and of their points_checked.  A three-base Klein
+    bottle whose times take both routes, and the generic torus from the
+    origin with an even (mirrored) ring and an odd one."""
+    monkeypatch.setenv("FLAT_HEAT_THREADS", str(threads))
+    klein = klein_bottle(0.8)
+    gen = torus(0.3, 1.2)
+    jobs = [(klein, ScanConfig(t_values=(0.01, 0.05, 0.3, 2.0), n_directions=24,
+                               n_arc_samples=16,
+                               base_points=((0.1, 0.2), (0.3, 0.55), (0.45, 0.9)))),
+            (gen, ScanConfig(t_values=(0.01, 0.05, 0.5, 1.0), n_directions=24,
+                             n_arc_samples=16)),
+            (gen, ScanConfig(t_values=(0.01, 0.05, 0.5, 1.0), n_directions=25,
+                             n_arc_samples=16))]
+    assert {kernels._resolve_rep(klein, t, "auto") for t in jobs[0][1].t_values} == \
+        {"image", "spectral"}
+    for surface, cfg in jobs:
+        whole = scan(surface, Heat(), cfg)
+        parts = [scan(surface, Heat(t), cfg) for t in cfg.t_values]
+        assert whole.witnesses
+        assert whole.witnesses == tuple(w for part in parts for w in part.witnesses)
+        assert whole.inconclusive_count == sum(p.inconclusive_count for p in parts)
+        assert whole.points_checked == sum(p.points_checked for p in parts)
 
 
 @pytest.mark.parametrize("kernel", ["heat", None])
