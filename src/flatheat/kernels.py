@@ -28,10 +28,9 @@ reduced displacements only: ``_image`` or ``_spectral`` for the heat kernel,
 the cosine loop over one shell for a projection.  Gradients then get the
 chain rule of each deck map, and the sum runs over h.  The reduction and
 the deck total are the two halves of ``_deck_sum`` (``_deck_reduce`` and
-``_deck_total``), so a scan, whose samples are the same at every time,
-reduces them once and runs each time's route on the one reduced set
-(``_heat_times``); the spectral times of a rectangular cover then share
-the cosine and sine of each coordinate (``_box_trig``).
+``_deck_total``).  A scan, whose samples are the same at every time,
+calls them through ``_heat_times``: one reduction, then each time's route
+on the one reduced set.
 
 Each route writes its sum once, as one loop over its terms that takes its
 exp, cos and sin as arguments, and one driver (``_sum_points``) runs every
@@ -303,16 +302,13 @@ def _sum_points(d0, loop, want_grad: bool):
     the math module on a query's floats, numpy on each block of a batch's
     coordinate rows, elementwise, so a point's bits do not depend on its
     block.  It returns the value, or the gradient pair: a list of those for
-    a query, an array for a batch.  A scan's spectral box route passes each
-    coordinate row as its cosine and sine, a pair of rows (2, P)
-    (``_box_trig``)."""
+    a query, an array for a batch."""
     if isinstance(d0, list):
         return [loop(x0, x1, math) for x0, x1 in d0]
-    x0, x1 = d0
-    n = x0.shape[-1]
+    n = d0.shape[1]
     out = np.empty((n, 2) if want_grad else n)
     for blk in _blocks(n, _BLOCK_POINTS):
-        sums = loop(x0[..., blk], x1[..., blk], np)
+        sums = loop(d0[0, blk], d0[1, blk], np)
         if want_grad:
             out[blk, 0], out[blk, 1] = sums
         else:
@@ -443,7 +439,7 @@ def _weights(alpha: float, p2: np.ndarray, largest: float) -> np.ndarray:
         return np.exp(-alpha * p2)
 
 
-def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool, trig: bool = False):
+def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool):
     """Cover kernel (or y-gradient) at the reduced displacements d0
     (coordinate rows, shape (2, P), ``lattice._recentre``, or the list of
     float pairs of one query), summed over the dual lattice by the driver
@@ -462,9 +458,7 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool, trig: bool
     G_k = sum_{m >= 0} 2 pi (m / L_k) w_m sin(2 pi m d_k / L_k), w_0 = 1 and
     w_m = 2 exp(-alpha m^2 / L_k^2), m <= M_k: two cosines and two sines per
     point (``_harmonic_sums``, run by ``_box_loop``) for the half box of
-    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.  With trig, d0 holds the cosines
-    and sines of a batch's coordinate rows on a rectangular lattice
-    (``_box_trig``), which a scan forms once for all its times.
+    ((2 M0 + 1)(2 M1 + 1) + 1) / 2 terms.
     """
     geom = _geometry(rows)
     area = geom["covol"]
@@ -502,29 +496,11 @@ def _spectral(rows: tuple, t: float, d0, eps: float, want_grad: bool, trig: bool
     sin_w = ([col[:top + 1] for col, top in zip((two_pi_p * w).T.tolist(), tops)]
              if want_grad else (None, None))
 
-    def axis(k, x, lib):  # x: coordinates, or their cosines and sines
-        if not trig:
-            theta = freqs[k] * x
-            return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
-        return _harmonic_sums(x[0], x[1], cos_w[k], sin_w[k])
+    def axis(k, x, lib):
+        theta = freqs[k] * x
+        return _harmonic_sums(lib.cos(theta), lib.sin(theta), cos_w[k], sin_w[k])
 
     return _sum_points(d0, _box_loop(axis, 1.0 / area, want_grad), want_grad), err, terms
-
-
-def _box_trig(rows: tuple, d0) -> tuple:
-    """cos theta_k and sin theta_k, theta_k = 2 pi d_k / L_k, of the
-    coordinate rows d0 (2, P) on a rectangular lattice with periods L0, L1:
-    per axis k, rows (2, P), formed as ``_spectral`` forms them block
-    by block.  They do not depend on t, so a scan forms them once for all
-    its spectral times (``_heat_times``)."""
-    out = []
-    for k, length in enumerate(_geometry(rows)["periods"].tolist()):
-        theta = (_TWO_PI / length) * d0[k]
-        cos_sin = np.empty((2,) + theta.shape)
-        np.cos(theta, out=cos_sin[0])
-        np.sin(theta, out=cos_sin[1])
-        out.append(cos_sin)
-    return tuple(out)
 
 
 def _image(rows: tuple, t: float, d0, eps: float, want_grad: bool):
@@ -695,49 +671,37 @@ def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
     return _deck_total(lin, shape, *cover_sum(rows, d0, len(lin)), want_grad)
 
 
+def _cover_sum(t: float, rep: str, eps: float, want_grad: bool):
+    """The cover sum of the heat kernel (or its y-gradient) at the checked
+    time t on route rep, as ``_deck_sum`` and ``_pair_sum`` call it: eps / k
+    for each of the k deck elements."""
+    fn = _spectral if rep == "spectral" else _image
+    return lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad)
+
+
 def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: str,
               want_grad: bool):
     """The heat kernel (or its y-gradient) at points x, y as a deck sum, for a
-    checked time and tolerance, with the representation used; each of the k
-    deck elements gets eps / k.  x and y are float arrays of one shape
-    (..., 2) (``_deck_sum``), or two float pairs, one query (``_pair_sum``),
-    whose value comes as a float and whose gradient as a pair."""
+    checked time and tolerance, with the representation used.  x and y are
+    float arrays of one shape (..., 2) (``_deck_sum``), or two float pairs,
+    one query (``_pair_sum``), whose value comes as a float and whose
+    gradient as a pair.  ``_heat_times`` takes many times at once."""
     rep = _resolve_rep(surface, t, representation)
-    fn = _spectral if rep == "spectral" else _image
     total = _pair_sum if isinstance(x, tuple) else _deck_sum
-    return (*total(surface, x, y, lambda rows, d0, k: fn(rows, t, d0, eps / k, want_grad),
-                   want_grad), rep)
+    return (*total(surface, x, y, _cover_sum(t, rep, eps, want_grad), want_grad), rep)
 
 
 def _heat_times(surface: FlatSurface, times, x, y, eps: float, want_grad: bool):
-    """``_heat_sum`` at each of the times in turn, with the automatic
-    representation, from one reduction of the points x, y (float arrays of
-    one shape (..., 2), ``_deck_reduce``): a generator of (sums, bound,
-    terms, representation), each bitwise what ``heat_values`` (or
-    ``heat_gradient_values``) returns at that time.  Each time runs its own
-    route on the shared reduced set; two or more spectral times of a
-    rectangular cover run on its cosines and sines (``_box_trig``), formed
-    at the first of them, after which the reduced set goes unless an image
-    time follows.  A time's sums are let go once yielded."""
-    rows, lin, d0, shape = _deck_reduce(surface, x, y)
-    eps = eps / len(lin)
+    """``_heat_sum`` at each of the checked times in turn, with the automatic
+    representation, on the points x, y (float arrays of one shape (..., 2)),
+    reduced once for every time: the two halves of ``_deck_sum`` with each
+    time's own route between them.  A generator of (sums, bound, terms,
+    representation used); a time's sums are let go once yielded."""
     reps = [_resolve_rep(surface, t, "auto") for t in times]
-    share = _geometry(rows)["axis_aligned"] and reps.count("spectral") > 1
-    cos_sin = None
-
-    def cover(j):
-        nonlocal d0, cos_sin
-        t, rep = times[j], reps[j]
-        if rep == "image" or not share:
-            return (_image if rep == "image" else _spectral)(rows, t, d0, eps, want_grad)
-        if cos_sin is None:
-            cos_sin = _box_trig(rows, d0)
-            if "image" not in reps[j:]:
-                d0 = None
-        return _spectral(rows, t, cos_sin, eps, want_grad, trig=True)
-
-    for j, rep in enumerate(reps):
-        yield (*_deck_total(lin, shape, *cover(j), want_grad), rep)
+    rows, lin, d0, shape = _deck_reduce(surface, x, y)
+    for t, rep in zip(times, reps):
+        cover = _cover_sum(t, rep, eps, want_grad)
+        yield (*_deck_total(lin, shape, *cover(rows, d0, len(lin)), want_grad), rep)
 
 
 def _heat_arrays(surface: FlatSurface, t, x, y, eps, representation: str, want_grad: bool):

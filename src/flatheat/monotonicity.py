@@ -340,11 +340,10 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
 
     One task per base point covers all its times (``_scan_task``): it forms
     the samples, their deck displacements and their reduction once, and
-    evaluates each time on them; the spectral times of a rectangular cover
-    share the cosines and sines of the reduced coordinates.  When the scan
-    has fewer bases than workers, as a torus scanned from the origin has,
-    each base's times are cut into ceil(workers / bases) contiguous groups,
-    at most one per time, and each group is a task.  Witnesses, counts and
+    evaluates each time on them.  When the scan has fewer bases than
+    workers, as a torus scanned from the origin has, each base's times are
+    cut into ceil(workers / bases) contiguous groups, at most one per time,
+    and each group is a task.  Witnesses, counts and
     verdicts do not depend on the workers or the groups.
 
     On a torus scanned from the origin (the default base) with an even

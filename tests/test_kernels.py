@@ -525,14 +525,12 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
 
 
 def test_heat_times_give_each_time_its_own_bits(rng, monkeypatch):
-    """``kernels._heat_times`` reduces the points once for all its times, and
-    forms the cosines and sines of a rectangular cover once for its spectral
-    times, yet yields at each time bitwise what heat_values and
-    heat_gradient_values return there: sums, bound, terms and
-    representation.  Times out of order and repeated, and in increasing
-    order, so that the reduced points go once the spectral times begin; on
-    both routes; a disk torus, a rectangular one and two Klein bottles; in
-    one block and in blocks of three points."""
+    """``kernels._heat_times`` reduces the points once for all its times, yet
+    yields at each time bitwise what heat_values and heat_gradient_values
+    return there: sums, bound, terms and representation.  Times out of
+    order and repeated, and in increasing order; on both routes; a disk
+    torus, a rectangular one and two Klein bottles; in one block and in
+    blocks of three points."""
     X = rng.uniform(-1.0, 2.0, (3, 5, 2))
     Y = rng.uniform(-1.0, 2.0, (3, 5, 2))
     mixed = (2.0, 0.003, 0.3, 0.02, 128.0, 0.3, 0.05)
