@@ -20,9 +20,15 @@ the metric's bound:
   median, is wider than the bound, so the runs cannot place the move;
 - else "worse beyond bound" when worse > bound, and "within bound" otherwise.
 
+The rows are the scaled metrics that bench/run.py stores.  A run may also
+carry an "unscaled" block, added by hand from what bench/run.py prints:
+requests_per_s before scaling and calibration_factor_median.  For each
+workload whose parent and change runs carry it, one more row prints the
+unscaled requests_per_s the same way, then each side's median calibration
+factor; files without the block print no such row.
+
 The comparison rows only print.  The exit code is 1 when a file cannot be
-read or has a problem above, else 0.  The rows are the scaled metrics that
-bench/run.py stores.
+read or has a problem above, else 0.
 
 Usage:
   python3 scripts/compare_bench.py BENCH_*.json
@@ -31,6 +37,7 @@ Usage:
 import argparse
 import collections
 import json
+import math
 import statistics
 import sys
 
@@ -98,8 +105,39 @@ def rows(runs: list, metrics: list) -> list:
     return out
 
 
+def unscaled_rows(runs: list, metrics: list) -> list:
+    """(workload, metric, row, parent and change median calibration factors)
+    for every workload whose parent and change runs carry an "unscaled" block;
+    the row compares its requests_per_s as the declared requests_per_s metric."""
+    metric = next((m for m in metrics if m["name"] == "requests_per_s"), None)
+    rates = collections.defaultdict(dict)    # (workload, side) -> {seed: unscaled rate}
+    factors = collections.defaultdict(list)  # (workload, side) -> calibration factors
+    for run in runs:
+        block = run.get("unscaled", {})
+        if "requests_per_s" in block:
+            rates[run["workload"], run["side"]][run["seed"]] = block["requests_per_s"]
+        if "calibration_factor_median" in block:
+            factors[run["workload"], run["side"]].append(block["calibration_factor_median"])
+    out = []
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        parent, change = rates.get((workload, "parent")), rates.get((workload, "change"))
+        if metric and parent and change:
+            medians = tuple(statistics.median(factors[workload, side])
+                            if factors[workload, side] else math.nan
+                            for side in ("parent", "change"))
+            out.append((workload, metric, compare(metric, parent, change), medians))
+    return out
+
+
 def _fmt(q: tuple) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def _fmt_row(row: dict, metric: dict) -> str:
+    return (f"parent {_fmt(row['parent'])}  change {_fmt(row['change'])}  "
+            f"ratio {row['ratio']:.3f} ({100.0 * (row['ratio'] - 1.0):+.1f}%)  "
+            f"won {row['won']}/{row['pairs']}  "
+            f"{row['verdict']} (bound {metric['bound']:g}, spread {row['spread']:.3f})")
 
 
 def main(argv=None) -> int:
@@ -115,21 +153,22 @@ def main(argv=None) -> int:
         for path in args.files:
             with open(path, encoding="utf-8") as fh:
                 runs = json.load(fh)["runs"]
-            files.append((path, len(runs), problems(path, runs), rows(runs, metrics)))
+            files.append((path, len(runs), problems(path, runs), rows(runs, metrics),
+                          unscaled_rows(runs, metrics)))
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path, count, found, table in files:
+    for path, count, found, table, unscaled in files:
         for line in found:
             print(f"error: {line}")
         print(f"{path}: {count} runs, {'problems found' if found else 'ok'}; "
               "median [q1, q3] per side, ratio change/parent, pairs won by the change")
         for workload, metric, row in table:
-            print(f"  {workload:<11} {metric['name']:<20} parent {_fmt(row['parent'])}  "
-                  f"change {_fmt(row['change'])}  ratio {row['ratio']:.3f} "
-                  f"({100.0 * (row['ratio'] - 1.0):+.1f}%)  won {row['won']}/{row['pairs']}  "
-                  f"{row['verdict']} (bound {metric['bound']:g}, spread {row['spread']:.3f})")
-    return 1 if any(found for _, _, found, _ in files) else 0
+            print(f"  {workload:<11} {metric['name']:<20} {_fmt_row(row, metric)}")
+        for workload, metric, row, (f_parent, f_change) in unscaled:
+            print(f"  {workload:<11} unscaled {metric['name']} {_fmt_row(row, metric)}; "
+                  f"calibration factor median parent {f_parent:.4g}, change {f_change:.4g}")
+    return 1 if any(found for _, _, found, _, _ in files) else 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic
 
 _DEFAULT_T_GRID = tuple(2.0 ** k for k in range(-7, 8))
 _NEWTON_STEPS = 60
+_WITNESS_SLICE = 1 << 16  # witnesses built per slice of the sorted order
 _SCAN_NOTES = (
     "finite direction, arc-length, and time grids: a Monotone verdict is "
     "sampled evidence, not a proof",
@@ -147,8 +148,12 @@ class Projection:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationWitness:
+    """One sample whose radial derivative certifiably exceeds the tolerance.
+    Slotted, with no instance __dict__ or weak references: a scan may hold
+    millions of them."""
+
     base: tuple[float, float]
     direction: tuple[float, float]
     s: float
@@ -375,9 +380,11 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
     else:
         results = [r for task in tasks for r in run(task)]
     pairs = [(target, task[1]) for task in tasks for target in task[0]]
-    witnesses = _witness_objects(pairs, dirs, [cols for cols, _, _ in results])
     inconclusive = sum(amb for _, amb, _ in results)
     points = sum(cnt for _, _, cnt in results)
+    columns = [cols for cols, _, _ in results]
+    del results
+    witnesses = _witness_objects(pairs, dirs, columns)
     if witnesses:
         verdict = Verdict.VIOLATED
     elif inconclusive:
@@ -392,31 +399,48 @@ def scan(surface: FlatSurface, kernel, cfg: ScanConfig = ScanConfig()) -> Monoto
 def _witness_objects(pairs, dirs, columns) -> tuple:
     """Witnesses from (direction index, s, derivative, error) columns, one per
     (kernel target, base) pair of pairs; the target gives its witnesses'
-    time.
+    time.  columns is emptied once concatenated, so each task's arrays go
+    before the objects are built.
 
     They are ordered by (t, base, direction angle, s) with one stable sort, so
     ties keep pair, direction and sample order.  The angle of a direction is
-    math.atan2 of its components, the key its witness gives.
+    math.atan2 of its components, the key its witness gives.  Witnesses share
+    one tuple per base and direction, and one float per time and per error
+    bound (both positive, so equal values have equal bits); they are built
+    _WITNESS_SLICE at a time, so no list of every witness's fields exists.
     """
     if not columns:
         return ()
     owner = np.repeat(np.arange(len(pairs)), [len(cols[0]) for cols in columns])
     i, s, deriv, err = (np.concatenate(col) for col in zip(*columns))
+    columns.clear()
     bases = np.array([base for _, base in pairs])
-    t = np.array([target.t for target, _ in pairs])[owner]
+    t = np.array([target.t for target, _ in pairs])
     angle = np.array([math.atan2(u1, u0) for u0, u1 in dirs.tolist()])
-    order = np.lexsort((s, angle[i], bases[owner, 1], bases[owner, 0], t))
+    order = np.lexsort((s, angle[i], bases[owner, 1], bases[owner, 0], t[owner]))
+    owner, i, s, deriv = owner[order], i[order], s[order], deriv[order]
+    bounds, bound_at = np.unique(err[order], return_inverse=True)
+    del order, err
     base_of = [tuple(b) for b in bases.tolist()]
     dir_of = [tuple(u) for u in dirs.tolist()]
+    shared = {}
+    t_of = [shared.setdefault(v, v) for v in t.tolist()]
+    bound_of = bounds.tolist()
     kernel = pairs[0][0]
     heat = isinstance(kernel, Heat)
-    return tuple(map(
-        ViolationWitness,
-        map(base_of.__getitem__, owner[order].tolist()),
-        map(dir_of.__getitem__, i[order].tolist()),
-        s[order].tolist(), t[order].tolist(), deriv[order].tolist(), err[order].tolist(),
-        repeat("heat" if heat else "projection"),
-        repeat(None if heat else kernel.mode.eigenvalue)))
+    name = "heat" if heat else "projection"
+    eigenvalue = None if heat else kernel.mode.eigenvalue
+
+    def objects(lo):
+        cut = slice(lo, lo + _WITNESS_SLICE)
+        pair = owner[cut].tolist()
+        return map(ViolationWitness,
+                   map(base_of.__getitem__, pair), map(dir_of.__getitem__, i[cut].tolist()),
+                   s[cut].tolist(), map(t_of.__getitem__, pair), deriv[cut].tolist(),
+                   map(bound_of.__getitem__, bound_at[cut].tolist()),
+                   repeat(name), repeat(eigenvalue))
+
+    return tuple(chain.from_iterable(map(objects, range(0, len(s), _WITNESS_SLICE))))
 
 
 def revalidate(surface: FlatSurface, witness: ViolationWitness,

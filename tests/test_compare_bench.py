@@ -76,3 +76,45 @@ def test_failed_or_incorrect_run_exits_1(tmp_path, capsys, result):
     out = capsys.readouterr().out
     assert f"error: {tmp_path / 'BENCH_1.json'}: requests seed 2 change: " in out
     assert "problems found" in out
+
+
+def _with_unscaled(runs, sides=("parent", "change")):
+    """The runs, those of the given sides with an "unscaled" block: a rate
+    of 20 + seed (parent) or 21 + seed (change), and a calibration factor
+    of 1.1 + seed / 10 (parent) or 0.9 + seed / 10 (change)."""
+    for run in runs:
+        if run["side"] in sides:
+            extra = run["side"] == "change"
+            run["unscaled"] = {"requests_per_s": 20.0 + extra + run["seed"],
+                               "calibration_factor_median": 1.1 - 0.2 * extra + run["seed"] / 10,
+                               "median_round_s": 0.5}
+    return runs
+
+
+def test_unscaled_blocks_print_one_more_row_per_workload(tmp_path, capsys):
+    runs = _with_unscaled(_runs())
+    runs[0]["unscaled"]["requests_per_s"] = 30.0  # requests seed 1: the parent wins
+    assert compare_bench.main(_write(tmp_path, runs)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines[1:]) == 4
+    assert all("unscaled" not in line for line in lines[1:3])  # the scaled rows, as before
+    requests, klein = lines[3:]
+    assert requests.startswith("  requests    unscaled requests_per_s parent 23 [22.5, 26.5]  "
+                               "change 23 [22.5, 23.5]  ratio 1.000 (+0.0%)  won 2/3  ")
+    assert requests.endswith("; calibration factor median parent 1.3, change 1.1")
+    assert klein.startswith("  klein-scan  unscaled requests_per_s parent 22 [21.5, 22.5]  "
+                            "change 23 [22.5, 23.5]  ratio 1.045 (+4.5%)  won 3/3  ")
+    assert "within bound (bound 0.25, spread 0.045)" in klein
+
+
+def test_unscaled_rows_need_both_sides_and_tolerate_missing_fields(tmp_path, capsys):
+    runs = _with_unscaled(_runs(workloads=("requests",)), sides=("parent",))
+    assert compare_bench.main(_write(tmp_path, runs)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2  # no change run carries the block
+    runs = _with_unscaled(_runs(workloads=("requests",)))
+    for run in runs:
+        del run["unscaled"]["calibration_factor_median"]
+    runs[1]["unscaled"] = {}
+    assert compare_bench.main(_write(tmp_path, runs)) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert "won 2/2" in row and row.endswith("calibration factor median parent nan, change nan")

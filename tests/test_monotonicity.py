@@ -274,6 +274,65 @@ def test_scan_witnesses_match_per_sample_reference(generic_torus):
         assert report.witnesses == expected
 
 
+def test_witness_slices_do_not_change_the_witnesses(generic_torus, monkeypatch):
+    """Witness objects are built a slice of the sorted order at a time.  At a
+    slice of 7, which cuts runs of tied keys and leaves a short last slice,
+    a Klein scan with a duplicated base point and a projection scan give the
+    same witnesses as at the default slice, sharing one float per time and
+    per error bound."""
+    (p, q), (r, _) = np.random.default_rng(5).uniform(0, 1, (2, 2)) * [1.0, 0.7]
+    cases = [
+        (klein_bottle(0.7), Heat(),
+         ScanConfig(n_directions=40, n_arc_samples=12, t_values=(0.05, 0.5, 2.0),
+                    base_points=((p, q), (r, 0.6), (p, 0.1), (p, q)))),
+        (generic_torus, Projection(principal_eigenvalue(generic_torus)),
+         ScanConfig(n_directions=40, n_arc_samples=12,
+                    base_points=((0.1, 0.3), (0.0, 0.0), (0.1, 0.0)))),
+    ]
+    default = [scan(*case).witnesses for case in cases]
+    monkeypatch.setattr(monotonicity, "_WITNESS_SLICE", 7)
+    for case, expected in zip(cases, default):
+        witnesses = scan(*case).witnesses
+        assert len(witnesses) > 7 and len(witnesses) % 7
+        assert witnesses == expected
+        assert list(map(repr, witnesses)) == list(map(repr, expected))
+        for name in ("t", "error_bound"):
+            values = [getattr(w, name) for w in witnesses]
+            assert len(set(map(id, values))) == len(set(values))
+
+
+def test_witness_contract():
+    """ViolationWitness is a frozen, slotted dataclass whose fields, equality,
+    hashing, repr and pickling are those of the plain frozen dataclass it
+    replaced; scripts/kernel_digests.py hashes its repr."""
+    import pickle
+
+    W = flatheat.ViolationWitness
+    args = ((0.25, 0.0), (0.0, 1.0), 0.5, 1.0, 2e-08, 3e-20, "heat")
+    w = W(*args)
+    assert w == W(base=(0.25, 0.0), direction=(0.0, 1.0), s=0.5, t=1.0,
+                  radial_derivative=2e-08, error_bound=3e-20, kernel="heat", eigenvalue=None)
+    assert w != W(*args, eigenvalue=4.0) and w != dataclasses.replace(w, s=0.25)
+    assert hash(w) == hash(W(*args)) and len({w, W(*args)}) == 1
+    assert [(f.name, f.default) for f in dataclasses.fields(W)] == [
+        ("base", dataclasses.MISSING), ("direction", dataclasses.MISSING),
+        ("s", dataclasses.MISSING), ("t", dataclasses.MISSING),
+        ("radial_derivative", dataclasses.MISSING), ("error_bound", dataclasses.MISSING),
+        ("kernel", dataclasses.MISSING), ("eigenvalue", None)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.s = 0.75
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.eigenvalue = 1.0
+    moved = dataclasses.replace(w, kernel="projection", t=math.inf, eigenvalue=39.47)
+    assert (moved.kernel, moved.t, moved.eigenvalue, moved.s) == ("projection", math.inf, 39.47, 0.5)
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert pickle.loads(pickle.dumps(moved)) == moved
+    assert repr(w) == ("ViolationWitness(base=(0.25, 0.0), direction=(0.0, 1.0), s=0.5, t=1.0, "
+                       "radial_derivative=2e-08, error_bound=3e-20, kernel='heat', "
+                       "eigenvalue=None)")
+    assert not hasattr(w, "__dict__")
+
+
 def test_default_base_torus_scans_mirror_antipodes_exactly():
     """A torus scanned from the origin with an even ring evaluates each
     antipodal pair once and reads -u from u.  Its report equals the per
