@@ -8,10 +8,12 @@ at one batch size (1, 2, 7 or 300 points, the first rows of one seeded set)
 or as a single query (``KernelQuery``); or one projection mode, value or
 gradient, at one size.  Its line gives the digest of the returned array's
 bytes with the error bound, terms used and representation used, or of the
-name of the error it raises.  Last come a few small scans (``SCANS``), each
+name of the error it raises.  Then come a few small scans (``SCANS``), each
 the digest of the reprs of its witnesses, inconclusive count, points
-checked and verdict.  Two checkouts give bitwise the same kernels and scan
-witnesses exactly when their printouts are the same:
+checked and verdict, and last the records and curves of ``RECORDS``, each
+the digest of the record's repr or of the curve's arrays.  Two checkouts
+give bitwise the same kernels, scan witnesses and records exactly when
+their printouts are the same:
 
     diff <(PYTHONPATH=/path/to/other/src python3 scripts/kernel_digests.py) \\
          <(PYTHONPATH=src python3 scripts/kernel_digests.py)
@@ -26,9 +28,10 @@ import math
 import numpy as np
 
 from flatheat import (FlatHeatError, Heat, KernelQuery, Projection, ScanConfig,
-                      enumerate_modes, heat_kernel, heat_kernel_gradient, klein_bottle,
-                      principal_eigenvalue, projection_gradient, projection_kernel, scan,
-                      torus)
+                      asymptotic_violation, counterexample_generic, counterexample_isosceles,
+                      counterexample_klein, enumerate_modes, heat_kernel, heat_kernel_gradient,
+                      klein_bottle, principal_eigenvalue, projection_gradient,
+                      projection_kernel, radial_curve, scan, torus)
 from flatheat.kernels import heat_gradient_values, heat_values
 
 SURFACES = [("torus", a, b) for a, b in ((0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)),
@@ -52,6 +55,25 @@ SCANS = [
      ScanConfig(t_values=(0.02, 0.3, 2.0), base_points=((0.1, 0.2), (0.3, 0.55), (0.45, 0.9)),
                 **_SMALL)),
     ("torus(0.3, 1.2) projection", torus(0.3, 1.2), "projection", ScanConfig(**_SMALL)),
+]
+# (name, call): the counterexample records that CI certifies (the CLI's
+# defaults, and Klein bottles above and below b = 1), a large-time violation,
+# and radial curves of the heat kernel at an image time on a torus and a
+# spectral time on a Klein bottle, and of a projection
+_GENERIC = torus(0.3, 1.2)
+RECORDS = [
+    ("counterexample generic 0.3 1.2", lambda: (counterexample_generic(0.3, 1.2),)),
+    ("counterexample isosceles 0.3", lambda: (counterexample_isosceles(0.3),)),
+    ("counterexample klein 1.5", lambda: (counterexample_klein(1.5),)),
+    ("counterexample klein 0.8", lambda: (counterexample_klein(0.8),)),
+    ("asymptotic_violation klein(0.6)", lambda: (asymptotic_violation(klein_bottle(0.6)),)),
+    ("radial_curve torus(0.3, 1.2) heat t=0.05",
+     lambda: radial_curve(_GENERIC, Heat(0.05), (0.1, 0.2), (1.0, 2.0))),
+    ("radial_curve klein(0.73) heat t=0.5",
+     lambda: radial_curve(klein_bottle(0.73), Heat(0.5), (0.1, 0.2), (1.0, 2.0))),
+    ("radial_curve torus(0.3, 1.2) projection",
+     lambda: radial_curve(_GENERIC, Projection(principal_eigenvalue(_GENERIC)), (0.0, 0.0),
+                          (0.0, 1.0))),
 ]
 
 
@@ -115,6 +137,8 @@ def main() -> int:
                     print(f"{h}  {case} {n if n == 'query' else f'n={n}'}")
     for name, surface, kernel, cfg in SCANS:
         print(f"{_digest(lambda: _scan(surface, kernel, cfg))}  scan {name}")
+    for name, call in RECORDS:
+        print(f"{_digest(call)}  {name}")
     return 0
 
 

@@ -23,14 +23,15 @@ pipeline, ``_deck_sum`` (for a single query, its float form ``_pair_sum``,
 below): x - h(y) is formed once, as for distances
 (``surfaces._deck_displacements``), reduced once modulo the cover lattice
 (``lattice._recentre``, exactly for far-out points, which so lose no digits
-beyond those x - h(y) itself rounds away) and handed to a route that takes
-reduced displacements only: ``_image`` or ``_spectral`` for the heat kernel,
-the cosine loop over one shell for a projection.  Gradients then get the
-chain rule of each deck map, and the sum runs over h.  The reduction and
-the deck total are the two halves of ``_deck_sum`` (``_deck_reduce`` and
-``_deck_total``).  A scan, whose samples are the same at every time,
-calls them through ``_heat_times``: one reduction, then each time's route
-on the one reduced set.
+beyond those x - h(y) itself rounds away) and handed to
+each of the cover sums the call was given in turn: a route that takes
+reduced displacements only, ``_image`` or ``_spectral`` for the heat kernel
+at one time (``_cover_sum``), the cosine loop over one shell for a
+projection (``_shell_sum``).  Gradients then get the chain rule of each deck
+map, and the sum runs over h (``_deck_total``).  A public call passes one
+cover sum; a scan passes every time of a base, and a radial profile its
+values and its gradients, on one reduction.  A sum gets the same bits
+either way.
 
 Each route writes its sum once, as one loop over its terms that takes its
 exp, cos and sin as arguments, and one driver (``_sum_points``) runs every
@@ -633,42 +634,41 @@ def _broadcast_pair(x, y):
     return (x, y) if x.shape == y.shape else np.broadcast_arrays(x, y)
 
 
-def _deck_reduce(surface: FlatSurface, x, y):
-    """The first half of ``_deck_sum``: the displacements x - h(y) over the k
-    deck elements h (``surfaces._deck_displacements``), reduced once modulo
-    the cover (``lattice._recentre``, which rejects non-finite ones).
-    Returns the cover rows, the deck maps' linear parts, the reduced
-    coordinate rows d0, shape (2, k P), and the shape (k, ...) they came in;
-    the unreduced displacements are dropped."""
-    rows, lin, disp = _deck_displacements(surface, x, y)
-    return rows, lin, _recentre(rows, disp), disp.shape[:-1]
-
-
-def _deck_total(lin, shape: tuple, out, err: float, terms: int, want_grad: bool):
-    """The second half of ``_deck_sum``: one cover sum (or gradient row) out
-    per reduced displacement of ``_deck_reduce``, in its shape (k, ...), with
-    its bound and its terms.  Gradients are multiplied by each deck map's
-    linear part lin[h] (the chain rule; the glide reverses x1).  Returns the
-    sums over h with k times the bound and the terms."""
+def _deck_total(lin, shape: tuple, out, err: float, terms: int):
+    """The deck total of ``_deck_sum``: out holds one cover sum per reduced
+    displacement, shape (k P,) for values or (k P, 2) for gradients, of
+    displacements that came in the shape (k, ...) shape; err and terms are
+    the cover sum's bound and terms.  Gradients are multiplied by each deck
+    map's linear part lin[h] (the chain rule; the glide reverses x1).
+    Returns the sums over h, in the points' shape, with k times the bound
+    and the terms."""
     k = len(lin)
     out = out.reshape(shape + out.shape[1:])
-    if want_grad:
+    if out.ndim > len(shape):  # gradient rows
         out *= lin.reshape((k,) + (1,) * (out.ndim - 2) + (2,))
     return out.sum(axis=0), k * err, k * terms
 
 
-def _deck_sum(surface: FlatSurface, x, y, cover_sum, want_grad: bool):
-    """Sum a cover-lattice sum (or its y-gradient) over the deck group: the one
-    pipeline from points x, y (float arrays of one shape (..., 2)) to every
-    kernel value, gradient and projection (for a single query, ``_pair_sum``).
-    Its two halves are the reduction (``_deck_reduce``) and the deck total
-    (``_deck_total``); between them cover_sum(rows, d0, k) gets the cover
-    rows, the reduced coordinate rows d0, shape (2, k P), and k, and returns
-    one sum (or gradient row) per displacement with its bound and its terms.
-    A scan reduces once for all its times (``_heat_times``).
-    """
-    rows, lin, d0, shape = _deck_reduce(surface, x, y)
-    return _deck_total(lin, shape, *cover_sum(rows, d0, len(lin)), want_grad)
+def _deck_sum(surface: FlatSurface, x, y, cover_sums):
+    """Sum cover-lattice sums (values or y-gradients) over the deck group:
+    the one pipeline from points x, y (float arrays of one shape (..., 2))
+    to every kernel value, gradient and projection (for a single query,
+    ``_pair_sum``).  The displacements x - h(y) over the k deck elements h
+    (``surfaces._deck_displacements``) are reduced once modulo the cover
+    (``lattice._recentre``, which rejects non-finite ones); then each cover
+    sum of the iterable cover_sums gets, in turn, the cover rows, the
+    reduced coordinate rows d0, shape (2, k P), and k, and returns one sum
+    (or gradient row) per displacement with its bound and its terms.  A
+    generator of each one's deck total (``_deck_total``): the sums over h,
+    k times the bound and the terms.  cover_sums is read one at a time, and
+    the generator keeps only the reduced set, none of the totals it has
+    yielded."""
+    rows, lin, disp = _deck_displacements(surface, x, y)
+    shape, d0 = disp.shape[:-1], _recentre(rows, disp)
+    del disp
+    k = len(lin)
+    for cover in cover_sums:
+        yield _deck_total(lin, shape, *cover(rows, d0, k))
 
 
 def _cover_sum(t: float, rep: str, eps: float, want_grad: bool):
@@ -685,23 +685,12 @@ def _heat_sum(surface: FlatSurface, t: float, x, y, eps: float, representation: 
     checked time and tolerance, with the representation used.  x and y are
     float arrays of one shape (..., 2) (``_deck_sum``), or two float pairs,
     one query (``_pair_sum``), whose value comes as a float and whose
-    gradient as a pair.  ``_heat_times`` takes many times at once."""
+    gradient as a pair."""
     rep = _resolve_rep(surface, t, representation)
-    total = _pair_sum if isinstance(x, tuple) else _deck_sum
-    return (*total(surface, x, y, _cover_sum(t, rep, eps, want_grad), want_grad), rep)
-
-
-def _heat_times(surface: FlatSurface, times, x, y, eps: float, want_grad: bool):
-    """``_heat_sum`` at each of the checked times in turn, with the automatic
-    representation, on the points x, y (float arrays of one shape (..., 2)),
-    reduced once for every time: the two halves of ``_deck_sum`` with each
-    time's own route between them.  A generator of (sums, bound, terms,
-    representation used); a time's sums are let go once yielded."""
-    reps = [_resolve_rep(surface, t, "auto") for t in times]
-    rows, lin, d0, shape = _deck_reduce(surface, x, y)
-    for t, rep in zip(times, reps):
-        cover = _cover_sum(t, rep, eps, want_grad)
-        yield (*_deck_total(lin, shape, *cover(rows, d0, len(lin)), want_grad), rep)
+    cover = _cover_sum(t, rep, eps, want_grad)
+    if isinstance(x, tuple):
+        return (*_pair_sum(surface, x, y, cover, want_grad), rep)
+    return (*next(_deck_sum(surface, x, y, (cover,))), rep)
 
 
 def _heat_arrays(surface: FlatSurface, t, x, y, eps, representation: str, want_grad: bool):
@@ -973,12 +962,13 @@ def _shell(surface: FlatSurface, mode: SpectralMode):
     return np.array(gens, dtype=float) @ geom["dual_rows"], geom["covol"]
 
 
-def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
-    """P_lambda(x, y) = sum over deck elements h and shell vectors p of
-    cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound: the
-    spectral disk route's cosine loop (``_cosines``) over the shell
-    (``_shell``), with weight 1 / area, run by the driver through the heat
-    kernel's deck sum."""
+def _shell_sum(surface: FlatSurface, mode: SpectralMode, want_grad: bool):
+    """The cover sum of the projection P_lambda (or its y-gradient), as
+    ``_deck_sum`` calls it: the spectral disk route's cosine loop
+    (``_cosines``) over the mode's shell (``_shell``), with weight 1 / area.
+    Values carry no bound.  A gradient carries a heuristic rounding bound
+    over the k deck elements times shell vectors summed, divided by k here
+    and multiplied by k in the deck total, both exact as k is 1 or 2."""
     _check_mode(surface, mode)
     vecs, area = _shell(surface, mode)
     w = 1.0 / area
@@ -987,14 +977,23 @@ def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool)
     def loop(x0, x1, lib):
         return _cosines(x0, x1, shell, want_grad, lib.cos, lib.sin)
 
-    out, _, terms = _deck_sum(
-        surface, *_broadcast_pair(x, y),
-        lambda rows, d0, k: (_sum_points(d0, loop, want_grad), 0.0, len(vecs)), want_grad)
-    if not want_grad:
-        return out
-    # a heuristic rounding bound over the deck elements times shell vectors summed
-    scale = terms * _TWO_PI * float(np.max(np.hypot(vecs[:, 0], vecs[:, 1]))) / area
-    return out, 1e-15 * max(scale, 1.0)
+    def cover(rows, d0, k):
+        bound = 0.0
+        if want_grad:
+            norm = float(np.max(np.hypot(vecs[:, 0], vecs[:, 1])))
+            bound = 1e-15 * max(k * len(vecs) * _TWO_PI * norm / area, 1.0) / k
+        return _sum_points(d0, loop, want_grad), bound, len(vecs)
+
+    return cover
+
+
+def _projection(surface: FlatSurface, mode: SpectralMode, x, y, want_grad: bool):
+    """P_lambda(x, y) = sum over deck elements h and shell vectors p of
+    cos(2 pi p.(x - h(y))) / cover area, or its y-gradient with a bound: the
+    mode's cover sum (``_shell_sum``) run through the heat kernel's deck sum."""
+    cover = _shell_sum(surface, mode, want_grad)
+    out, err, _ = next(_deck_sum(surface, *_broadcast_pair(x, y), (cover,)))
+    return (out, err) if want_grad else out
 
 
 def projection_kernel(surface: FlatSurface, mode: SpectralMode, x, y):

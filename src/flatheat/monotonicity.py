@@ -9,15 +9,15 @@ exceeds the tolerance.  Counterexample constructors rebuild the known failing
 configurations in closed form and return revalidatable witnesses.
 
 Every geodesic sample starts as a kernel target, which carries its time
-(+inf for a projection), and ``_segment`` (the points base + s * u).  A
-scan's main pass (``_scan_task``) evaluates every target of a base on one
-set of samples: all its heat times from one reduction of them
-(``kernels._heat_times``).  Everything else takes ``_eval_radial`` (radial
-derivatives) one target at a time: the scan's eps/16 retry, ``_profile``
-(values as well, for curves and records) and ``_witness`` (one sample on
-its own, as ``revalidate`` evaluates it).  Both give a sample the same
-bits.  Scan and counterexample witnesses alike come from the
-``ViolationWitness`` constructor.
+(+inf for a projection), and ``_segment`` (the points base + s * u).  One
+sampler, ``_eval_radial``, evaluates them: it picks each target's cover
+sums (``_kernel_sum``) and runs them all on one reduction of the samples
+(``kernels._deck_sum``).  It serves a scan's main pass (``_scan_task``,
+every target of a base on one set of samples), the scan's eps/16 retry,
+``_profile`` (values and derivatives, for curves and records) and
+``_witness`` (one sample on its own, as ``revalidate`` evaluates it).  A
+sample gets the same bits in each.  Scan and counterexample witnesses
+alike come from the ``ViolationWitness`` constructor.
 """
 from __future__ import annotations
 
@@ -41,16 +41,16 @@ from .errors import (
 from .kernels import (
     SpectralMode,
     _check_size,
-    _heat_times,
+    _cover_sum,
+    _deck_sum,
     _mode_at,
+    _resolve_rep,
+    _shell_sum,
     _validate_time_eps,
     eigenbasis_values,
     fundamental_domain_grid,
     heat_gradient_values,
-    heat_values,
     principal_eigenvalue,
-    projection_gradient,
-    projection_kernel,
 )
 from .lattice import LatticeTag, _pair, _real, _unit, classify
 from .surfaces import FlatSurface, Torus, _s_max, klein_bottle, minimal_geodesic, torus
@@ -223,35 +223,49 @@ def _segment(base, u, s):
     return np.broadcast_to(base, Y.shape), Y, np.broadcast_to(u, Y.shape)
 
 
-def _radial(grads, U):
-    """Radial derivatives g0 u0 + g1 u1 of gradients grads along U (..., 2),
-    elementwise.  A BLAS dot of the same numbers may round differently, and
-    revalidate would then not give back a scan's bits."""
-    return grads[..., 0] * U[..., 0] + grads[..., 1] * U[..., 1]
+def _radial(sums, U):
+    """A gradient sum of ``kernels._deck_sum`` as radial derivatives
+    g0 u0 + g1 u1 along U (..., 2), elementwise, with its bound; a value sum
+    with its bound.  A BLAS dot of the same numbers may round differently,
+    and revalidate would then not give back a scan's bits."""
+    out, err, _ = sums
+    if out.shape == U.shape:
+        out = out[..., 0] * U[..., 0] + out[..., 1] * U[..., 1]
+    return out, err
 
 
-def _eval_radial(surface, kernel, X, Y, U, eps):
-    """Radial derivatives (``_radial``) and their error bound for sample
-    blocks X, Y and directions U (..., 2); a heat kernel is evaluated at its
-    own time, and eps serves it only.  A sample gets the same bits in every
-    batch, a batch of one included (the summation rule of ``kernels``)."""
+def _kernel_sum(surface, kernel, eps, want_grad: bool):
+    """The cover sum of a kernel target, values or y-gradients, as
+    ``kernels._deck_sum`` takes it: the heat kernel at its own time with
+    tolerance eps (checked) on the automatic route, or the projection of
+    the target's mode, which takes no tolerance."""
     if isinstance(kernel, Heat):
-        grads, err, _, _ = heat_gradient_values(surface, kernel.t, X, Y, eps=eps)
-    else:
-        grads, err = projection_gradient(surface, kernel.mode, X, Y)
-    return _radial(grads, U), err
+        t, eps = _validate_time_eps(kernel.t, eps)
+        return _cover_sum(t, _resolve_rep(surface, t, "auto"), eps, want_grad)
+    return _shell_sum(surface, kernel.mode, want_grad)
+
+
+def _eval_radial(surface, targets, X, Y, U, eps, values: bool = False):
+    """Radial derivatives (``_radial``) and their error bound for sample
+    blocks X, Y and directions U (..., 2), for each kernel target in turn,
+    all from one reduction of the samples (``kernels._deck_sum``); with
+    values, each target's kernel values and their bound come before its
+    derivatives.  An iterator of (array, bound) pairs, each let go before
+    the next is formed; eps serves heat targets only.  A sample gets the
+    same bits in every batch, a batch of one included, and with any other
+    targets (the summation rule of ``kernels``)."""
+    grads = (False, True) if values else (True,)
+    sums = [_kernel_sum(surface, kernel, eps, g) for kernel in targets for g in grads]
+    return map(_radial, _deck_sum(surface, X, Y, sums), repeat(U))
 
 
 def _profile(surface, kernel, base, u, s, eps):
     """Kernel values, radial derivatives and one error bound for both along
-    base + s * u; a projection is a finite shell sum, whose values have no
-    truncation to bound."""
+    base + s * u, from one reduction of the samples; a projection is a
+    finite shell sum, whose values have no truncation to bound."""
     X, Y, U = _segment(base, u, s)
-    deriv, err = _eval_radial(surface, kernel, X, Y, U, eps)
-    if isinstance(kernel, Heat):
-        vals, err_vals, _, _ = heat_values(surface, kernel.t, X, Y, eps=eps)
-        return np.asarray(vals), deriv, max(float(err_vals), float(err))
-    return np.asarray(projection_kernel(surface, kernel.mode, X, Y)), deriv, float(err)
+    (vals, err_vals), (deriv, err) = _eval_radial(surface, [kernel], X, Y, U, eps, values=True)
+    return vals, deriv, max(float(err_vals), float(err))
 
 
 def _radial_at(surface, kernel, base, u, s, eps) -> tuple[float, float]:
@@ -259,7 +273,7 @@ def _radial_at(surface, kernel, base, u, s, eps) -> tuple[float, float]:
     evaluated as a batch of one (shape (1, 2)), as a scan evaluates its
     row, not as a single query (``kernels._pair_sum``)."""
     X, Y, U = _segment(np.asarray(base, dtype=float), np.asarray(u, dtype=float), [s])
-    deriv, err = _eval_radial(surface, kernel, X, Y, U, eps)
+    deriv, err = next(_eval_radial(surface, [kernel], X, Y, U, eps))
     return float(deriv[0]), float(err)
 
 
@@ -274,11 +288,10 @@ def _check_kernel(kernel) -> None:
 
 def _scan_task(surface, targets, cfg, base, dirs, smax, src):
     """Witness columns, inconclusive count and samples of each kernel target
-    from one base, one triple per target.  Heat targets take their first
-    pass from one reduction of the samples for all their times
-    (``kernels._heat_times``), bitwise what ``_eval_radial`` gives at each;
-    each target's columns are cut, and its arrays let go, before the next
-    target runs.  Row i of dirs takes its radial derivatives from the
+    from one base, one triple per target.  The first pass evaluates every
+    target on one reduction of the samples (``_eval_radial``); each
+    target's columns are cut, and its arrays let go, before the next target
+    runs.  Row i of dirs takes its radial derivatives from the
     evaluation of row src[i]: only the rows src names are evaluated, and the
     eps/16 retry, one per target, runs on them alone.  A mirrored row,
     src[i] != i, is the antipode of src[i] with the same arc lengths, so its
@@ -293,19 +306,14 @@ def _scan_task(surface, targets, cfg, base, dirs, smax, src):
     S = smax[:, None] * (np.arange(1, ns + 1) / ns)[None, :]
     rows, at = np.unique(src, return_inverse=True)
     X, Y, dirs_b = _segment(base, dirs[rows, None, :], S[rows])
-    if isinstance(targets[0], Heat):
-        passes = _heat_times(surface, [k.t for k in targets], X, Y, cfg.kernel_epsilon, True)
-    else:
-        passes = (projection_gradient(surface, k.mode, X, Y) for k in targets)
+    passes = _eval_radial(surface, targets, X, Y, dirs_b, cfg.kernel_epsilon)
     out = []
-    for kernel, (grads, err0, *_) in zip(targets, passes):
-        deriv = _radial(grads, dirs_b)
-        del grads  # each target's arrays go before the next target's are formed
+    for kernel, (deriv, err0) in zip(targets, passes):
         err = err0  # one bound for every sample, until a retry
         ambiguous = ~(deriv - err > tol) & (deriv + err > tol)
         if ambiguous.any():
-            d2, e2 = _eval_radial(surface, kernel, X[ambiguous], Y[ambiguous],
-                                  dirs_b[ambiguous], cfg.kernel_epsilon / 16.0)
+            d2, e2 = next(_eval_radial(surface, [kernel], X[ambiguous], Y[ambiguous],
+                                       dirs_b[ambiguous], cfg.kernel_epsilon / 16.0))
             deriv[ambiguous] = d2
             err = np.where(ambiguous, e2, err0)
         if len(rows) < len(src):
@@ -628,8 +636,7 @@ def counterexample_klein(b: float, xi: float = 0.25) -> CounterexampleRecord:
         s_hi = float(np.hypot(asy.y[0] - asy.x[0], asy.y[1] - asy.x[1]))
         s = np.linspace(s_hi / 64.0, s_hi, 64)
         kernel = Heat(asy.t_threshold)
-        lam = principal_eigenvalue(surface).eigenvalue
-        eps = max(math.exp(-lam * asy.t_threshold) * 1e-8, 1e-280)
+        eps = _large_time_eps(principal_eigenvalue(surface).eigenvalue, asy.t_threshold)
         vals, dp, _ = _profile(surface, kernel, x, u, s, eps)
         witness = _witness(surface, kernel, x, u, s[int(np.argmax(dp))], eps,
                            "largest radial derivative on the segment")
@@ -664,11 +671,19 @@ class AsymptoticViolation:
     phi_y: float
 
 
+def _large_time_eps(lam: float, t: float) -> float:
+    """The heat kernel's tolerance at a large time t: 1e-8 of e^{-lam t}, the
+    size of the term of the principal eigenvalue lam, and at least 1e-280."""
+    return max(math.exp(-lam * t) * 1e-8, 1e-280)
+
+
 def asymptotic_violation(surface: FlatSurface) -> AsymptoticViolation:
     """Large-time violation K_t(x,y) > K_t(x,x) when phi_1 orders the points.
 
     Needs a simple principal eigenvalue; picks x, y with 0 < phi_1(x) < phi_1(y)
     and returns the smallest grid time with a certified positive difference.
+    The grid is walked in order on one reduction of the two pairs, each time
+    with its own tolerance (``_large_time_eps``), and no further than that time.
     """
     mode = principal_eigenvalue(surface)
     if mode.multiplicity != 1:
@@ -680,10 +695,11 @@ def asymptotic_violation(surface: FlatSurface) -> AsymptoticViolation:
     phi = eigenbasis_values(surface, mode, np.stack([x, y]))[0]
     _certify(0.0 < phi[0] < phi[1], "phi_1 does not order the sample points")
     lam = mode.eigenvalue
-    for t in _DEFAULT_T_GRID:
-        eps = max(math.exp(-lam * t) * 1e-8, 1e-280)
-        # one call for K_t(x, y) and K_t(x, x); err bounds each of them
-        (vxy, vxx), err, _, _ = heat_values(surface, t, x, np.stack([y, x]), eps=eps)
+    # K_t(x, y) and K_t(x, x) at each time; err bounds each of them
+    pairs = np.stack([x, x]), np.stack([y, x])
+    sums = (_kernel_sum(surface, Heat(t), _large_time_eps(lam, t), False)
+            for t in _DEFAULT_T_GRID)
+    for t, ((vxy, vxx), err, _) in zip(_DEFAULT_T_GRID, _deck_sum(surface, *pairs, sums)):
         diff = float(vxy - vxx)
         if diff > err + err:
             return AsymptoticViolation(

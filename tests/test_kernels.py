@@ -524,28 +524,55 @@ def test_block_size_does_not_change_values(rng, monkeypatch):
         assert np.array_equal(a, b) and np.array_equal(a, c), (s, rep)
 
 
-def test_heat_times_give_each_time_its_own_bits(rng, monkeypatch):
-    """``kernels._heat_times`` reduces the points once for all its times, yet
-    yields at each time bitwise what heat_values and heat_gradient_values
-    return there: sums, bound, terms and representation.  Times out of
-    order and repeated, and in increasing order; on both routes; a disk
-    torus, a rectangular one and two Klein bottles; in one block and in
-    blocks of three points."""
+def test_deck_sum_gives_each_cover_sum_its_own_bits(rng, monkeypatch):
+    """``kernels._deck_sum`` reduces the points once for all the cover sums it
+    is given, reading them one at a time, yet yields for each bitwise what
+    its one-sum public call returns: heat values and gradients interleaved,
+    at times out of order and repeated, on both routes, each sum with its
+    own tolerance, and a projection's values and gradients among them (sums,
+    bound and terms).  A disk torus, a rectangular one and two Klein
+    bottles; in one block and in blocks of three points."""
     X = rng.uniform(-1.0, 2.0, (3, 5, 2))
     Y = rng.uniform(-1.0, 2.0, (3, 5, 2))
-    mixed = (2.0, 0.003, 0.3, 0.02, 128.0, 0.3, 0.05)
+    times = (2.0, 0.003, 0.3, 0.02, 128.0, 0.3, 0.05)
+    epsilons = (1e-13, 1e-7, 1e-10)
     surfaces = (torus(0.3, 1.2), torus(0.0, 1.5), klein_bottle(0.8), klein_bottle(1.4))
+    reductions = []
+    recentre = kernels._recentre
+    monkeypatch.setattr(kernels, "_recentre",
+                        lambda *args: reductions.append(1) or recentre(*args))
     for block in (1 << 14, 3):
         monkeypatch.setattr(kernels, "_BLOCK_POINTS", block)
-        for s, times in itertools.product(surfaces, (mixed, sorted(mixed))):
-            for grad, fn in ((False, heat_values), (True, heat_gradient_values)):
-                got = list(kernels._heat_times(s, times, X, Y, 1e-13, grad))
-                assert len(got) == len(times)
-                assert {rep for *_, rep in got} == {"image", "spectral"}, s
-                for t, (out, err, terms, rep) in zip(times, got):
-                    ref, ref_err, ref_terms, ref_rep = fn(s, t, X, Y, eps=1e-13)
-                    assert (err, terms, rep) == (ref_err, ref_terms, ref_rep), (s, t)
-                    assert out.shape == ref.shape and np.array_equal(out, ref), (s, t, grad)
+        for s in surfaces:
+            covers, refs = [], []
+            for i, (t, grad) in enumerate(itertools.product(times, (False, True))):
+                eps = epsilons[i % len(epsilons)]
+                covers.append(kernels._cover_sum(t, kernels._resolve_rep(s, t, "auto"),
+                                                 eps, grad))
+                fn = heat_gradient_values if grad else heat_values
+                refs.append(fn(s, t, X, Y, eps=eps))
+            assert {ref[3] for ref in refs} == {"image", "spectral"}, s
+            mode = principal_eigenvalue(s)
+            k = 1 if isinstance(s, flatheat.Torus) else 2
+            vecs, area = kernels._shell(s, mode)
+            shell = k * len(vecs)
+            # the heuristic gradient bound, formed as it was before the cover
+            # sum divided it by k and the deck total multiplied it back
+            reach = float(np.max(np.hypot(vecs[:, 0], vecs[:, 1])))
+            bound = 1e-15 * max(shell * (2.0 * math.pi) * reach / area, 1.0)
+            grads, grad_bound = projection_gradient(s, mode, X, Y)
+            assert grad_bound == bound, s
+            covers[5:5] = [kernels._shell_sum(s, mode, False), kernels._shell_sum(s, mode, True)]
+            refs[5:5] = [(projection_kernel(s, mode, X, Y), 0.0, shell), (grads, bound, shell)]
+            read = []
+            reductions.clear()
+            totals = kernels._deck_sum(s, X, Y, (read.append(c) or c for c in covers))
+            for i, (out, err, terms) in enumerate(totals):
+                assert len(read) == i + 1 and len(reductions) == 1, (s, i)
+                ref, ref_err, ref_terms = refs[i][:3]
+                assert (err, terms) == (ref_err, ref_terms), (s, i)
+                assert out.shape == ref.shape and np.array_equal(out, ref), (s, i)
+            assert len(read) == len(covers)
 
 
 LATTICE_CLASSES = [(0.0, 1.0), (0.0, 1.5), (0.3, math.sqrt(1 - 0.3 ** 2)), (0.5, HONEYCOMB_B),

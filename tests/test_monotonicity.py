@@ -1,5 +1,6 @@
 """Geodesic monotonicity scans, counterexample records, and the census."""
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -231,14 +232,15 @@ def reference_witnesses(surface, kernel, cfg):
             Y = base[None, None, :] + S[:, :, None] * dirs[:, None, :]
             X = np.broadcast_to(base, Y.shape)
             dirs_b = np.broadcast_to(dirs[:, None, :], Y.shape)
-            deriv, err0 = monotonicity._eval_radial(surface, target, X, Y, dirs_b,
-                                                    cfg.kernel_epsilon)
+            # one target per call, where the scan's first pass takes them all
+            deriv, err0 = next(monotonicity._eval_radial(surface, [target], X, Y, dirs_b,
+                                                         cfg.kernel_epsilon))
             err = np.full(deriv.shape, err0)
             ambiguous = (deriv - err <= tol) & (deriv + err > tol)
             if ambiguous.any():
-                d2, e2 = monotonicity._eval_radial(
-                    surface, target, X[ambiguous], Y[ambiguous], dirs_b[ambiguous],
-                    cfg.kernel_epsilon / 16.0)
+                d2, e2 = next(monotonicity._eval_radial(
+                    surface, [target], X[ambiguous], Y[ambiguous], dirs_b[ambiguous],
+                    cfg.kernel_epsilon / 16.0))
                 deriv[ambiguous] = np.atleast_1d(d2)
                 err[ambiguous] = e2
             for i, j in np.argwhere(deriv - err > tol):
@@ -365,11 +367,27 @@ def test_default_base_torus_scans_mirror_antipodes_exactly():
 
 
 def test_radial_curve_shapes_and_derivative_consistency(honeycomb_torus):
+    """Values and derivatives come from one reduction of the samples, yet are
+    bitwise heat_values and the radial part of heat_gradient_values on the
+    same samples, with the larger of their bounds; on a torus and a Klein
+    bottle, at an image and a spectral time."""
     s, vals, derivs, errs = radial_curve(honeycomb_torus, Heat(0.3),
                                          (0.0, 0.0), (1.0, 1.0), n=101)
     assert s.shape == vals.shape == derivs.shape == errs.shape == (101,)
     fd = np.gradient(vals, s)
     assert np.abs(fd[2:-2] - derivs[2:-2]).max() < 1e-3
+    for surface, t in itertools.product((honeycomb_torus, klein_bottle(0.73)), (0.02, 0.5)):
+        base, direction = (0.1, 0.2), (1.0, 2.0)
+        s, vals, derivs, errs = radial_curve(surface, Heat(t), base, direction, n=33, eps=1e-11)
+        geo = minimal_geodesic(surface, base, direction)
+        u = np.array(geo.direction)
+        Y = np.array(geo.base) + s[:, None] * u
+        X = np.broadcast_to(np.array(geo.base), Y.shape)
+        ref, ref_err, _, _ = kernels.heat_values(surface, t, X, Y, eps=1e-11)
+        grads, grad_err, _, _ = kernels.heat_gradient_values(surface, t, X, Y, eps=1e-11)
+        assert np.array_equal(vals, ref), (surface, t)
+        assert np.array_equal(derivs, grads[:, 0] * u[0] + grads[:, 1] * u[1]), (surface, t)
+        assert np.array_equal(errs, np.full(33, max(ref_err, grad_err))), (surface, t)
 
 
 def test_radial_curve_of_a_projection_follows_its_closed_form():
@@ -594,11 +612,14 @@ import sys
 from flatheat import CertificationFailed, monotonicity
 if not sys.flags.optimize:
     sys.exit(4)  # the point is to run with asserts stripped
-real = monotonicity.projection_gradient
+real = monotonicity._shell_sum  # the projection's cover sum
 def inflated(*args, **kwargs):
-    grad, _ = real(*args, **kwargs)
-    return grad, 1e6  # error bound far above any derivative
-monotonicity.projection_gradient = inflated
+    cover = real(*args, **kwargs)
+    def sums(rows, d0, k):
+        out, _, terms = cover(rows, d0, k)
+        return out, 1e6, terms  # error bound far above any derivative
+    return sums
+monotonicity._shell_sum = inflated
 try:
     monotonicity.counterexample_isosceles(0.3)
 except CertificationFailed as exc:
